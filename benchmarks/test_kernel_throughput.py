@@ -52,7 +52,7 @@ def test_bench_neighborlist(benchmark):
     assert result.interacting_pairs > 0
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled"])
+@pytest.mark.parametrize("backend", ["interp", "fused"])
 def test_bench_vm_spe_kernel(benchmark, backend):
     """Batched VM execution of the fully-SIMDized SPE kernel, per backend."""
     program = build_spe_kernel("simd_acceleration", BOX.length)
@@ -68,7 +68,7 @@ def test_bench_vm_spe_kernel(benchmark, backend):
     assert np.isfinite(acc).all()
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled"])
+@pytest.mark.parametrize("backend", ["interp", "fused"])
 def test_bench_vm_original_kernel(benchmark, backend):
     """The scalar fig5 'original' kernel: the interpreter's worst case."""
     program = build_spe_kernel("original", BOX.length)
@@ -84,8 +84,8 @@ def test_bench_vm_original_kernel(benchmark, backend):
     assert np.isfinite(acc).all()
 
 
-def test_compiled_backend_speedup_on_fig5_ladder():
-    """Acceptance gate: >= 2x pairs/sec for compiled on every fig5 kernel.
+def test_fused_backend_speedup_on_fig5_ladder():
+    """Acceptance gate: >= 2x pairs/sec for fused on every fig5 kernel.
 
     Uses the same measurement that writes BENCH_vm.json
     (scripts/record_bench.py), best-of-3 on identical inputs.
@@ -97,4 +97,4 @@ def test_compiled_backend_speedup_on_fig5_ladder():
     ratios = speedups(results)
     assert set(ratios) == {f"spe:{level}" for level in OPT_LEVELS}
     slow = {k: round(v, 2) for k, v in ratios.items() if v < 2.0}
-    assert not slow, f"compiled backend below 2x on: {slow}"
+    assert not slow, f"fused backend below 2x on: {slow}"

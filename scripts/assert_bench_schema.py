@@ -30,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: schema id -> (speedup field, per-result required {field: type})
 SCHEMAS: dict[str, tuple[str, dict[str, type]]] = {
     "repro.bench_vm/1": (
-        "speedup_compiled_over_interp",
+        "speedup_fused_over_interp",
         {
             "kernel": str,
             "backend": str,
@@ -41,7 +41,7 @@ SCHEMAS: dict[str, tuple[str, dict[str, type]]] = {
         },
     ),
     "repro.bench_vm2/1": (
-        "speedup_fused_over_compiled_sequential",
+        "speedup_batched_over_sequential",
         {
             "mode": str,
             "replicas": int,

@@ -13,13 +13,13 @@ Default mode measures pairs/sec for every shipped pair kernel (the fig5
 SPE ladder plus the GPU MD shader) under both VM execution backends and
 writes a machine-readable record, so the repo's perf history is
 diffable from this commit onward.  ``--check`` is the CI gate: it exits
-nonzero if the compiled backend is slower than the interpreter on the
+nonzero if the fused backend is slower than the interpreter on the
 fig5 SIMD kernel (``--gate-kernel``/``--min-speedup`` to adjust).
 
 ``--ensemble`` instead measures replicas/sec through one whole fused
-timestep (force + integration, batched replicas) against the compiled
-backend's sequential replica loop, writing ``BENCH_vm2.json``.  Its
-``--check`` gate requires fused-batched to reach
+timestep (force + integration, batched replicas) against R sequential
+single-replica calls of the same fused closure, writing
+``BENCH_vm2.json``.  Its ``--check`` gate requires fused-batched to reach
 ``--min-ensemble-speedup`` (default 2x) at every measured replica count
 >= 8.
 
@@ -164,9 +164,9 @@ def _run_kernels(args: argparse.Namespace, out: Path) -> int:
         "host": _host(),
         "config": {**sizing, "quick": args.quick},
         "results": [r.to_dict() for r in results],
-        "speedup_compiled_over_interp": ratios,
+        "speedup_fused_over_interp": ratios,
     }
-    rc = _write_record(args, out, record, "speedup_compiled_over_interp")
+    rc = _write_record(args, out, record, "speedup_fused_over_interp")
     if rc:
         return rc
 
@@ -186,12 +186,12 @@ def _run_kernels(args: argparse.Namespace, out: Path) -> int:
             return 2
         if ratio < args.min_speedup:
             print(
-                f"FAIL: compiled backend is {ratio:.2f}x the interpreter on "
+                f"FAIL: fused backend is {ratio:.2f}x the interpreter on "
                 f"{args.gate_kernel} (required >= {args.min_speedup:.2f}x)",
                 file=sys.stderr,
             )
             return 1
-        print(f"gate ok: {args.gate_kernel} compiled/interp = {ratio:.2f}x "
+        print(f"gate ok: {args.gate_kernel} fused/interp = {ratio:.2f}x "
               f">= {args.min_speedup:.2f}x")
     return 0
 
@@ -224,13 +224,11 @@ def _run_ensemble(args: argparse.Namespace, out: Path) -> int:
         },
         "results": [r.to_dict() for r in results],
         # JSON object keys are strings; keep replica counts readable.
-        "speedup_fused_over_compiled_sequential": {
+        "speedup_batched_over_sequential": {
             str(r): ratio for r, ratio in sorted(ratios.items())
         },
     }
-    rc = _write_record(
-        args, out, record, "speedup_fused_over_compiled_sequential"
-    )
+    rc = _write_record(args, out, record, "speedup_batched_over_sequential")
     if rc:
         return rc
 
@@ -254,12 +252,12 @@ def _run_ensemble(args: argparse.Namespace, out: Path) -> int:
             print(
                 f"FAIL: fused-batched below "
                 f"{args.min_ensemble_speedup:.2f}x replicas/sec over "
-                f"compiled-sequential at R={sorted(slow)}: {slow}",
+                f"fused-sequential at R={sorted(slow)}: {slow}",
                 file=sys.stderr,
             )
             return 1
         floor = min(gated.values())
-        print(f"gate ok: fused/compiled-sequential >= {floor:.2f}x at every "
+        print(f"gate ok: batched/sequential >= {floor:.2f}x at every "
               f"R >= {GATE_REPLICAS} (required "
               f">= {args.min_ensemble_speedup:.2f}x)")
     return 0
@@ -539,9 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gate-kernel", default="spe:simd_acceleration",
                         help="kernel the kernel-mode --check gate applies to")
     parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="minimum compiled/interp ratio for --check")
+                        help="minimum fused/interp ratio for --check")
     parser.add_argument("--min-ensemble-speedup", type=float, default=2.0,
-                        help="minimum fused-batched/compiled-sequential "
+                        help="minimum fused-batched/fused-sequential "
                         f"replicas-per-second ratio at R >= {GATE_REPLICAS} "
                         "for --ensemble --check")
     parser.add_argument("--regress-tolerance", type=float,

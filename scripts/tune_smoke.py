@@ -4,9 +4,10 @@
 Exercises the full tune → persist → auto-load loop through the real
 CLI in an isolated runs directory:
 
-1. ``harness tune --quick --only tunesweep-vm`` must produce a tuned
+1. ``harness tune --quick --only tunesweep-mta`` must produce a tuned
    artifact under ``<runs>/tuned/`` whose winner beats the defaults
-   (fused VM execution vs the interpreter — a large, robust margin),
+   (fewer MTA streams on a small system — a simulated-time objective,
+   so the margin is deterministic),
 2. ``harness run --quick --only tunesweep`` must auto-load that config:
    the stored run record carries the tuned-config fingerprint,
 3. a second ``harness tune`` of the same scenario must short-circuit on
@@ -51,7 +52,7 @@ def main() -> int:
         runs_dir = Path(tmp) / "runs"
 
         # 1. tune: must persist an artifact with a non-default winner
-        _harness(runs_dir, "tune", "--quick", "--only", "tunesweep-vm")
+        _harness(runs_dir, "tune", "--quick", "--only", "tunesweep-mta")
         tuned_dir = runs_dir / "tuned"
         artifacts = sorted(tuned_dir.glob("*.json"))
         if not artifacts:
@@ -64,8 +65,8 @@ def main() -> int:
             )
         if not artifact.get("values"):
             raise SystemExit(
-                "FAIL: tuner adopted no values (expected fused VM execution "
-                "to beat the interpreter)"
+                "FAIL: tuner adopted no values (expected a smaller MTA "
+                "stream request to beat the default)"
             )
         print(
             f"ok: tuned artifact {artifact['key'][:16]}… "
@@ -94,7 +95,7 @@ def main() -> int:
         print(f"ok: run auto-loaded tuned config {tuned['fingerprint'][:16]}…")
 
         # 3. re-tune: the persisted artifact must satisfy the key, 0 probes
-        proc = _harness(runs_dir, "tune", "--quick", "--only", "tunesweep-vm")
+        proc = _harness(runs_dir, "tune", "--quick", "--only", "tunesweep-mta")
         if "cached artifact, 0 probes" not in proc.stdout:
             sys.stderr.write(proc.stdout)
             raise SystemExit("FAIL: second tune re-ran probes instead of "

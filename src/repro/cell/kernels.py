@@ -409,7 +409,7 @@ def build_spe_timestep_kernel(
     and the ``integrate`` segment advances the row's own atom with it.
     The force flows to the integrator through the ``acc_out`` register —
     an SSA value under the ``fused`` backend (no ``env`` round trip), a
-    declared-output handoff under ``interp``/``compiled`` — which is
+    declared-output handoff under ``interp`` or ``run_segment`` — which is
     what makes this the cross-segment-fusion workload.
     """
     flags = OptimizationFlags.for_level(level)

@@ -19,7 +19,7 @@ from repro.arch import calibration as cal
 from repro.arch.clock import Clock
 from repro.arch.memory import LocalStore
 from repro.vm.isa import EVEN, ODD, CostTable, OpCost
-from repro.vm.machine import Machine, resolve_exec_backend
+from repro.vm.machine import Machine
 from repro.vm.program import Program
 from repro.vm.schedule import estimate_cycles
 
@@ -95,10 +95,10 @@ class SpePairSweep:
     accumulating the acceleration of atom ``i`` and the per-atom PE
     contribution.  Arithmetic is float32 throughout, as on hardware.
 
-    Defaults to the ``compiled`` VM backend (the sweep only reads the
+    Runs on the default ``fused`` VM backend (the sweep only reads the
     kernel's declared outputs, so the interpreter's full-env
-    side-effects buy nothing here); pass ``exec_backend="interp"`` or
-    set ``REPRO_VM_EXEC`` to override.  Constant registers, ``zero``,
+    side-effects buy nothing here); pass ``exec_backend="interp"`` for
+    the reference interpreter.  Constant registers, ``zero``,
     and the ``self_flag`` buffer are built once per batch size and
     reused across row blocks instead of being re-materialized as fresh
     ``(batch, width)`` arrays for every block.
@@ -108,15 +108,11 @@ class SpePairSweep:
         self,
         program: Program,
         width: int = 4,
-        exec_backend: str | None = None,
+        exec_backend: str = "fused",
     ) -> None:
         self.program = program
         self.machine = Machine(
-            width=width,
-            dtype=np.float32,
-            exec_backend=resolve_exec_backend(
-                exec_backend, default="compiled", device="cell"
-            ),
+            width=width, dtype=np.float32, exec_backend=exec_backend
         )
         self._env_cache: dict[int, dict[str, np.ndarray]] = {}
         self._env_constants: tuple | None = None
@@ -209,7 +205,7 @@ class SpePairSweep:
         SPE kernels bake the box length into their reflection
         immediates).  Replica r occupies rows ``r*B .. (r+1)*B-1`` of
         the pair batch, so under the ``fused`` backend all replicas
-        execute through one closure call per block; other backends fall
+        execute through one closure call per block; ``interp`` falls
         back to a per-replica loop inside :meth:`Machine.run_program`
         with bit-identical results.  Returns ``(acc (R, rows, 3),
         pe (R, rows))``, each replica's slice bit-identical to a

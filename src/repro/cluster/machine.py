@@ -345,8 +345,21 @@ class SimulatedCluster:
             ]
             core = max(node_times, default=0.0)
             max_compute = max(node_compute, default=0.0)
-            exposed = core - max_compute  # >= 0: exchange only ever adds
-            hidden = exchange_s - min(exchange_s, exposed)
+            # Split the exchange by the overlap decision that set the
+            # critical node, so the fully hidden and fully exposed cases
+            # come out exactly 0.0 rather than as subtraction residues.
+            critical = max(range(len(node_times)), key=node_times.__getitem__,
+                           default=None)
+            if critical is None or node_interior[critical] >= exchange_s:
+                hidden, exposed = exchange_s, 0.0
+            elif node_compute[critical] == max_compute:
+                hidden = node_interior[critical]
+                exposed = exchange_s - hidden
+            else:
+                # A lighter node went critical: the step grows by less
+                # than that node's unoverlapped exchange.
+                exposed = core - max_compute
+                hidden = exchange_s - exposed
 
             parts_total: dict[str, float] = merge_breakdowns(*parts_by_node)
             # Rescale summed per-node components onto the critical path
@@ -379,7 +392,7 @@ class SimulatedCluster:
                 migrate_atoms=migrate_atoms,
                 exchange_seconds=exchange_s,
                 hidden_seconds=hidden,
-                exposed_seconds=max(0.0, exchange_s - hidden),
+                exposed_seconds=exposed,
             )
             ledger.append(entry)
 

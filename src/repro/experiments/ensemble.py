@@ -4,20 +4,20 @@ Ensemble methods (replica exchange, independent-seed sampling) run R
 copies of the same kernel over different state.  The fused backend
 stacks the R replicas along the VM's batch axis and executes the whole
 timestep — every force segment plus integration — as *one* compiled
-closure per step, where the PR-3 compiled backend loops replica by
-replica with a per-segment dispatch each.
+closure call per step, where running the replicas one by one costs R
+calls of the same closure.
 
 The experiment certifies the three claims that make that optimization
 safe to use:
 
-* **throughput** — fused-batched execution beats compiled-sequential on
+* **throughput** — fused-batched execution beats fused-sequential on
   replicas-per-second (the strict ≥2x-at-R≥8 gate lives in
   ``scripts/record_bench.py --ensemble --check`` / ``BENCH_vm2.json``;
   the roster check uses a looser band so a loaded CI box cannot flake
   the whole run),
 * **bit-identity** — a batched run of R replicas produces, replica by
-  replica, exactly the outputs of R sequential runs, under every
-  execution backend,
+  replica, exactly the outputs of R sequential runs, under both
+  execution backends,
 * **counter additivity** — branch statistics and replica-step counters
   from the batched run merge to exactly the sequential totals, so
   observability never depends on how work was batched.
@@ -45,7 +45,7 @@ __all__ = ["DESCRIPTION", "run"]
 DESCRIPTION = "batched replica ensemble: fused-VM throughput, bit-identity, counters"
 
 #: Every execution backend the differential sweep compares.
-_BACKENDS = ("interp", "compiled", "fused")
+_BACKENDS = ("interp", "fused")
 
 
 def _replica_ladder(replicas: int) -> tuple[int, ...]:
@@ -90,7 +90,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
     ratios = ensemble_speedups(bench)
     rows = []
     for r in ladder:
-        seq = by_key[(r, "compiled-sequential")]
+        seq = by_key[(r, "fused-sequential")]
         fused = by_key[(r, "fused-batched")]
         rows.append((
             r,
@@ -104,7 +104,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
 
     # -- differential net: batched vs sequential, all backends ----------
     batch = replicas * n_rows
-    reference = Machine(width=4, dtype=np.float32, exec_backend="fused")
+    reference = Machine(width=4, dtype=np.float32)
     base_env = timestep_env(reference, batch, constants)
     fused_out = reference.run_program(program, dict(base_env), replicas=replicas)
     batched_counters = _vm_counters(reference)
@@ -125,17 +125,15 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
                     max_deviation = max(max_deviation, float(delta.max()))
 
     # -- counter additivity: merge R per-replica windows ----------------
-    sequential = Machine(width=4, dtype=np.float32, exec_backend="compiled")
     merged_counters = CounterSet()
     for index in range(replicas):
         sub = {
             name: reg[index * n_rows : (index + 1) * n_rows]
             for name, reg in base_env.items()
         }
-        window = Machine(width=4, dtype=np.float32, exec_backend="compiled")
+        window = Machine(width=4, dtype=np.float32)
         window.run_program(program, dict(sub), replicas=1)
         merged_counters.merge(_vm_counters(window))
-        sequential.run_program(program, dict(sub), replicas=1)
 
     # vm.programs measures dispatches, which batching *reduces* (1 vs R)
     # — it is excluded from the additivity comparison by design.
@@ -155,7 +153,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             low=1.2,
             high=1.0e3,
             paper_value=2.0,
-            description=f"fused-batched over compiled-sequential replicas/sec "
+            description=f"fused-batched over fused-sequential replicas/sec "
             f"at R={replicas} (strict >=2x gate: BENCH_vm2.json)",
         ),
         ShapeCheck(
@@ -165,7 +163,7 @@ def run(n_rows: int = 256, replicas: int = 8, repeats: int = 3) -> ExperimentRes
             high=0.0,
             paper_value=0.0,
             description="batched replicas bit-identical to sequential runs "
-            "under interp, compiled, and fused backends (max |delta|)",
+            "under the interp and fused backends (max |delta|)",
         ),
         ShapeCheck(
             key="ensemble_counter_additivity",

@@ -112,15 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=available_backends(),
         help="functional force engine for the fig9 sweep",
     )
-    from repro.vm.machine import EXEC_BACKENDS, EXEC_ENV_VAR
-
-    parser.add_argument(
-        "--vm-exec",
-        default=None,
-        choices=EXEC_BACKENDS,
-        help="VM execution backend for every device model (sets "
-        f"{EXEC_ENV_VAR}; default: drivers pick 'compiled')",
-    )
     parser.add_argument(
         "--fault-plan",
         default=None,
@@ -173,11 +164,6 @@ def main(argv: list[str] | None = None) -> int:
             fault_plan = load_plan_arg(args.fault_plan).to_dict()
         except ValueError as exc:
             parser.error(str(exc))
-
-    if args.vm_exec:
-        import os
-
-        os.environ[EXEC_ENV_VAR] = args.vm_exec
 
     if args.list:
         from repro.harness.cli import print_roster

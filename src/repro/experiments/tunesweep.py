@@ -1,8 +1,9 @@
 """The tuning-target sweep: gpu/mta/vm workloads under tuned configs.
 
 This experiment is the roster anchor for the autotuner's accelerator
-scenarios (``tunesweep-gpu``, ``tunesweep-mta``, ``tunesweep-vm`` in
-:mod:`repro.tune.probe`): a tuned artifact persisted for
+scenarios (``tunesweep-gpu`` and ``tunesweep-mta`` in
+:mod:`repro.tune.probe`, plus the knob-free VM row ``tunesweep-vm``,
+which always runs the default fused backend): a tuned artifact persisted for
 ``experiment_id="tunesweep"`` auto-loads onto this job's runs, and its
 knob values reach the workloads ambiently through
 :mod:`repro.tune.context` — exactly the path a production run takes.
@@ -25,20 +26,21 @@ __all__ = ["DESCRIPTION", "run"]
 #: One-line roster description (``--list`` / harness job metadata).
 DESCRIPTION = "gpu/mta/vm tuning-target sweep under the active tuned config"
 
-#: The probe scenarios this experiment re-runs as its workloads.
-_SCENARIO_IDS = ("tunesweep-gpu", "tunesweep-mta", "tunesweep-vm")
+#: The probe scenarios this experiment re-runs as its workloads; the VM
+#: row (:data:`repro.tune.probe.VM_WORKLOAD`) follows them.
+_SCENARIO_IDS = ("tunesweep-gpu", "tunesweep-mta")
 
 
 def run(quick: bool = False, repeats: int = 2) -> ExperimentResult:
     """Run each tuning-target workload once under the ambient config."""
     from repro.tune.context import active_values
-    from repro.tune.probe import _WORKLOADS, scenario_for
+    from repro.tune.probe import _WORKLOADS, VM_WORKLOAD, scenario_for
 
     applied = active_values()
     rows = []
     checks = []
-    for scenario_id in _SCENARIO_IDS:
-        scenario = scenario_for(scenario_id)
+    for scenario in [scenario_for(i) for i in _SCENARIO_IDS] + [VM_WORKLOAD]:
+        scenario_id = scenario.scenario_id
         per_second, seconds, accuracy = _WORKLOADS[scenario_id](
             scenario, quick, repeats
         )

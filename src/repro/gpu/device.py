@@ -26,7 +26,7 @@ from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.tune.context import tuned_value
 from repro.tune.spec import TunableSpec, register_tunable
-from repro.vm.machine import Machine, resolve_exec_backend
+from repro.vm.machine import Machine
 from repro.vm.schedule import count_issues
 
 __all__ = ["GpuDevice", "GpuPairSweep", "make_pcie_bus"]
@@ -71,17 +71,11 @@ class GpuPairSweep:
     """
 
     def __init__(
-        self, shader, width: int = 4, exec_backend: str | None = None
+        self, shader, width: int = 4, exec_backend: str = "fused"
     ) -> None:
         self.shader = shader
-        # Shaders only expose declared outputs, so the compiled VM
-        # backend is the default; REPRO_VM_EXEC or exec_backend override.
         self.machine = Machine(
-            width=width,
-            dtype=np.float32,
-            exec_backend=resolve_exec_backend(
-                exec_backend, default="compiled", device="gpu"
-            ),
+            width=width, dtype=np.float32, exec_backend=exec_backend
         )
         self._env_cache: dict[int, dict[str, np.ndarray]] = {}
         self._env_constants: tuple | None = None

@@ -194,7 +194,7 @@ def build_reduction_shader(fanin: int = 4) -> ShaderProgram:
 
 
 def gpu_reduce(
-    values, fanin: int = 4, exec_backend: str | None = None
+    values, fanin: int = 4, exec_backend: str = "fused"
 ) -> tuple[float, int]:
     """Sum ``values`` through actual multi-pass gather shader executions.
 
@@ -202,21 +202,17 @@ def gpu_reduce(
     :func:`reduction_pass_count`: each pass runs the reduction shader on
     the batched VM over strided views of the previous pass's output,
     exactly as the ping-pong render-target scheme would.  Runs on the
-    compiled VM backend unless overridden.
+    default ``fused`` VM backend unless overridden.
     """
     import numpy as np
 
-    from repro.vm.machine import Machine, resolve_exec_backend
+    from repro.vm.machine import Machine
 
     values = np.asarray(values, dtype=np.float32).ravel()
     if values.size == 0:
         raise ValueError("cannot reduce an empty array")
     shader = build_reduction_shader(fanin)
-    machine = Machine(
-        width=4,
-        dtype=np.float32,
-        exec_backend=resolve_exec_backend(exec_backend, default="compiled"),
-    )
+    machine = Machine(width=4, dtype=np.float32, exec_backend=exec_backend)
     passes = 0
     current = values
     while current.size > 1:

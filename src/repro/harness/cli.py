@@ -92,12 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--force-path", default="all-pairs",
                      choices=available_backends(),
                      help="functional force engine for the fig9 sweep")
-    from repro.vm.machine import EXEC_BACKENDS, EXEC_ENV_VAR
-
-    run.add_argument("--vm-exec", default=None, choices=EXEC_BACKENDS,
-                     help="VM execution backend for every device model (sets "
-                     f"{EXEC_ENV_VAR} so worker processes inherit it; not "
-                     "part of job cache keys — results are bit-identical)")
     run.add_argument("--fault-plan", default=None, metavar="PLAN",
                      help="fault plan for the chaos experiment: 'storm', "
                      "'none', or a path to a JSON plan file; ships through "
@@ -206,16 +200,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.list:
         print_roster()
         return 0
-    if args.vm_exec:
-        # Env var (not a job param): worker processes inherit os.environ,
-        # and cache keys stay byte-for-byte identical across backends —
-        # the backends produce bit-identical results, so a cached record
-        # computed under either one is valid for both.
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        os.environ[EXEC_ENV_VAR] = args.vm_exec
     if args.replicas is not None and args.replicas < 1:
         print("error: --replicas must be >= 1", file=sys.stderr)
         return 2
@@ -269,7 +253,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "quick": args.quick,
             "jobs": args.jobs,
             "force_path": args.force_path,
-            "vm_exec": args.vm_exec,
             "fault_plan": args.fault_plan,
             "replicas": args.replicas,
             "only": args.only,

@@ -36,7 +36,14 @@ import numpy as np
 
 from repro.experiments.common import ExperimentResult, PAPER_STEPS, ShapeCheck, paper_config
 
-__all__ = ["PROBE_EXPERIMENT_ID", "SCENARIOS", "TuneScenario", "probe_job", "scenario_for"]
+__all__ = [
+    "PROBE_EXPERIMENT_ID",
+    "SCENARIOS",
+    "TuneScenario",
+    "VM_WORKLOAD",
+    "probe_job",
+    "scenario_for",
+]
 
 #: experiment id stamped on probe records (never a registry entry, so a
 #: probe can never collide with a real experiment's cache keys)
@@ -151,7 +158,7 @@ def _probe_vm(scenario: TuneScenario, quick: bool, repeats: int):
     rows = scenario.size(quick)
     program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
     constants = timestep_constants(LennardJones(), dt=0.005)
-    machine = Machine(width=4, dtype=np.float32)  # backend: tuned vm.exec
+    machine = Machine(width=4, dtype=np.float32)
     env = timestep_env(machine, replicas * rows, constants)
     seconds, _ = _best_wall(
         lambda: machine.run_program(program, dict(env), replicas=replicas),
@@ -205,16 +212,19 @@ SCENARIOS: tuple[TuneScenario, ...] = (
         metric="steps",
         n=128, quick_n=128, steps=2, quick_steps=1,
     ),
-    TuneScenario(
-        # steps doubles as the replica count for the VM scenario
-        scenario_id="tunesweep-vm",
-        experiment_id="tunesweep",
-        device="vm",
-        knobs=("vm.exec",),
-        objective="wall",
-        metric="replicas",
-        n=256, quick_n=64, steps=8, quick_steps=4,
-    ),
+)
+
+#: The ``tunesweep`` experiment's VM row: batched replicas through the
+#: default fused backend.  It has no knob to search, so it is not one of
+#: the tuner's :data:`SCENARIOS`.  ``steps`` doubles as the replica count.
+VM_WORKLOAD = TuneScenario(
+    scenario_id="tunesweep-vm",
+    experiment_id="tunesweep",
+    device="vm",
+    knobs=(),
+    objective="wall",
+    metric="replicas",
+    n=256, quick_n=64, steps=8, quick_steps=4,
 )
 
 

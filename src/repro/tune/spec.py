@@ -3,7 +3,7 @@
 Each backend declares its knobs *where they live* — the MD force
 registry declares ``md.*``, the Cell partitioner declares
 ``cell.partition``, the GPU driver ``gpu.row_block``, the MTA stream
-model ``mta.streams``, the VM ``vm.exec`` — by calling
+model ``mta.streams`` — by calling
 :func:`register_tunable` at import time.  The tuner then has one place
 to ask "what can I turn, between which bounds, and what should it do?".
 
@@ -46,7 +46,7 @@ _DECLARING_MODULES = (
 class TunableSpec:
     """One knob: name, home backend, bounds, and the probe grid."""
 
-    #: dotted name, ``<family>.<knob>`` (e.g. ``md.skin``, ``vm.exec``)
+    #: dotted name, ``<family>.<knob>`` (e.g. ``md.skin``, ``gpu.row_block``)
     name: str
     #: backend family that consumes it (md/cell/gpu/mta/vm)
     backend: str

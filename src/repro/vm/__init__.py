@@ -1,10 +1,9 @@
 """The batched SIMD virtual machine: ISA, programs, scheduler, executors.
 
-Execution comes in three interchangeable backends — the reference
-interpreter, the per-segment codegen backend, and the whole-program
-``fused`` backend with replica batching, all in
-:mod:`repro.vm.compile` — chosen per :class:`Machine` (see
-:func:`resolve_exec_backend`).
+Execution comes in two bit-identical backends, chosen per
+:class:`Machine`: the default ``fused`` backend, which runs segments and
+whole programs as NumPy closures built by :mod:`repro.vm.compile` (with
+replica batching), and the reference interpreter ``interp``.
 """
 
 from repro.vm.builder import Asm
@@ -20,7 +19,6 @@ from repro.vm.machine import (
     BranchStat,
     Machine,
     MachineError,
-    resolve_exec_backend,
 )
 from repro.vm.program import IfBlock, Instr, Loop, Program, Segment
 from repro.vm.schedule import (
@@ -54,6 +52,5 @@ __all__ = [
     "compiled_program",
     "compiled_segment",
     "estimate_cycles",
-    "resolve_exec_backend",
     "straightline_cycles",
 ]

@@ -125,7 +125,7 @@ def _make_runner(kernel: str, backend: str, batch: int):
 
 def bench_kernels(
     kernels: Iterable[str] | None = None,
-    backends: Iterable[str] = ("interp", "compiled"),
+    backends: Iterable[str] = ("interp", "fused"),
     batch: int = 1024,
     repeats: int = 3,
 ) -> list[KernelBench]:
@@ -160,7 +160,7 @@ def bench_kernels(
 class EnsembleBench:
     """One (replica count, execution mode) whole-timestep measurement."""
 
-    mode: str  # "compiled-sequential" | "fused-batched"
+    mode: str  # "fused-sequential" | "fused-batched"
     replicas: int
     rows_per_replica: int
     repeats: int
@@ -201,13 +201,11 @@ def timestep_env(
     return env
 
 
-#: (mode label, exec backend) pairs the ensemble benchmark compares: the
-#: PR-3 compiled backend looping replica by replica, vs one fused
-#: whole-program closure over the replica-stacked batch.
-ENSEMBLE_MODES = (
-    ("compiled-sequential", "compiled"),
-    ("fused-batched", "fused"),
-)
+#: Execution modes the ensemble benchmark compares: R single-replica
+#: ``run_program`` calls, vs one call over the replica-stacked batch.
+#: Both run the same fused whole-program closure, so the ratio measures
+#: replica batching alone.
+ENSEMBLE_MODES = ("fused-sequential", "fused-batched")
 
 
 def bench_ensemble(
@@ -218,26 +216,35 @@ def bench_ensemble(
     """Replicas/sec through one whole SPE timestep, per execution mode.
 
     Each replica is ``rows_per_replica`` independent dimer systems; the
-    batch stacks R replicas along the row axis.  ``compiled-sequential``
-    is :meth:`Machine.run_program` on the compiled backend (loops
-    replica by replica over row slices — the PR-3 execution model);
-    ``fused-batched`` runs the same batch through one whole-program
-    closure.  Outputs are bit-identical (``tests/vm/test_fused.py``), so
-    the ratio is pure dispatch/vectorization win.
+    batch stacks R replicas along the row axis.  ``fused-sequential``
+    is R calls of :meth:`Machine.run_program` with ``replicas=1``, one
+    per replica's row slice; ``fused-batched`` runs the whole batch
+    through one call.  Outputs are bit-identical
+    (``tests/vm/test_fused.py``), so the ratio is pure batching win.
     """
     program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
     constants = timestep_constants(LennardJones(), dt=0.005)
     results = []
     for replicas in replica_counts:
         batch = replicas * rows_per_replica
-        for mode, backend in ENSEMBLE_MODES:
-            machine = Machine(width=4, dtype=np.float32, exec_backend=backend)
+        for mode in ENSEMBLE_MODES:
+            machine = Machine(width=4, dtype=np.float32)
             env = timestep_env(machine, batch, constants)
+            # Fresh dicts per call: outputs rebind names; the input
+            # arrays themselves are never mutated.
+            if mode == "fused-batched":
+                def run():
+                    machine.run_program(program, dict(env), replicas=replicas)
+            else:
+                rows = rows_per_replica
+                slices = [
+                    {name: reg[i * rows : (i + 1) * rows] for name, reg in env.items()}
+                    for i in range(replicas)
+                ]
 
-            def run():
-                # Fresh dict per call: replica merging rebinds output
-                # names; the input arrays themselves are never mutated.
-                return machine.run_program(program, dict(env), replicas=replicas)
+                def run():
+                    for sub in slices:
+                        machine.run_program(program, dict(sub))
 
             run()  # warm-up: compile + pool allocation untimed
             best = float("inf")
@@ -256,13 +263,13 @@ def bench_ensemble(
 
 
 def ensemble_speedups(results: Iterable[EnsembleBench]) -> dict[int, float]:
-    """fused-batched / compiled-sequential replicas-per-second, per R."""
+    """fused-batched / fused-sequential replicas-per-second, per R."""
     by_key = {(r.replicas, r.mode): r for r in results}
     ratios = {}
     for (replicas, mode), result in by_key.items():
         if mode != "fused-batched":
             continue
-        baseline = by_key.get((replicas, "compiled-sequential"))
+        baseline = by_key.get((replicas, "fused-sequential"))
         if baseline is not None:
             ratios[replicas] = (
                 result.replicas_per_second / baseline.replicas_per_second
@@ -271,11 +278,11 @@ def ensemble_speedups(results: Iterable[EnsembleBench]) -> dict[int, float]:
 
 
 def speedups(results: Iterable[KernelBench]) -> dict[str, float]:
-    """compiled/interp throughput ratio per kernel (where both ran)."""
+    """fused/interp throughput ratio per kernel (where both ran)."""
     by_key = {(r.kernel, r.backend): r for r in results}
     ratios = {}
     for (kernel, backend), result in by_key.items():
-        if backend != "compiled":
+        if backend != "fused":
             continue
         interp = by_key.get((kernel, "interp"))
         if interp is not None:

@@ -27,23 +27,23 @@ module removes all of it by *compiling* a segment once:
    pool of ``(batch, width)`` scratch buffers via in-place ``out=``
    ufunc kernels; steady-state execution allocates nothing.
 6. **Emit Python source** for the whole segment body and ``exec`` it
-   once; the closure is cached per ``(program, scope, width, dtype)``
-   where *scope* distinguishes a per-segment compilation from a fused
-   whole-program one (the two must never alias a cache entry even when
-   a program has a single segment, or a segment name that collides with
-   the scope marker).
+   once; the closure is cached per ``(program, segment names, width,
+   dtype)``.
 
-Two compilation granularities share this pipeline:
+Two compilation granularities share this pipeline, both run by the
+``fused`` backend:
 
-* :func:`compile_segment` lowers one named segment — the ``compiled``
-  backend's unit, dispatched per :meth:`Machine.run_segment` call.
+* :func:`compile_segment` lowers one named segment — the unit
+  :meth:`Machine.run_segment` dispatches.
 * :func:`compile_program` feeds *every* segment of a program through
   one :class:`_Flattener` in declaration order, so values flow across
   segment boundaries in SSA form (a force segment's ``acc_out`` is
   consumed by the integration segment without ever touching ``env``)
   and the liveness scan reuses buffer slots across those boundaries.
-  This is the ``fused`` backend's whole-timestep unit: one closure,
-  zero per-segment dispatch.
+  This is :meth:`Machine.run_program`'s whole-timestep unit: one
+  closure, zero per-segment dispatch.  For a single-segment program the
+  two units are the same ``_compile_unit(program, (name,))`` call, so
+  they share one cache entry.
 
 Replica batching: the emitted closure takes a ``replicas`` count.  The
 arithmetic needs nothing special — every operation is elementwise along
@@ -577,10 +577,10 @@ def _probe_const(machine, key: str, sample: float, batch: int, replicas: int) ->
 class CompiledSegment:
     """One compilation unit lowered to a fused closure plus its buffers.
 
-    The unit is either a single segment (the ``compiled`` backend) or a
-    whole program's segments fused end to end (the ``fused`` backend);
-    :attr:`segment_names` lists what went in, :attr:`segment_name` is
-    the ``+``-joined display form.
+    The unit is either a single segment (:meth:`Machine.run_segment`) or
+    a whole program's segments fused end to end
+    (:meth:`Machine.run_program`); :attr:`segment_names` lists what went
+    in, :attr:`segment_name` is the ``+``-joined display form.
     """
 
     def __init__(
@@ -778,15 +778,10 @@ def _compile_unit(
 
 @functools.lru_cache(maxsize=256)
 def _compiled_unit_cached(
-    program: Program, fingerprint: str, scope: tuple[str, ...], width: int,
-    dtype_str: str,
+    program: Program, fingerprint: str, segment_names: tuple[str, ...],
+    width: int, dtype_str: str,
 ) -> CompiledSegment:
-    # ``scope`` is ("segment", name) or ("program", *segment_names): the
-    # leading discriminator keeps a fused whole-program closure from
-    # aliasing a per-segment entry of the same program — including the
-    # single-segment case, where the segment-name tuple alone would be
-    # identical under both backends.
-    return _compile_unit(program, scope[1:], width, np.dtype(dtype_str))
+    return _compile_unit(program, segment_names, width, np.dtype(dtype_str))
 
 
 #: id(program) -> (weakref, repr) — identity-keyed so equal-but-distinct
@@ -830,7 +825,7 @@ def compiled_segment(
     dtype = np.dtype(dtype)
     try:
         return _compiled_unit_cached(
-            program, _program_fingerprint(program), ("segment", segment_name),
+            program, _program_fingerprint(program), (segment_name,),
             width, dtype.str,
         )
     except TypeError:
@@ -842,12 +837,12 @@ def compiled_program(
     width: int,
     dtype: np.dtype | type = np.float32,
 ) -> CompiledSegment:
-    """The cached whole-program entry point for the ``fused`` backend."""
+    """The cached whole-program entry point :meth:`Machine.run_program` uses."""
     dtype = np.dtype(dtype)
-    scope = ("program",) + tuple(segment.name for segment in program.segments)
+    names = tuple(segment.name for segment in program.segments)
     try:
         return _compiled_unit_cached(
-            program, _program_fingerprint(program), scope, width, dtype.str,
+            program, _program_fingerprint(program), names, width, dtype.str,
         )
     except TypeError:
         return compile_program(program, width, dtype)

@@ -7,30 +7,27 @@ of ``batch`` iterations.  This gives real numerics (the device tests
 compare VM force output against the NumPy reference kernels) while the
 instruction stream stays exact for the cycle model.
 
-Three execution backends share the instruction semantics:
+Two execution backends share the instruction semantics:
 
+* ``fused`` (the default) — :mod:`repro.vm.compile` lowers the code once
+  to a straight-line NumPy closure (loops unrolled, constants hoisted,
+  register slots liveness-reused via ``out=`` kernels) and caches it.
+  :meth:`Machine.run_segment` runs one segment's closure;
+  :meth:`Machine.run_program` runs every segment through one closure
+  with no per-segment dispatch, and with ``replicas=R`` executes R
+  independent replicas in a single vectorized call.  Only the program's
+  *declared outputs* are written back to ``env``.
 * ``interp`` — the per-instruction interpreter below: one dict dispatch
   and one fresh result array per instruction.  Every register the
-  program writes lands in ``env``, which makes it the debugging and
-  reference backend.
-* ``compiled`` — :mod:`repro.vm.compile` lowers the segment once to a
-  fused straight-line NumPy closure (loops unrolled, constants hoisted,
-  register slots liveness-reused via ``out=`` kernels) and caches it.
-  Bit-identical results and branch statistics, several times faster;
-  only the segment's *declared outputs* are written back to ``env``.
-* ``fused`` — whole-*program* compilation: :meth:`Machine.run_program`
-  executes every segment through one closure with no per-segment
-  dispatch, and a batched replica axis lets R independent replicas run
-  through a single vectorized call (:meth:`Machine.run_program` with
-  ``replicas=R``).  Per-segment execution (:meth:`run_segment`) under
-  ``fused`` falls back to the per-segment compiled closure — the two
-  granularities only differ when a caller hands over a whole program.
+  program writes lands in ``env``, and ``run_program(replicas=R)``
+  loops replica by replica over row slices.  It is the oracle the
+  ``fused`` backend is tested against and the backend to debug with;
+  it is chosen only by an explicit ``exec_backend="interp"``.
 
-The backend is chosen per :class:`Machine` via ``exec_backend``, with
-the ``REPRO_VM_EXEC`` environment variable filling in when the caller
-passes ``None``.  Cycle estimation (:mod:`repro.vm.schedule`) reads the
-instruction stream, never the executor, so timing results are identical
-under either backend.
+Outputs and branch statistics are bit-identical between the two.
+Cycle estimation (:mod:`repro.vm.schedule`) reads the instruction
+stream, never the executor, so timing results do not depend on the
+backend either.
 
 Predication: an :class:`IfBlock` executes its body unconditionally,
 then lane-wise selects the new values where the condition register is
@@ -42,8 +39,6 @@ model's branch probabilities come from.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.vm.isa import OPS
@@ -54,70 +49,14 @@ __all__ = [
     "EXEC_BACKENDS",
     "Machine",
     "MachineError",
-    "resolve_exec_backend",
 ]
 
-#: Recognized execution backends.
-EXEC_BACKENDS = ("interp", "compiled", "fused")
-
-#: Environment variable consulted when ``exec_backend`` is not given.
-EXEC_ENV_VAR = "REPRO_VM_EXEC"
+#: Recognized execution backends; ``fused`` is the default.
+EXEC_BACKENDS = ("interp", "fused")
 
 
 class MachineError(RuntimeError):
     """Raised for malformed programs or register-file misuse."""
-
-
-def resolve_exec_backend(
-    explicit: str | None = None,
-    default: str = "interp",
-    device: str = "vm",
-) -> str:
-    """Pick an execution backend: explicit > env var > tuned > default.
-
-    The core :class:`Machine` defaults to ``interp`` (full ``env``
-    side-effects, reference semantics); the device drivers default to
-    ``compiled`` (the fast path).  ``REPRO_VM_EXEC`` overrides either
-    default when the caller did not choose explicitly; below that, an
-    active tuned config's ``vm.exec`` value (scoped to ``device`` — the
-    drivers pass ``"cell"``/``"gpu"``) fills in.  All three backends are
-    bit-identical, so this ordering can only change speed.
-    """
-    backend = explicit if explicit is not None else (
-        os.environ.get(EXEC_ENV_VAR) or None  # empty string = unset
-    )
-    if backend is None:
-        from repro.tune.context import tuned_value
-
-        backend = tuned_value("vm.exec", device)
-    if backend is None:
-        backend = default
-    if backend not in EXEC_BACKENDS:
-        raise ValueError(
-            f"unknown VM execution backend {backend!r}; "
-            f"expected one of {EXEC_BACKENDS}"
-        )
-    return backend
-
-
-def _register_exec_tunable() -> None:
-    """Declare ``vm.exec`` (deferred import keeps module load acyclic)."""
-    from repro.tune.spec import TunableSpec, register_tunable
-
-    register_tunable(TunableSpec(
-        name="vm.exec",
-        backend="vm",
-        kind="choice",
-        default="compiled",
-        candidates=EXEC_BACKENDS,
-        description="VM execution backend (interp/compiled/fused)",
-        effect="compiled fuses each segment into one NumPy closure; "
-               "fused additionally eliminates per-segment dispatch and "
-               "batches replicas — fastest for whole-program workloads",
-    ))
-
-
-_register_exec_tunable()
 
 
 class BranchStat:
@@ -160,13 +99,18 @@ class Machine:
         self,
         width: int = 4,
         dtype: np.dtype | type = np.float32,
-        exec_backend: str | None = None,
+        exec_backend: str = "fused",
     ) -> None:
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
+        if exec_backend not in EXEC_BACKENDS:
+            raise ValueError(
+                f"unknown VM execution backend {exec_backend!r}; "
+                f"expected one of {EXEC_BACKENDS}"
+            )
         self.width = width
         self.dtype = np.dtype(dtype)
-        self.exec_backend = resolve_exec_backend(exec_backend, default="interp")
+        self.exec_backend = exec_backend
         #: measured P(taken) per IfBlock prob_key, accumulated over runs
         self.branch_stats: dict[str, BranchStat] = {}
         #: whole-program executions / replica-steps, accumulated over
@@ -218,14 +162,14 @@ class Machine:
         definition raise :class:`MachineError`.
 
         Backend contract: the ``interp`` backend stores every written
-        register into ``env``; the ``compiled`` backend stores only the
-        program's declared outputs (intermediates live in reused buffer
-        slots).  Declared outputs and branch statistics are bit-identical
-        between the two.
+        register into ``env``; the ``fused`` backend runs the segment's
+        compiled closure and stores only the program's declared outputs
+        (intermediates live in reused buffer slots).  Declared outputs
+        and branch statistics are bit-identical between the two.
         """
         segment = program.segment(segment_name)
         self._check_env(env)
-        if self.exec_backend in ("compiled", "fused"):
+        if self.exec_backend == "fused":
             from repro.vm.compile import compiled_segment
 
             compiled_segment(program, segment_name, self.width, self.dtype)(
@@ -246,16 +190,16 @@ class Machine:
         """Execute *every* segment of ``program`` over the batch in ``env``.
 
         Under the ``fused`` backend the whole program runs as one
-        compiled closure (no per-segment dispatch); under ``interp`` and
-        ``compiled`` the segments execute sequentially over the shared
-        ``env`` — same results, reference semantics.
+        compiled closure (no per-segment dispatch); under ``interp`` the
+        segments execute sequentially over the shared ``env`` — same
+        results, reference semantics.
 
         ``replicas=R`` declares that the batch rows are R independent
         replicas stacked along the row axis (row ``r*B .. (r+1)*B-1`` is
         replica ``r``).  The ``fused`` backend executes all replicas in
-        one vectorized call; ``interp`` and ``compiled`` loop replica by
-        replica on row slices — the sequential reference the batched
-        path must match bit for bit, branch statistics included.  With
+        one vectorized call; ``interp`` loops replica by replica on row
+        slices — the sequential reference the batched path must match
+        bit for bit, branch statistics included.  With
         ``replicas > 1`` only the program's declared outputs are merged
         back into ``env``.
 
@@ -322,13 +266,6 @@ class Machine:
             compiled_program(program, self.width, self.dtype)(
                 env, self, replicas=replicas
             )
-        elif self.exec_backend == "compiled":
-            from repro.vm.compile import compiled_segment
-
-            for segment in program.segments:
-                compiled_segment(program, segment.name, self.width, self.dtype)(
-                    env, self
-                )
         else:
             for segment in program.segments:
                 self._exec_nodes(segment.body, env, loop_indices=[])

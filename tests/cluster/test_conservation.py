@@ -94,3 +94,21 @@ class TestTracing:
             assert entry.hidden_seconds + entry.exposed_seconds == pytest.approx(
                 entry.exchange_seconds
             )
+
+    @pytest.mark.parametrize("n_atoms,n_nodes,fully_hidden", [
+        (2048, 2, True),  # wide slabs: interior rows cover the exchange
+        (256, 4, False),  # slabs narrower than the halo: no interior rows
+    ])
+    def test_exchange_split_is_exact_at_the_extremes(
+        self, n_atoms, n_nodes, fully_hidden
+    ):
+        cluster = SimulatedCluster(device="opteron", n_nodes=n_nodes)
+        result = cluster.run(MDConfig(n_atoms=n_atoms), 2)
+        for entry in result.ledger:
+            assert entry.exchange_seconds > 0.0
+            if fully_hidden:
+                assert entry.hidden_seconds == entry.exchange_seconds
+                assert entry.exposed_seconds == 0.0
+            else:
+                assert entry.hidden_seconds == 0.0
+                assert entry.exposed_seconds == entry.exchange_seconds

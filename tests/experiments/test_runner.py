@@ -48,38 +48,12 @@ class TestCli:
 
 
 class TestVmExecFlag:
-    def test_fused_is_an_accepted_backend_value(self, capsys, monkeypatch):
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        # setenv (not delenv) so teardown always restores the var even
-        # when it started out absent — the CLI writes os.environ
-        monkeypatch.setenv(EXEC_ENV_VAR, "compiled")
-        # --list exits before running anything, but --vm-exec has
-        # already been applied: cheap way to observe the env hand-off
-        assert runner.main(["--list", "--vm-exec", "fused"]) == 0
-        assert os.environ[EXEC_ENV_VAR] == "fused"
-
-    def test_flag_overrides_inherited_env_var(self, capsys, monkeypatch):
-        import os
-
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")
-        assert runner.main(["--list", "--vm-exec", "fused"]) == 0
-        assert os.environ[EXEC_ENV_VAR] == "fused"
-
     def test_invalid_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            runner.main(["--list", "--vm-exec", "vectorised"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_env_var_alone_reaches_machines(self, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR, Machine
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "fused")
-        assert Machine(width=4).exec_backend == "fused"
+        # The VM backend is not a runner option: every value is rejected.
+        for backend in ("fused", "vectorised"):
+            with pytest.raises(SystemExit):
+                runner.main(["--list", "--vm-exec", backend])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReplicasFlag:
@@ -92,14 +66,9 @@ class TestReplicasFlag:
         with pytest.raises(SystemExit):
             runner.main(["--quick", "--replicas", "two"])
 
-    def test_replicas_reaches_the_ensemble_experiment(self, capsys, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")  # CLI overwrites it;
-        # setenv registers the undo delenv would skip for an absent var
+    def test_replicas_reaches_the_ensemble_experiment(self, capsys):
         exit_code = runner.main(
-            ["--quick", "--only", "ensemble", "--replicas", "2",
-             "--vm-exec", "fused"]
+            ["--quick", "--only", "ensemble", "--replicas", "2"]
         )
         out = capsys.readouterr().out
         assert exit_code == 0

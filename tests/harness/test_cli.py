@@ -100,16 +100,11 @@ class TestDiff:
 
 class TestVmExecAndReplicas:
     def test_invalid_vm_exec_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--list", "--vm-exec", "vectorised"])
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_fused_accepted_and_listed_help(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["run", "--help"])
-        out = capsys.readouterr().out
-        assert "fused" in out
-        assert "--replicas" in out
+        # The VM backend is not a harness option: every value is rejected.
+        for backend in ("fused", "vectorised"):
+            with pytest.raises(SystemExit):
+                cli.main(["run", "--list", "--vm-exec", backend])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replicas_below_one_rejected(self, tmp_path, capsys):
         code = cli.main(
@@ -118,31 +113,22 @@ class TestVmExecAndReplicas:
         assert code == 2
         assert "--replicas must be >= 1" in capsys.readouterr().err
 
-    def test_replicas_is_part_of_the_cache_key(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_replicas_is_part_of_the_cache_key(self, tmp_path, capsys):
         """Same roster, different --replicas: cache must miss; same
-        --replicas again: cache must hit.  --vm-exec is deliberately
-        NOT keyed (backends are bit-identical), so the hit survives a
-        backend switch."""
-        from repro.vm.machine import EXEC_ENV_VAR
-
-        # setenv so teardown restores even when the var started absent
-        # (delenv on a missing var registers no undo)
-        monkeypatch.setenv(EXEC_ENV_VAR, "interp")
+        --replicas again: cache must hit."""
         runs_dir = str(tmp_path / "runs")
         base = ["run", "--quick", "--only", "ensemble", "--jobs", "0",
                 "--runs-dir", runs_dir]
 
-        assert cli.main(base + ["--replicas", "2", "--vm-exec", "fused"]) == 0
+        assert cli.main(base + ["--replicas", "2"]) == 0
         assert "(cached)" not in capsys.readouterr().out
 
-        assert cli.main(base + ["--replicas", "3", "--vm-exec", "fused"]) == 0
+        assert cli.main(base + ["--replicas", "3"]) == 0
         assert "(cached)" not in capsys.readouterr().out  # new key
 
-        assert cli.main(base + ["--replicas", "2", "--vm-exec", "compiled"]) == 0
+        assert cli.main(base + ["--replicas", "2"]) == 0
         out = capsys.readouterr().out
-        assert "(cached)" in out  # replicas keyed, backend not
+        assert "(cached)" in out  # replicas keyed
         assert "1 cached" in out
 
 

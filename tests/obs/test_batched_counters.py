@@ -20,7 +20,7 @@ from repro.cell.kernels import build_spe_timestep_kernel, timestep_constants
 from repro.experiments.ensemble import _vm_counters
 from repro.md.lj import LennardJones
 from repro.obs.counters import CounterSet, spec_for
-from repro.vm.machine import Machine
+from repro.vm.machine import EXEC_BACKENDS, Machine
 
 BOX_LENGTH = 8.0
 PROGRAM = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
@@ -57,7 +57,7 @@ class TestBatchedAdditivity:
         replicas=st.integers(1, 5),
         rows=st.integers(1, 4),
         seed=st.integers(0, 2**16),
-        backend=st.sampled_from(("interp", "compiled", "fused")),
+        backend=st.sampled_from(EXEC_BACKENDS),
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_counters_merge_to_sequential_totals(

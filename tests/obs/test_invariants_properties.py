@@ -127,19 +127,26 @@ class TestRealDeviceConservation:
 
 
 class TestBackendCounterIdentity:
-    """interp and compiled VM backends must charge identical counters."""
+    """interp and fused VM backends must charge identical counters."""
 
     @pytest.mark.parametrize("n_steps", [1, 2])
     def test_cell_vm_counters_backend_independent(self, n_steps, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR
+        import functools
+
+        import repro.cell.device as cell_device
+        from repro.cell.spe import SpePairSweep
 
         snapshots = {}
-        for backend in ("interp", "compiled"):
-            monkeypatch.setenv(EXEC_ENV_VAR, backend)
+        for backend in ("interp", "fused"):
+            # the device builds its sweeps itself: hand it the backend
+            monkeypatch.setattr(
+                cell_device, "SpePairSweep",
+                functools.partial(SpePairSweep, exec_backend=backend),
+            )
             device = CellDevice(n_spes=1, mode="vm")
             result = device.run(
                 CONFIG, n_steps, observe=Observation(device.name)
             )
             snapshots[backend] = result.counters
-        assert snapshots["interp"] == snapshots["compiled"]
+        assert snapshots["interp"] == snapshots["fused"]
         assert any(k.startswith("vm.") for k in snapshots["interp"])

@@ -46,13 +46,13 @@ def kernel_record(speedups: dict) -> dict:
         "config": {"batch": 1024, "repeats": 3, "quick": True},
         "results": [
             {
-                "kernel": k, "backend": "compiled", "pairs": 1024,
+                "kernel": k, "backend": "fused", "pairs": 1024,
                 "repeats": 3, "best_seconds": 0.001,
                 "pairs_per_second": 1024 / 0.001,
             }
             for k in speedups
         ],
-        "speedup_compiled_over_interp": dict(speedups),
+        "speedup_fused_over_interp": dict(speedups),
     }
 
 
@@ -84,7 +84,7 @@ class TestRegressedSpeedups:
 
 
 class TestWriteGuard:
-    FIELD = "speedup_compiled_over_interp"
+    FIELD = "speedup_fused_over_interp"
 
     def test_refuses_regressed_overwrite(self, record_bench, tmp_path,
                                          capsys):

@@ -26,12 +26,12 @@ WRITES_PER_WRITER = 25
 
 def _key(**overrides) -> str:
     base = dict(
-        scenario_id="tunesweep-vm",
+        scenario_id="tunesweep-mta",
         experiment_id="tunesweep",
-        device="vm",
+        device="mta",
         n=512,
         quick=True,
-        knob_grids={"vm.exec": ("interp", "compiled", "fused")},
+        knob_grids={"mta.streams": (16, 32, 64)},
         code_fingerprint=CODE_FP,
     )
     base.update(overrides)
@@ -41,13 +41,13 @@ def _key(**overrides) -> str:
 def _artifact(key=None, **overrides):
     base = dict(
         key=key or _key(),
-        scenario_id="tunesweep-vm",
+        scenario_id="tunesweep-mta",
         experiment_id="tunesweep",
-        device="vm",
+        device="mta",
         n=512,
         quick=True,
-        knobs=("vm.exec",),
-        values={"vm/vm.exec": "fused"},
+        knobs=("mta.streams",),
+        values={"mta/mta.streams": 64},
         objective="wall",
         metric="rows_per_second",
         default_metric=100.0,
@@ -82,7 +82,7 @@ class TestKey:
 
     def test_widening_a_grid_is_a_new_problem(self):
         widened = _key(
-            knob_grids={"vm.exec": ("interp", "compiled", "fused", "magic")}
+            knob_grids={"mta.streams": (16, 32, 64, 256)}
         )
         assert widened != _key()
 
@@ -123,7 +123,7 @@ class TestStoreRoundtrip:
         art = _artifact()
         path = store.save(art)
         data = json.loads(path.read_text())
-        data["values"] = {"vm/vm.exec": "telepathy"}
+        data["values"] = {"mta/mta.streams": "telepathy"}
         path.write_text(json.dumps(data))
         assert store.load(art.key) is None
 
@@ -157,7 +157,7 @@ class TestMerge:
         )
         assert merged is not None
         assert merged.values == {
-            "vm/vm.exec": "fused",
+            "mta/mta.streams": 64,
             "gpu/gpu.row_block": 512,
         }
         assert len(merged.keys) == 2

@@ -74,8 +74,8 @@ class TestValidationAtApply:
 
 class TestFingerprint:
     def test_order_independent(self):
-        a = config_fingerprint({"md.block": 128, "vm/vm.exec": "fused"})
-        b = config_fingerprint({"vm/vm.exec": "fused", "md.block": 128})
+        a = config_fingerprint({"md.block": 128, "gpu/gpu.row_block": 256})
+        b = config_fingerprint({"gpu/gpu.row_block": 256, "md.block": 128})
         assert a == b
 
     def test_value_sensitive(self):

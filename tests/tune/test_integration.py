@@ -32,29 +32,29 @@ def _tunesweep_job() -> Job:
 def _seed_artifact(
     store: TunedStore,
     *,
-    values={"vm/vm.exec": "fused"},
+    values={"gpu/gpu.row_block": 256},
     code_fp=CODE_FP,
     experiment_id="tunesweep",
 ):
     art = make_artifact(
         key=tuned_key(
-            scenario_id="tunesweep-vm",
+            scenario_id="tunesweep-gpu",
             experiment_id=experiment_id,
-            device="vm",
-            n=64,
+            device="gpu",
+            n=256,
             quick=True,
-            knob_grids={"vm.exec": ("interp", "compiled", "fused")},
+            knob_grids={"gpu.row_block": (32, 64, 128, 256, 512)},
             code_fingerprint=code_fp,
         ),
-        scenario_id="tunesweep-vm",
+        scenario_id="tunesweep-gpu",
         experiment_id=experiment_id,
-        device="vm",
-        n=64,
+        device="gpu",
+        n=256,
         quick=True,
-        knobs=("vm.exec",),
+        knobs=("gpu.row_block",),
         values=values,
         objective="wall",
-        metric="replicas",
+        metric="sweeps",
         default_metric=100.0,
         best_metric=900.0,
         source="search",
@@ -74,7 +74,7 @@ class TestAttachTuned:
         (tuned_job,) = attach_tuned(
             [job], tuned_store=tuned_store, quick=True, fingerprint=CODE_FP
         )
-        assert tuned_job.tuned["values"] == {"vm/vm.exec": "fused"}
+        assert tuned_job.tuned["values"] == {"gpu/gpu.row_block": 256}
         assert tuned_job.tuned["fingerprint"] == art.fingerprint
         assert art.key in tuned_job.tuned["keys"]
         assert job_cache_key(tuned_job, "f") != job_cache_key(job, "f")
@@ -204,7 +204,7 @@ class TestHandEditedArtifactNeverRuns:
         art = _seed_artifact(tuned_store)
         path = tuned_store.path(art.key)
         data = json.loads(path.read_text())
-        data["values"] = {"vm/vm.exec": "telepathy"}
+        data["values"] = {"gpu/gpu.row_block": "telepathy"}
         path.write_text(json.dumps(data))
         job = _tunesweep_job()
         (out,) = attach_tuned(

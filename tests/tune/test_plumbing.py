@@ -156,30 +156,3 @@ class TestMtaStreams:
 
         assert MTADevice().streams.n_streams == cal.MTA_N_STREAMS
 
-
-class TestVmExecResolution:
-    def test_priority_chain(self, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR, resolve_exec_backend
-
-        monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
-        assert resolve_exec_backend() == "interp"
-        with applied({"vm/vm.exec": "fused"}):
-            assert resolve_exec_backend() == "fused"
-            monkeypatch.setenv(EXEC_ENV_VAR, "compiled")
-            assert resolve_exec_backend() == "compiled"  # env beats tuned
-            assert resolve_exec_backend(explicit="interp") == "interp"
-
-    def test_empty_env_var_reads_as_unset(self, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR, resolve_exec_backend
-
-        monkeypatch.setenv(EXEC_ENV_VAR, "")
-        with applied({"vm/vm.exec": "fused"}):
-            assert resolve_exec_backend() == "fused"
-
-    def test_device_scope_separates_drivers(self, monkeypatch):
-        from repro.vm.machine import EXEC_ENV_VAR, resolve_exec_backend
-
-        monkeypatch.delenv(EXEC_ENV_VAR, raising=False)
-        with applied({"gpu/vm.exec": "fused"}):
-            assert resolve_exec_backend(device="gpu", default="compiled") == "fused"
-            assert resolve_exec_backend(device="cell", default="compiled") == "compiled"

@@ -27,35 +27,34 @@ from repro.tune.search import (
 )
 
 CODE_FP = "feedc0de" * 8
-VM = scenario_for("tunesweep-vm")
+GPU = scenario_for("tunesweep-gpu")
 
 
 def exec_speed_measure(values):
-    """Deterministic: fused 9x, compiled 3x, interp/defaults 1x."""
-    speed = {"fused": 900.0, "compiled": 300.0}.get(
-        values.get("vm/vm.exec"), 100.0
+    """Deterministic: row_block 512 9x, 256 3x, the rest/defaults 1x."""
+    speed = {512: 900.0, 256: 300.0}.get(
+        values.get("gpu/gpu.row_block"), 100.0
     )
     return speed, 1.0 / speed, 0.0
 
 
 class TestCandidates:
     def test_defaults_first_then_full_grid(self):
-        cands = candidates_for(VM, budget=16, key="ab" * 32)
+        cands = candidates_for(GPU, budget=16, key="ab" * 32)
         assert cands[0] == {}
-        assert {"vm/vm.exec": "fused"} in cands
-        assert {"vm/vm.exec": "interp"} in cands
-        assert {"vm/vm.exec": "compiled"} in cands
-        assert len(cands) == 4
+        for row_block in (32, 64, 128, 256, 512):
+            assert {"gpu/gpu.row_block": row_block} in cands
+        assert len(cands) == 6
 
     def test_deterministic_subsample_under_budget(self):
         key = "cd" * 32
-        a = candidates_for(VM, budget=2, key=key)
-        b = candidates_for(VM, budget=2, key=key)
+        a = candidates_for(GPU, budget=2, key=key)
+        b = candidates_for(GPU, budget=2, key=key)
         assert a == b  # same key + budget => same candidate list
         assert a[0] == {} and len(a) == 2
 
     def test_zero_budget_admits_nothing(self):
-        assert candidates_for(VM, budget=0, key="ef" * 32) == []
+        assert candidates_for(GPU, budget=0, key="ef" * 32) == []
 
     def test_multi_knob_scenario_takes_the_cartesian_product(self):
         cell = scenario_for("table1-cell")
@@ -69,26 +68,26 @@ class TestCandidates:
 class TestSearch:
     def test_adopts_the_fastest_candidate(self, tmp_path):
         outcome = tune_scenario(
-            "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
+            "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP, measure=exec_speed_measure,
         )
         art = outcome.artifact
         assert not outcome.cached
-        assert outcome.probes_run == 4
+        assert outcome.probes_run == 6
         assert art.source == SOURCE_SEARCH
-        assert art.values == {"vm/vm.exec": "fused"}
+        assert art.values == {"gpu/gpu.row_block": 512}
         assert art.speedup == pytest.approx(9.0)
-        assert len(art.trials) == 4
+        assert len(art.trials) == 6
 
     def test_same_measure_twice_is_the_same_winner(self, tmp_path):
         kwargs = dict(
             quick=True, code_fingerprint=CODE_FP, measure=exec_speed_measure,
         )
         a = tune_scenario(
-            "tunesweep-vm", store=TunedStore(tmp_path / "a"), **kwargs
+            "tunesweep-gpu", store=TunedStore(tmp_path / "a"), **kwargs
         ).artifact
         b = tune_scenario(
-            "tunesweep-vm", store=TunedStore(tmp_path / "b"), **kwargs
+            "tunesweep-gpu", store=TunedStore(tmp_path / "b"), **kwargs
         ).artifact
         assert a.key == b.key
         assert a.values == b.values
@@ -102,7 +101,7 @@ class TestSearch:
 
         assert MIN_GAIN > 0.01
         art = tune_scenario(
-            "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
+            "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP, measure=barely_faster,
         ).artifact
         assert art.source == SOURCE_SEARCH
@@ -115,13 +114,13 @@ class TestSearch:
             quick=True, store=store, code_fingerprint=CODE_FP,
         )
         first = tune_scenario(
-            "tunesweep-vm", measure=exec_speed_measure, **kwargs
+            "tunesweep-gpu", measure=exec_speed_measure, **kwargs
         )
 
         def exploding(values):
             raise AssertionError("cached search must run zero probes")
 
-        second = tune_scenario("tunesweep-vm", measure=exploding, **kwargs)
+        second = tune_scenario("tunesweep-gpu", measure=exploding, **kwargs)
         assert second.cached and second.probes_run == 0
         assert second.artifact == first.artifact
 
@@ -131,15 +130,15 @@ class TestSearch:
             quick=True, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
-        again = tune_scenario("tunesweep-vm", force=True, **kwargs)
-        assert not again.cached and again.probes_run == 4
+        tune_scenario("tunesweep-gpu", **kwargs)
+        again = tune_scenario("tunesweep-gpu", force=True, **kwargs)
+        assert not again.cached and again.probes_run == 6
 
 
 class TestFallbacks:
     def test_zero_budget_degrades_to_defaults(self, tmp_path):
         art = tune_scenario(
-            "tunesweep-vm", quick=True, budget=0,
+            "tunesweep-gpu", quick=True, budget=0,
             store=TunedStore(tmp_path), code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         ).artifact
@@ -153,13 +152,13 @@ class TestFallbacks:
 
         store = TunedStore(tmp_path)
         outcome = tune_scenario(
-            "tunesweep-vm", quick=True, store=store,
+            "tunesweep-gpu", quick=True, store=store,
             code_fingerprint=CODE_FP, measure=always_fails,
         )
         art = outcome.artifact
         assert art.source == SOURCE_PROBE_FAILED
         assert art.values == {}
-        assert outcome.probes_run == 4  # every probe was attempted
+        assert outcome.probes_run == 6  # every probe was attempted
         assert all(not t["ok"] for t in art.trials)
         # the fallback is persisted: the next call is a cache hit
         assert store.load(art.key) is not None
@@ -170,21 +169,22 @@ class TestFallbacks:
             quick=True, budget=0, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
-        assert tune_scenario("tunesweep-vm", **kwargs).cached
+        tune_scenario("tunesweep-gpu", **kwargs)
+        assert tune_scenario("tunesweep-gpu", **kwargs).cached
 
 
 class TestTuneScenarios:
     def test_filters_to_named_scenarios(self, tmp_path):
         outcomes = tune_scenarios(
-            ["tunesweep-vm"], quick=True, store=TunedStore(tmp_path),
+            ["tunesweep-mta"], quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP,
         )
         # injected measure is per-scenario only via tune_scenario, so
-        # this goes through the real probe path — keep it to the fast
-        # VM scenario and just assert the shape of the outcome map
-        assert list(outcomes) == ["tunesweep-vm"]
-        assert outcomes["tunesweep-vm"].artifact.scenario_id == "tunesweep-vm"
+        # this goes through the real probe path — keep it to the
+        # simulated-time MTA scenario and just assert the shape of the
+        # outcome map
+        assert list(outcomes) == ["tunesweep-mta"]
+        assert outcomes["tunesweep-mta"].artifact.scenario_id == "tunesweep-mta"
 
     def test_unknown_scenario_raises(self, tmp_path):
         with pytest.raises(KeyError):
@@ -198,12 +198,12 @@ class TestCounters:
     def test_search_charges_tune_counters(self, tmp_path):
         with collect() as session:
             tune_scenario(
-                "tunesweep-vm", quick=True, store=TunedStore(tmp_path),
+                "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
                 code_fingerprint=CODE_FP, measure=exec_speed_measure,
             )
         counters = session.merged_counters()
         assert counters["tune/tune.scenarios"] == 1
-        assert counters["tune/tune.probes"] == 4
+        assert counters["tune/tune.probes"] == 6
         assert counters["tune/tune.adopted"] == 1
         assert counters["tune/tune.seconds"] > 0.0
 
@@ -213,9 +213,9 @@ class TestCounters:
             quick=True, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-vm", **kwargs)
+        tune_scenario("tunesweep-gpu", **kwargs)
         with collect() as session:
-            tune_scenario("tunesweep-vm", **kwargs)
+            tune_scenario("tunesweep-gpu", **kwargs)
         counters = session.merged_counters()
         assert counters["tune/tune.cache_hits"] == 1
         assert "tune/tune.probes" not in counters

@@ -22,7 +22,6 @@ EXPECTED_KNOBS = {
     "cell.partition",
     "gpu.row_block",
     "mta.streams",
-    "vm.exec",
 }
 
 
@@ -94,7 +93,7 @@ class TestRegistration:
 class TestValueValidation:
     def test_choice_rejects_non_member(self):
         with pytest.raises(ValueError):
-            tunable("vm.exec").validate("jit")
+            tunable("cell.partition").validate("jit")
 
     def test_int_rejects_bool(self):
         with pytest.raises(ValueError):

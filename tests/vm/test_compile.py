@@ -1,9 +1,10 @@
-"""Differential certification of the compiled VM backend.
+"""Differential certification of the per-segment compiled closures.
 
-The contract under test: for every program, the ``compiled`` backend
-produces *bit-identical* float32 values for every declared output and
-records *identical* branch-probability statistics (same totals, same
-counts, same order) as the ``interp`` reference backend.  Coverage:
+The contract under test: for every program, the ``fused`` backend's
+:meth:`Machine.run_segment` (one compiled closure per segment) produces
+*bit-identical* float32 values for every declared output and records
+*identical* branch-probability statistics (same totals, same counts,
+same order) as the ``interp`` reference backend.  Coverage:
 
 * every shipped kernel — the full fig5 ladder, the GPU pair shader,
   and the reduction shader at several fan-ins;
@@ -32,7 +33,7 @@ from repro.gpu.kernels import (
 )
 from repro.md.lj import LennardJones
 from repro.vm.compile import CompiledSegment, VMCompileError, compiled_segment
-from repro.vm.machine import BranchStat, Machine, MachineError, resolve_exec_backend
+from repro.vm.machine import EXEC_BACKENDS, BranchStat, Machine, MachineError
 from repro.vm.program import IfBlock, Instr, Loop, Program, Segment
 
 BOX_LENGTH = 6.0
@@ -50,18 +51,18 @@ def _stats(machine: Machine) -> dict[str, tuple[float, int]]:
 def _run_both(program, segment_name, env_builder, width=4):
     """Run one segment under both backends; return per-backend (env, stats)."""
     results = {}
-    for backend in ("interp", "compiled"):
+    for backend in EXEC_BACKENDS:
         machine = Machine(width=width, exec_backend=backend)
         env = env_builder(machine)
         machine.run_segment(program, segment_name, env)
         results[backend] = (env, _stats(machine))
-    return results["interp"], results["compiled"]
+    return results["interp"], results["fused"]
 
 
-def _assert_outputs_identical(program, interp_result, compiled_result):
-    (env_i, stats_i), (env_c, stats_c) = interp_result, compiled_result
+def _assert_outputs_identical(program, interp_result, fused_result):
+    (env_i, stats_i), (env_c, stats_c) = interp_result, fused_result
     for name in program.outputs:
-        assert name in env_c, f"compiled backend dropped output {name!r}"
+        assert name in env_c, f"fused backend dropped output {name!r}"
         assert env_i[name].dtype == env_c[name].dtype
         assert env_i[name].shape == env_c[name].shape
         assert env_i[name].tobytes() == env_c[name].tobytes(), (
@@ -92,8 +93,8 @@ class TestFig5LadderDifferential:
             env["self_flag"][0] = 1.0
             return env
 
-        interp, compiled = _run_both(program, "pair", build_env)
-        _assert_outputs_identical(program, interp, compiled)
+        interp, fused = _run_both(program, "pair", build_env)
+        _assert_outputs_identical(program, interp, fused)
 
     @pytest.mark.parametrize("level", OPT_LEVELS)
     def test_spe_sweep_driver_bit_identical(self, level):
@@ -102,11 +103,11 @@ class TestFig5LadderDifferential:
         pos = _positions(40, seed=7)
         rows = np.arange(pos.shape[0])
         outs = {}
-        for backend in ("interp", "compiled"):
+        for backend in EXEC_BACKENDS:
             sweep = SpePairSweep(program, exec_backend=backend)
             acc, pe = sweep.run(pos, rows, constants, row_block=16)
             outs[backend] = (acc.tobytes(), pe.tobytes(), _stats(sweep.machine))
-        assert outs["interp"] == outs["compiled"]
+        assert outs["interp"] == outs["fused"]
 
 
 class TestGpuDifferential:
@@ -133,19 +134,19 @@ class TestGpuDifferential:
             env["self_flag"][i_index == j_index] = 1.0
             return env
 
-        interp, compiled = _run_both(shader.program, "pair", build_env)
-        _assert_outputs_identical(shader.program, interp, compiled)
+        interp, fused = _run_both(shader.program, "pair", build_env)
+        _assert_outputs_identical(shader.program, interp, fused)
 
     def test_gpu_sweep_driver_bit_identical(self):
         shader = build_md_shader(box_length=BOX_LENGTH)
         constants = shader_constants(LennardJones(), BOX_LENGTH)
         pos = _positions(24, seed=13)
         outs = {}
-        for backend in ("interp", "compiled"):
+        for backend in EXEC_BACKENDS:
             sweep = GpuPairSweep(shader, exec_backend=backend)
             acc, pe = sweep.run(pos, constants, row_block=8)
             outs[backend] = (acc.tobytes(), pe.tobytes())
-        assert outs["interp"] == outs["compiled"]
+        assert outs["interp"] == outs["fused"]
 
     @pytest.mark.parametrize("fanin", [2, 4, 8])
     def test_reduction_shader_bit_identical(self, fanin):
@@ -157,15 +158,15 @@ class TestGpuDifferential:
         def build_env(machine):
             return {name: data.copy() for name in shader.input_arrays}
 
-        interp, compiled = _run_both(shader.program, segment, build_env)
-        _assert_outputs_identical(shader.program, interp, compiled)
+        interp, fused = _run_both(shader.program, segment, build_env)
+        _assert_outputs_identical(shader.program, interp, fused)
 
     @pytest.mark.parametrize("size", [1, 5, 64, 1000])
     def test_gpu_reduce_matches_interp(self, size):
         rng = np.random.default_rng(size)
         values = rng.uniform(-2.0, 2.0, size=(size,)).astype(np.float32)
         total_i, passes_i = gpu_reduce(values, fanin=4, exec_backend="interp")
-        total_c, passes_c = gpu_reduce(values, fanin=4, exec_backend="compiled")
+        total_c, passes_c = gpu_reduce(values, fanin=4)
         assert total_i == total_c
         assert passes_i == passes_c
 
@@ -285,11 +286,11 @@ class TestRandomProgramsDifferential:
         def build_env(machine):
             return {name: value.copy() for name, value in draws.items()}
 
-        interp, compiled = _run_both(program, "main", build_env)
-        _assert_outputs_identical(program, interp, compiled)
-        # The compiled backend must never mutate caller arrays in place:
+        interp, fused = _run_both(program, "main", build_env)
+        _assert_outputs_identical(program, interp, fused)
+        # The fused backend must never mutate caller arrays in place:
         # a changed env entry must be a rebound output array.
-        env_c = compiled[0]
+        env_c = fused[0]
         for name in _NAMES:
             if env_c[name].tobytes() != draws[name].tobytes():
                 assert name in program.outputs
@@ -318,12 +319,12 @@ class TestIfSemantics:
     def test_first_defined_inside_if_zeroes_untaken(self):
         body = [IfBlock("cond", (Instr("fa", "y", ("x", "x")),), "p")]
         program = self._prog(body, outputs=("y",))
-        interp, compiled = _run_both(
+        interp, fused = _run_both(
             program, "main", lambda m: self._env(m, [True, False, True])
         )
-        _assert_outputs_identical(program, interp, compiled)
-        assert compiled[0]["y"][1, 0] == 0.0
-        assert compiled[0]["y"][0, 0] == 4.0
+        _assert_outputs_identical(program, interp, fused)
+        assert fused[0]["y"][1, 0] == 0.0
+        assert fused[0]["y"][0, 0] == 4.0
 
     def test_nested_if_restores_per_level(self):
         body = [
@@ -334,19 +335,19 @@ class TestIfSemantics:
             ), "outer"),
         ]
         program = self._prog(body, outputs=("y",))
-        interp, compiled = _run_both(
+        interp, fused = _run_both(
             program, "main", lambda m: self._env(m, [True, False])
         )
-        _assert_outputs_identical(program, interp, compiled)
+        _assert_outputs_identical(program, interp, fused)
 
     def test_all_lanes_false_condition_records_zero_sample(self):
         body = [IfBlock("cond", (Instr("fa", "x", ("x", "x")),), "p")]
         program = self._prog(body, outputs=("x",))
-        interp, compiled = _run_both(
+        interp, fused = _run_both(
             program, "main", lambda m: self._env(m, [False, False])
         )
-        _assert_outputs_identical(program, interp, compiled)
-        assert compiled[1]["p"] == (0.0, 1)
+        _assert_outputs_identical(program, interp, fused)
+        assert fused[1]["p"] == (0.0, 1)
 
 
 class TestBranchStat:
@@ -393,35 +394,41 @@ class TestBranchStat:
 
 class TestBackendSelection:
     def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_EXEC", "compiled")
-        assert resolve_exec_backend("interp") == "interp"
-
-    def test_env_wins_over_default(self, monkeypatch):
+        # The backend is an explicit argument and nothing else: the
+        # environment variable older releases read is ignored.
         monkeypatch.setenv("REPRO_VM_EXEC", "interp")
-        assert resolve_exec_backend(None, default="compiled") == "interp"
+        assert Machine().exec_backend == "fused"
+        monkeypatch.setenv("REPRO_VM_EXEC", "fused")
+        assert Machine(exec_backend="interp").exec_backend == "interp"
 
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VM_EXEC", raising=False)
-        assert resolve_exec_backend(None, default="compiled") == "compiled"
-        assert Machine().exec_backend == "interp"
+    def test_default_when_unset(self):
+        assert EXEC_BACKENDS == ("interp", "fused")
+        assert Machine().exec_backend == "fused"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_exec_backend("jit")
-        with pytest.raises(ValueError):
-            Machine(exec_backend="turbo")
+        for name in ("compiled", "turbo", None):
+            with pytest.raises(ValueError):
+                Machine(exec_backend=name)
 
     def test_drivers_default_to_compiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VM_EXEC", raising=False)
-        program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        assert SpePairSweep(program).machine.exec_backend == "compiled"
-        shader = build_md_shader(BOX_LENGTH)
-        assert GpuPairSweep(shader).machine.exec_backend == "compiled"
+        # The drivers' default backend is fused, which runs each segment
+        # through its compiled closure rather than the interpreter.
+        import repro.vm.compile as vm_compile
 
-    def test_env_var_reaches_drivers(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VM_EXEC", "interp")
+        units = []
+
+        def counting(program, segment_name, width, dtype):
+            units.append(segment_name)
+            return compiled_segment(program, segment_name, width, dtype)
+
+        monkeypatch.setattr(vm_compile, "compiled_segment", counting)
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        assert SpePairSweep(program).machine.exec_backend == "interp"
+        sweep = SpePairSweep(program)
+        assert sweep.machine.exec_backend == "fused"
+        sweep.run(_positions(8), np.arange(8), kernel_constants(LennardJones()))
+        assert units == ["pair"]
+        shader = build_md_shader(BOX_LENGTH)
+        assert GpuPairSweep(shader).machine.exec_backend == "fused"
 
 
 class TestCompilerMachinery:
@@ -450,12 +457,12 @@ class TestCompilerMachinery:
         pos_zero, neg_zero = prog(0.0), prog(-0.0)
         assert pos_zero == neg_zero  # the collision this guards against
         for program, want in ((neg_zero, -0.0), (pos_zero, 0.0)):
-            interp, compiled = _run_both(
+            interp, fused = _run_both(
                 program, "main",
                 lambda m: {"x": m.make_register(3, 1.0)},
             )
-            _assert_outputs_identical(program, interp, compiled)
-            got = compiled[0]["y"]
+            _assert_outputs_identical(program, interp, fused)
+            got = fused[0]["y"]
             assert got.tobytes() == np.full_like(got, want).tobytes()
 
     def test_cache_distinguishes_width_and_dtype(self):
@@ -468,7 +475,7 @@ class TestCompilerMachinery:
     def test_only_declared_outputs_written_back(self):
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
         constants = kernel_constants(LennardJones())
-        machine = Machine(width=4, exec_backend="compiled")
+        machine = Machine(width=4)
         pos = _positions(8)
         env = {
             "xi": machine.load_vec3(np.repeat(pos[:1], 8, axis=0)),
@@ -484,7 +491,7 @@ class TestCompilerMachinery:
 
     def test_missing_input_raises_machine_error(self):
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        machine = Machine(width=4, exec_backend="compiled")
+        machine = Machine(width=4)
         env = {"xi": machine.make_register(4, 0.0)}
         with pytest.raises(MachineError):
             machine.run_segment(program, "pair", env)
@@ -515,7 +522,7 @@ class TestCompilerMachinery:
         )
         seg = compiled_segment(program, "main", 4, np.float32)
         assert seg.n_kernel_calls == 0  # pure renames: only the writeback
-        machine = Machine(width=4, exec_backend="compiled")
+        machine = Machine(width=4)
         env = {"x": machine.make_register(3, 7.0)}
         machine.run_segment(program, "main", env)
         assert env["c"].tobytes() == env["x"].tobytes()
@@ -559,7 +566,7 @@ class TestCompilerMachinery:
             (Segment("main", "t", (Instr("il", "y", ("x",), imm=3.0),)),),
             outputs=("y",),
         )
-        machine = Machine(width=4, exec_backend="compiled")
+        machine = Machine(width=4)
         env: dict[str, np.ndarray] = {}
         machine.run_segment(program, "main", env)
         assert env["y"].shape == (0, 4)
@@ -578,7 +585,7 @@ class TestCompilerMachinery:
             )),),
             outputs=("acc",),
         )
-        for backend in ("interp", "compiled"):
+        for backend in EXEC_BACKENDS:
             machine = Machine(width=4, exec_backend=backend)
             env = {"pad": machine.make_register(2, 0.0)}
             machine.run_segment(program, "main", env)

@@ -1,18 +1,20 @@
 """Differential certification of the fused whole-program VM backend.
 
-The contract under test, extending ``test_compile.py``'s compiled-vs-
-interp net to the third backend and the replica axis:
+The contract under test, extending ``test_compile.py``'s per-segment
+net to whole programs and the replica axis.  Three executors run every
+program: the ``interp`` oracle, the per-segment compiled closures
+(``run_segment`` on each segment in turn, replica by replica), and the
+whole-program closure (``run_program``).
 
-* for every program, ``fused`` produces bit-identical declared outputs
-  and identical branch statistics to ``compiled`` and ``interp`` —
-  including multi-segment programs, where the fused closure carries
-  values across segment boundaries as SSA instead of env writebacks;
+* for every program, all three produce bit-identical declared outputs
+  and identical branch statistics — including multi-segment programs,
+  where the whole-program closure carries values across segment
+  boundaries as SSA instead of env writebacks;
 * a batched run of R replicas (stacked along the row axis) is
   bit-identical, replica by replica, to R sequential runs — outputs
   *and* branch-stat accumulation order;
-* the whole-program compile cache never aliases the per-segment cache,
-  even for single-segment programs or a segment literally named
-  ``program`` (the PR-3 keying bug this PR fixes);
+* a single-segment program's per-segment and whole-program units are
+  one cache entry;
 * ``run_program`` error paths (replicas < 1, non-divisible batch).
 
 Coverage runs over hypothesis-generated random multi-segment programs,
@@ -46,11 +48,12 @@ from repro.vm.compile import (
     compiled_program,
     compiled_segment,
 )
-from repro.vm.machine import Machine, MachineError
+from repro.vm.machine import EXEC_BACKENDS, Machine, MachineError
 from repro.vm.program import IfBlock, Instr, Program, Segment
 
 BOX_LENGTH = 6.0
-BACKENDS = ("interp", "compiled", "fused")
+#: interp, the per-segment compiled closures, the whole-program closure
+EXECUTORS = ("interp", "segments", "fused")
 
 DT = 0.005
 
@@ -59,21 +62,44 @@ def _stats(machine: Machine) -> dict[str, tuple[float, int]]:
     return {key: stat.snapshot() for key, stat in machine.branch_stats.items()}
 
 
+def _run_segments(machine, program, env, replicas):
+    """Each replica's row slice through every segment's own closure."""
+    rows = next(iter(env.values())).shape[0] // replicas
+    merged = {name: [] for name in program.outputs}
+    for index in range(replicas):
+        sub = {
+            name: reg[index * rows : (index + 1) * rows]
+            for name, reg in env.items()
+        }
+        for segment in program.segments:
+            machine.run_segment(program, segment.name, sub)
+        for name in program.outputs:
+            merged[name].append(sub[name])
+    for name, parts in merged.items():
+        env[name] = np.concatenate(parts, axis=0)
+
+
 def _run_program_all_backends(program, env_builder, width=4, dtype=np.float32,
                               replicas=1):
-    """run_program under every backend; return {backend: (env, stats)}."""
+    """The program under every executor; return {executor: (env, stats)}."""
     results = {}
-    for backend in BACKENDS:
-        machine = Machine(width=width, dtype=dtype, exec_backend=backend)
+    for executor in EXECUTORS:
+        machine = Machine(
+            width=width, dtype=dtype,
+            exec_backend="interp" if executor == "interp" else "fused",
+        )
         env = env_builder(machine)
-        machine.run_program(program, env, replicas=replicas)
-        results[backend] = (env, _stats(machine))
+        if executor == "segments":
+            _run_segments(machine, program, env, replicas)
+        else:
+            machine.run_program(program, env, replicas=replicas)
+        results[executor] = (env, _stats(machine))
     return results
 
 
 def _assert_all_identical(program, results):
     (env_ref, stats_ref) = results["interp"]
-    for backend in ("compiled", "fused"):
+    for backend in ("segments", "fused"):
         env_b, stats_b = results[backend]
         for name in program.outputs:
             assert name in env_b, f"{backend} dropped output {name!r}"
@@ -190,7 +216,7 @@ class TestTimestepProgramsDifferential:
         base = {name: reg.copy() for name, reg in env.items()}
         fused.run_program(program, env, replicas=replicas)
 
-        sequential = Machine(width=4, dtype=dtype, exec_backend="compiled")
+        sequential = Machine(width=4, dtype=dtype)
         for index in range(replicas):
             sub = {
                 name: reg[index * rows : (index + 1) * rows].copy()
@@ -210,20 +236,23 @@ class TestTimestepProgramsDifferential:
     @pytest.mark.parametrize("label,build,env_fn,dtype", TIMESTEP_CASES)
     def test_batched_replica_loop_on_compiled_backend(self, label, build,
                                                       env_fn, dtype):
-        """replicas>1 on the compiled backend (the sequential reference
-        inside run_program) matches the fused batched result."""
+        """replicas>1 looped replica by replica — through the per-segment
+        compiled closures and through interp's sequential reference
+        inside run_program — matches the fused batched result."""
         program = build()
         replicas, rows = 4, 6
-        outs = {}
-        for backend in BACKENDS:
-            machine = Machine(width=4, dtype=dtype, exec_backend=backend)
-            env = env_fn(machine, replicas * rows)
-            machine.run_program(program, env, replicas=replicas)
-            outs[backend] = (
+        results = _run_program_all_backends(
+            program, lambda m: env_fn(m, replicas * rows), dtype=dtype,
+            replicas=replicas,
+        )
+        outs = {
+            executor: (
                 {name: env[name].tobytes() for name in program.outputs},
-                _stats(machine),
+                stats,
             )
-        assert outs["interp"] == outs["compiled"] == outs["fused"]
+            for executor, (env, stats) in results.items()
+        }
+        assert outs["interp"] == outs["segments"] == outs["fused"]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +347,7 @@ class TestRandomProgramsFusedDifferential:
         def build_env(machine):
             return {name: value.copy() for name, value in draws.items()}
 
-        # backends agree on the whole program, batched
+        # executors agree on the whole program, batched
         results = _run_program_all_backends(
             program, build_env, dtype=dtype, replicas=replicas
         )
@@ -326,7 +355,7 @@ class TestRandomProgramsFusedDifferential:
 
         # batched == sequential, replica by replica, stats included
         env_fused, stats_fused = results["fused"]
-        sequential = Machine(width=_WIDTH, dtype=dtype, exec_backend="fused")
+        sequential = Machine(width=_WIDTH, dtype=dtype)
         for index in range(replicas):
             sub = {
                 name: value[index * rows : (index + 1) * rows].copy()
@@ -340,7 +369,7 @@ class TestRandomProgramsFusedDifferential:
 
 
 # ---------------------------------------------------------------------------
-# cache keying: whole-program entries never alias per-segment entries
+# cache keying: one entry per (program, segment names, width, dtype)
 # ---------------------------------------------------------------------------
 
 
@@ -356,30 +385,55 @@ def _single_segment_program(segment_name: str) -> Program:
 
 
 class TestCompileCacheScoping:
-    def test_program_and_segment_entries_distinct(self):
-        # A single-segment program compiles to textually similar units at
-        # both granularities; scope-discriminated keys must keep them
-        # distinct cache entries (the PR-3 keying bug aliased them).
-        program = _single_segment_program("main")
-        seg = compiled_segment(program, "main", 4, np.float32)
-        whole = compiled_program(program, 4, np.float32)
-        assert seg is not whole
-        assert isinstance(seg, CompiledSegment)
-        assert isinstance(whole, CompiledSegment)
-        assert whole.segment_names == ("main",)
+    def test_single_segment_program_shares_one_cache_entry(self):
+        # Both granularities of a single-segment program are the same
+        # _compile_unit(program, (name,)) call, so they are one entry and
+        # run_segment / run_program agree byte for byte, branch stats
+        # included.  A segment named "program" is just another name.
+        for name in ("main", "program"):
+            program = Program(
+                name="alias_probe",
+                segments=(Segment(name, "trips", (
+                    Instr("fa", "y", ("x", "x")),
+                    IfBlock("x", (Instr("fm", "y", ("y", "x")),), "p"),
+                )),),
+                inputs=("x",),
+                outputs=("y",),
+            )
+            seg = compiled_segment(program, name, 4, np.float32)
+            assert isinstance(seg, CompiledSegment)
+            assert compiled_program(program, 4, np.float32) is seg
+            outs = []
+            for run in ("segment", "program"):
+                machine = Machine(width=4)
+                env = {"x": machine.make_register(3, 2.0)}
+                env["x"][1] = 0.0
+                if run == "segment":
+                    machine.run_segment(program, name, env)
+                else:
+                    machine.run_program(program, env)
+                outs.append((env["y"].tobytes(), _stats(machine)))
+            assert outs[0] == outs[1]
 
-    def test_segment_named_program_does_not_collide(self):
-        # Adversarial name: a segment literally called "program" — its
-        # per-segment scope ("segment", "program") must not collide with
-        # a whole-program scope ("program", ...).
-        program = _single_segment_program("program")
-        seg = compiled_segment(program, "program", 4, np.float32)
-        whole = compiled_program(program, 4, np.float32)
-        assert seg is not whole
-        machine = Machine(width=4, exec_backend="fused")
-        env = {"x": machine.make_register(3, 2.0)}
-        machine.run_program(program, env)
-        assert (env["y"] == 4.0).all()
+    def test_fused_backend_run_segment_falls_back_to_segment_unit(self):
+        # run_segment under "fused" executes the per-segment compiled
+        # closure — granularities only diverge at run_program.
+        program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
+        outs = {}
+        for run in ("unit", "fused", "interp"):
+            machine = Machine(
+                width=4, exec_backend="interp" if run == "interp" else "fused"
+            )
+            env = _spe_timestep_env(machine, 12)
+            if run == "unit":
+                compiled_segment(program, "pair", 4, np.float32)(env, machine)
+            else:
+                machine.run_segment(program, "pair", env)
+            outs[run] = {
+                name: env[name].tobytes()
+                for name in ("acc_out", "pe_out")
+            }
+        assert outs["unit"] == outs["fused"] == outs["interp"]
 
     def test_whole_program_cache_returns_same_object(self):
         program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
@@ -394,21 +448,6 @@ class TestCompileCacheScoping:
         b = compiled_program(program, 4, np.float64)
         assert a is not b
 
-    def test_fused_backend_run_segment_falls_back_to_segment_unit(self):
-        # run_segment under "fused" executes the per-segment compiled
-        # closure — granularities only diverge at run_program.
-        program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
-        outs = {}
-        for backend in ("compiled", "fused"):
-            machine = Machine(width=4, exec_backend=backend)
-            env = _spe_timestep_env(machine, 12)
-            machine.run_segment(program, "pair", env)
-            outs[backend] = {
-                name: env[name].tobytes()
-                for name in ("acc_out", "pe_out")
-            }
-        assert outs["compiled"] == outs["fused"]
-
 
 # ---------------------------------------------------------------------------
 # run_program error paths + driver batching
@@ -416,7 +455,7 @@ class TestCompileCacheScoping:
 
 
 class TestRunProgramErrors:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_replicas_below_one_rejected(self, backend):
         program = _single_segment_program("main")
         machine = Machine(width=4, exec_backend=backend)
@@ -424,7 +463,7 @@ class TestRunProgramErrors:
         with pytest.raises(MachineError, match="replicas"):
             machine.run_program(program, env, replicas=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_non_divisible_batch_rejected(self, backend):
         program = _single_segment_program("main")
         machine = Machine(width=4, exec_backend=backend)
@@ -434,7 +473,7 @@ class TestRunProgramErrors:
 
     def test_replica_tallies_accumulate(self):
         program = _single_segment_program("main")
-        machine = Machine(width=4, exec_backend="fused")
+        machine = Machine(width=4)
         env = {"x": machine.make_register(6, 1.0)}
         machine.run_program(program, dict(env), replicas=3)
         machine.run_program(program, dict(env), replicas=1)
@@ -443,7 +482,7 @@ class TestRunProgramErrors:
 
 
 class TestDriverReplicaBatching:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_spe_sweep_run_replicas_matches_run(self, backend):
         program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
         constants = timestep_constants(LennardJones(), dt=DT)
@@ -465,13 +504,13 @@ class TestDriverReplicaBatching:
             positions, rows, pair_constants, row_block=5
         )
         for r in range(replicas):
-            single = SpePairSweep(pair, exec_backend="compiled")
+            single = SpePairSweep(pair)
             acc_s, pe_s = single.run(positions[r], rows, pair_constants,
                                      row_block=5)
             assert acc_b[r].tobytes() == acc_s.tobytes()
             assert pe_b[r].tobytes() == pe_s.tobytes()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     def test_gpu_sweep_run_replicas_mixed_boxes(self, backend):
         shader = build_md_shader(BOX_LENGTH)
         rng = np.random.default_rng(19)
@@ -486,7 +525,7 @@ class TestDriverReplicaBatching:
         batched = GpuPairSweep(shader, exec_backend=backend)
         acc_b, pe_b = batched.run_replicas(positions, const_list, row_block=4)
         for r in range(replicas):
-            single = GpuPairSweep(shader, exec_backend="compiled")
+            single = GpuPairSweep(shader)
             acc_s, pe_s = single.run(positions[r], const_list[r], row_block=4)
             assert acc_b[r].tobytes() == acc_s.tobytes()
             assert pe_b[r].tobytes() == pe_s.tobytes()

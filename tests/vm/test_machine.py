@@ -29,19 +29,19 @@ def _run(machine, body, env, inputs, outputs):
 
 class TestBasics:
     def test_elementwise_over_batch(self):
-        m = Machine(width=4, dtype=np.float32)
+        m = Machine(width=4, dtype=np.float32, exec_backend="interp")
         x = m.load_vec3(np.arange(30, dtype=np.float32).reshape(10, 3))
         env = {"x": x}
         _run(m, [A.fa("y", "x", "x")], env, ("x",), ("y",))
         np.testing.assert_allclose(env["y"], 2 * x)
 
     def test_load_vec3_pads_fourth_lane(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         reg = m.load_vec3(np.ones((3, 3)), batch_pad=7.0)
         np.testing.assert_allclose(reg[:, 3], 7.0)
 
     def test_load_vec3_rejects_too_wide(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         with pytest.raises(MachineError):
             m.load_vec3(np.ones((3, 5)))
 
@@ -50,12 +50,12 @@ class TestBasics:
             Machine(width=0)
 
     def test_undefined_register_raises(self):
-        m = Machine()
+        m = Machine(exec_backend="interp")
         with pytest.raises(MachineError):
             m._exec_instr(A.fa("y", "x", "x"), {}, [])
 
     def test_inconsistent_batch_raises(self):
-        m = Machine()
+        m = Machine(exec_backend="interp")
         env = {"a": m.make_register(4), "b": m.make_register(5)}
         prog = _program([A.fa("y", "a", "a")], ("a", "b"), ("y",))
         with pytest.raises(MachineError):
@@ -64,7 +64,7 @@ class TestBasics:
 
 class TestLoops:
     def test_loop_accumulates(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {"acc": m.make_register(3, 0.0), "one": m.make_register(3, 1.0)}
         _run(
             m,
@@ -76,7 +76,7 @@ class TestLoops:
         np.testing.assert_allclose(env["acc"], 5.0)
 
     def test_per_iteration_scalar_immediates(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {"acc": m.make_register(2, 0.0)}
         body = [
             A.il("k", "acc", (1.0, 10.0, 100.0)),
@@ -86,7 +86,7 @@ class TestLoops:
         np.testing.assert_allclose(env["acc"], 111.0)
 
     def test_per_iteration_vector_immediates(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {"acc": m.make_register(1, 0.0)}
         body = [
             A.ilv("k", "acc", ((1.0, 0.0, 0.0, 0.0), (0.0, 2.0, 0.0, 0.0))),
@@ -98,7 +98,7 @@ class TestLoops:
 
 class TestPredication:
     def test_if_selects_lanewise(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {
             "x": m.make_register(2, 1.0),
             "m": m.make_register(2, 0.0),
@@ -115,7 +115,7 @@ class TestPredication:
         np.testing.assert_allclose(env["x"][1], 1.0)
 
     def test_if_zeroes_registers_first_defined_inside(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {
             "x": m.make_register(2, 3.0),
             "m": m.make_register(2, 0.0),
@@ -132,7 +132,7 @@ class TestPredication:
         np.testing.assert_allclose(env["y"][1], 9.0)
 
     def test_branch_probability_measured(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {
             "x": m.make_register(4, 1.0),
             "m": m.make_register(4, 0.0),
@@ -148,14 +148,14 @@ class TestPredication:
         assert m.measured_probability("pk") == pytest.approx(0.25)
 
     def test_measured_probability_requires_samples(self):
-        m = Machine()
+        m = Machine(exec_backend="interp")
         with pytest.raises(KeyError):
             m.measured_probability("never")
 
 
 class TestComposites:
     def test_hsum3(self):
-        m = Machine(width=4)
+        m = Machine(width=4, exec_backend="interp")
         env = {"v": m.load_vec3(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))}
         _run(m, A.hsum3("s", "v", tmp="t"), env, ("v",), ("s",))
         np.testing.assert_allclose(env["s"][:, 0], [6.0, 15.0])
@@ -163,7 +163,7 @@ class TestComposites:
         np.testing.assert_allclose(env["s"], env["s"][:, :1] * np.ones(4))
 
     def test_rsqrt_refined(self):
-        m = Machine(width=4, dtype=np.float64)
+        m = Machine(width=4, dtype=np.float64, exec_backend="interp")
         env = {
             "x": m.make_register(1, 16.0),
             "half": m.make_register(1, 0.5),
@@ -179,7 +179,7 @@ class TestComposites:
         np.testing.assert_allclose(env["y"], 0.25, rtol=1e-12)
 
     def test_recip_refined(self):
-        m = Machine(width=4, dtype=np.float64)
+        m = Machine(width=4, dtype=np.float64, exec_backend="interp")
         env = {"x": m.make_register(1, 8.0), "two": m.make_register(1, 2.0)}
         _run(
             m,
@@ -199,7 +199,7 @@ class TestComposites:
     )
     @settings(max_examples=100, deadline=None)
     def test_property_hsum3_matches_numpy(self, coords):
-        m = Machine(width=4, dtype=np.float64)
+        m = Machine(width=4, dtype=np.float64, exec_backend="interp")
         env = {"v": m.load_vec3(np.array([coords]))}
         _run(m, A.hsum3("s", "v", tmp="t"), env, ("v",), ("s",))
         assert env["s"][0, 0] == pytest.approx(sum(coords), rel=1e-12, abs=1e-9)
