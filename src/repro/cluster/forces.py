@@ -1,38 +1,19 @@
-"""Per-node force kernel, bit-identical to the global all-pairs kernel.
+"""Per-node force kernel, bit-identical to the global kernel.
 
 The decomposed machine must not change the physics: a K-way run has to
 reproduce the K = 1 trajectory **bit-for-bit** at the same dtype/seed.
-That holds because of three properties of the global kernel
-(:func:`repro.md.forces.compute_forces`):
-
-1. its per-row reductions (``np.einsum`` without ``optimize``) run as
-   in-order loops over the column axis, so dropping columns that
-   contribute an exact ``±0.0`` leaves every partial sum unchanged
-   (signed zeros aside, which ``np.array_equal`` treats as equal);
-2. every column outside the cutoff contributes exactly ``±0.0`` to the
-   force row and exactly ``0.0`` to the row's energy (the ``within``
-   masks zero the integrand before it touches the accumulator);
-3. the halo construction guarantees every within-cutoff partner of an
-   owned row is present in the node's local column set
-   (:mod:`repro.cluster.decomposition`).
-
-So computing owned rows against the sorted local column subset — with
-the *identical* sequence of elementwise expressions and dtype casts —
-yields accelerations bitwise equal to the global kernel's rows.
-
-Potential energy needs one extra care: neither ``.sum()`` (pairwise)
-nor a contiguous-axis ``einsum`` reduction (unrolled into multiple
-accumulator lanes) is invariant under dropping zero *positions* — the
-zeros land in different lanes.  The node kernel therefore reduces each
-row with a strict left-to-right prefix sum (``np.add.accumulate``,
-last element), which IS subset-invariant: excluded columns contribute
-exactly ``+0.0`` and the surviving nonzero terms keep their relative
-(global-index) order.  The backend assembles a global per-row PE array
-before a single final sum — identical for every K, though its last ulp
-may differ from the monolithic kernel's PE.  Accelerations — the only
-force output that feeds the trajectory — carry no such caveat: their
-``einsum("bj,bjk->bk")`` reduction iterates the column axis
-sequentially.
+Each node computes its owned rows against the sorted owned ∪ ghost
+column set through the global kernel's own row-by-column routine
+(:func:`repro.md.forces._lj_rows`), so the argument of
+:mod:`repro.md.forces` applies unchanged: the halo construction
+(:mod:`repro.cluster.decomposition`) guarantees every within-cutoff
+partner of an owned row is a local column, every other column
+contributes an exact zero, and the column-ordered reductions make the
+acceleration rows and the prefix-summed per-row energies independent
+of which zero columns are present.  The backend assembles a global
+per-row PE array before a single final sum — identical for every K,
+and identical to :func:`~repro.md.forces.compute_forces` wherever that
+kernel scans cell neighbourhoods (it reduces energy the same way).
 """
 
 from __future__ import annotations
@@ -43,7 +24,13 @@ import numpy as np
 
 from repro.cluster.decomposition import ExchangePlan, SlabDecomposition
 from repro.md.box import PeriodicBox
-from repro.md.forces import ForceResult, _validate
+from repro.md.forces import (
+    _DEFAULT_BLOCK,
+    ForceResult,
+    _lj_rows,
+    _prefix_pe,
+    _validate,
+)
 from repro.md.lj import LennardJones
 
 __all__ = [
@@ -51,11 +38,6 @@ __all__ = [
     "cluster_force_backend",
     "node_force_contribution",
 ]
-
-#: Same row-block size as the global kernel — blocks only partition the
-#: row axis, so the value cannot affect bit-identity, but matching it
-#: keeps working sets comparable.
-_DEFAULT_BLOCK = 256
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,26 +66,12 @@ def node_force_contribution(
     block: int = _DEFAULT_BLOCK,
 ) -> NodeForces:
     """Force rows ``rows`` against column set ``cols`` (both sorted global
-    indices, ``rows ⊆ cols``), mirroring the global kernel's arithmetic.
-
-    Every expression below is copied from
-    :func:`repro.md.forces.compute_forces` verbatim — the cast of the
-    full position array, the constant materialization, the minimum-image
-    form, the masking, the einsum reductions — because the bit-identity
-    contract is about the exact instruction sequence, not just the math.
-    """
+    indices, ``rows ⊆ cols``) with the global kernel's arithmetic."""
     positions64 = _validate(positions, box, potential)
     dtype = np.dtype(dtype)
     # Cast the *global* array first, then gather: elementwise casts are
     # order-independent, and this matches the global kernel's rounding.
     pos = positions64.astype(dtype)
-    length = dtype.type(box.length)
-    rcut2 = dtype.type(potential.rcut2)
-    sigma2 = dtype.type(potential.sigma * potential.sigma)
-    eps24 = dtype.type(24.0 * potential.epsilon)
-    eps4 = dtype.type(4.0 * potential.epsilon)
-    shift = dtype.type(potential.shift_energy)
-
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     n_rows = rows.shape[0]
@@ -114,35 +82,19 @@ def node_force_contribution(
 
     acc = np.zeros((n_rows, 3), dtype=dtype)
     pe_rows = np.zeros(n_rows, dtype=dtype)
-    interacting = 0
     row_interacting = np.zeros(n_rows, dtype=np.int64)
-
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
-        delta = pos[rows[start:stop], None, :] - pos_cols[None, :, :]
-        delta -= length * np.round(delta / length)
-        r2 = np.einsum("bjk,bjk->bj", delta, delta)
-        r2[np.arange(stop - start), self_col[start:stop]] = np.inf
-        within = r2 < rcut2
-        row_interacting[start:stop] = within.sum(axis=1)
-        interacting += int(np.count_nonzero(within))
-        inv_r2 = np.where(within, sigma2 / np.where(within, r2, 1.0), dtype.type(0.0))
-        sr6 = inv_r2 * inv_r2 * inv_r2
-        sr12 = sr6 * sr6
-        f_over_r = eps24 * (dtype.type(2.0) * sr12 - sr6) * np.where(
-            within, dtype.type(1.0) / np.where(within, r2, 1.0), dtype.type(0.0)
+        tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
+            pos[rows[start:stop]], pos_cols, self_col[start:stop], box, potential
         )
-        acc[start:stop] += np.einsum("bj,bjk->bk", f_over_r, delta)
-        pair_pe = eps4 * (sr12 - sr6) - np.where(within, shift, dtype.type(0.0))
-        # Strict left-to-right per-row reduction (prefix sum, last
-        # element); see the module docstring for why this replaces the
-        # global kernel's pairwise .sum().
-        pe_rows[start:stop] += np.add.accumulate(pair_pe, axis=1, dtype=dtype)[:, -1]
+        acc[start:stop] += tile_acc
+        pe_rows[start:stop] += _prefix_pe(pair_pe)
 
     return NodeForces(
         accelerations=acc,
         pe_rows=pe_rows,
-        interacting=interacting,
+        interacting=int(row_interacting.sum()),
         pairs_examined=n_rows * (cols.shape[0] - 1),
         row_interacting=row_interacting,
     )

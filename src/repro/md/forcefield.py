@@ -200,8 +200,9 @@ def _cell(box, potential, dtype, **options):
 #
 # Declared here, consumed by Device.functional_backend: each backend's
 # scheduling options map to a dotted knob name the tuner may search.
-# None of these change the physics — block sizes only re-chunk the pair
-# scan (reordering float reductions within shape-band tolerance), and
+# None of these change the physics — block sizes only re-chunk the dense
+# pair scans (reordering float energy reductions within shape-band
+# tolerance; accelerations are blocked by row and do not move), and
 # skin/buffer/rebuild-delay only trade list rebuilds against extra
 # candidate pairs; every neighbor inside the cutoff is still found.
 
@@ -213,9 +214,12 @@ register_tunable(TunableSpec(
     candidates=(64, 128, 256, 512, 1024),
     low=16,
     high=8192,
-    description="row-block size of the all-pairs/27image pair scan",
-    effect="larger blocks amortize Python loop overhead until the "
-           "(block x N) distance matrix falls out of cache",
+    description="row-block size of the dense all-pairs branch and the "
+                "27image scan; the all-pairs kernel's cell-column branch "
+                "(>= 4 cutoff-wide cells per side) blocks by cell instead",
+    effect="re-chunks only the dense scans: larger blocks amortize Python "
+           "loop overhead until the (block x N) distance matrix falls out "
+           "of cache; no effect where the all-pairs kernel scans cells",
 ))
 register_tunable(TunableSpec(
     name="md.skin",

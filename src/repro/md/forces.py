@@ -1,4 +1,4 @@
-"""All-pairs O(N^2) force evaluation — step 2 of the paper's kernel.
+"""Lennard-Jones force evaluation — step 2 of the paper's kernel.
 
 The paper deliberately avoids pairlist construction and "calculate[s]
 the distances on the fly" (section 3.4): every time step each atom's
@@ -7,15 +7,51 @@ contribute a force and a potential-energy term.  This module provides
 
 * :func:`compute_forces_reference` — straight nested Python loops,
   the executable specification, for small N and cross-checking;
-* :func:`compute_forces` — chunked, vectorized NumPy implementation
-  following the guides' idioms (row-blocked to bound working-set size,
-  in-place accumulation, no full N×N temporaries for large N);
+* :func:`compute_forces` — the vectorized NumPy kernel every device's
+  functional path uses (see below);
 * :func:`compute_forces_27image` — same physics with the minimum image
-  obtained by the explicit 27-image search the Cell kernel uses.
+  obtained by the explicit 27-image search the Cell kernel uses;
+* :func:`compute_pair_forces` — the same physics over an explicit pair
+  list, shared by the Verlet- and cell-list backends.
 
 All of them return a :class:`ForceResult` carrying the accelerations,
 the potential energy and the interacting-pair count that the device
 cost models consume.
+
+One row-by-column kernel
+------------------------
+:func:`compute_forces` and the cluster's per-node kernel
+(:mod:`repro.cluster.forces`) share one private routine,
+:func:`_lj_rows`: a block of rows against a column set in ascending
+global order, with one fixed expression sequence (cast, minimum image,
+masks, ``einsum`` reductions).  Two facts make the column set free to
+choose without changing a bit of the accelerations:
+
+1. ``np.einsum("bj,bjk->bk", ...)`` (no ``optimize``) reduces the
+   column axis in order, so dropping columns that contribute an exact
+   ``±0.0`` leaves every partial sum unchanged (signed zeros aside,
+   which ``np.array_equal`` treats as equal);
+2. every column outside the cutoff contributes exactly ``±0.0`` force
+   and ``0.0`` energy — its LJ terms are never evaluated, so its
+   entries stay exact zeros.
+
+So all columns, the 27-cell neighbourhood of a row's cell, and a
+cluster node's owned ∪ ghost set all give the same acceleration rows,
+interacting counts and per-row interacting tallies.  Energy needs one
+more step: pairwise ``.sum()`` is *not* invariant under dropping zero
+positions, while a strict left-to-right prefix sum is
+(:func:`_prefix_pe`).
+
+:func:`compute_forces` picks the column sets itself.  When the box
+holds at least :data:`_MIN_CELLS_PER_SIDE` cells per side, each wider
+than the cutoff plus a rounding guard, it scans each cell's rows
+against its 27-cell neighbourhood (O(N) at fixed density) and reduces
+energy by prefix sums.  Otherwise it scans row blocks against all
+columns and reduces energy pairwise per block, which keeps small-box
+energies on the bits the benchmark references pin; at three cells per
+side the neighbourhood is the whole box anyway.  The device cost
+models are not affected either way: they price the paper's O(N²) scan
+from the interacting-pair count.
 """
 
 from __future__ import annotations
@@ -35,10 +71,20 @@ __all__ = [
     "compute_pair_forces",
 ]
 
-#: Row-block size for the chunked kernel.  256 rows x 8192 cols x 3 dims of
+#: Row-block size of the dense branch.  256 rows x 8192 cols x 3 dims of
 #: float64 is ~50 MB of transient working set, comfortably in-memory while
 #: keeping each BLAS-free NumPy op long enough to amortize dispatch.
 _DEFAULT_BLOCK = 256
+
+#: Fewest cells per box side at which :func:`compute_forces` scans cell
+#: neighbourhoods; at three the 27-cell neighbourhood is the whole box.
+_MIN_CELLS_PER_SIDE = 4
+
+#: Cell widths exceed the cutoff by this many machine epsilons of the
+#: arithmetic dtype, times (box length + largest coordinate magnitude):
+#: well above the kernel's own rounding of a minimum-image distance, so
+#: neither that nor ``floor()`` at a cell face can drop a partner.
+_CELL_GUARD_EPS = 16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,8 +102,10 @@ class ForceResult:
         Number of unordered pairs inside the cutoff — the quantity that
         drives the "interacting" branch of every device cost model.
     pairs_examined:
-        Number of unordered pairs whose distance was computed,
-        ``n * (n - 1) / 2`` for the all-pairs kernels.
+        Number of unordered candidate pairs whose distance the kernel
+        computed: ``n * (n - 1) / 2`` for the all-pairs scans, half the
+        ordered row-column candidates when :func:`compute_forces` scans
+        cell neighbourhoods, the list length for the pair-list kernels.
     """
 
     accelerations: np.ndarray
@@ -120,6 +168,87 @@ def compute_forces_reference(
     )
 
 
+def _lj_rows(
+    pos_rows: np.ndarray,
+    pos_cols: np.ndarray,
+    self_col: np.ndarray,
+    box: PeriodicBox,
+    potential: LennardJones,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LJ terms of a block of rows against an ascending column set.
+
+    ``pos_rows`` (b, 3) and ``pos_cols`` (k, 3) are positions already
+    cast to the arithmetic dtype; the columns are in ascending global
+    index order and include every row, at ``self_col``.  Returns the
+    rows' accelerations (b, 3), the per-pair energies (b, k) in column
+    order, and each row's interacting-partner count (b,).  Both
+    branches of :func:`compute_forces` and the cluster's node kernel go
+    through this one expression sequence; see the module docstring for
+    why the column set cannot change a bit of the accelerations.
+    """
+    dtype = pos_rows.dtype
+    length = dtype.type(box.length)
+    rcut2 = dtype.type(potential.rcut2)
+    sigma2 = dtype.type(potential.sigma * potential.sigma)
+    eps24 = dtype.type(24.0 * potential.epsilon)
+    eps4 = dtype.type(4.0 * potential.epsilon)
+    shift = dtype.type(potential.shift_energy)
+
+    # delta[b, j, :] = minimum image of row b - column j
+    delta = pos_rows[:, None, :] - pos_cols[None, :, :]
+    delta -= length * np.round(delta / length)
+    r2 = np.einsum("bjk,bjk->bj", delta, delta)
+    # Mask out the self pair (r2 == 0) and the cutoff.
+    r2[np.arange(pos_rows.shape[0]), self_col] = np.inf
+    within = r2 < rcut2
+    # The LJ terms are evaluated only inside the cutoff; every other
+    # entry of f_over_r and pair_pe is an exact +0.0.
+    r2_in = r2[within]
+    inv_r2 = sigma2 / r2_in
+    sr6 = inv_r2 * inv_r2 * inv_r2
+    sr12 = sr6 * sr6
+    f_over_r = np.zeros_like(r2)
+    f_over_r[within] = (
+        eps24 * (dtype.type(2.0) * sr12 - sr6) * (dtype.type(1.0) / r2_in)
+    )
+    acc = np.einsum("bj,bjk->bk", f_over_r, delta)
+    pair_pe = np.zeros_like(r2)
+    pair_pe[within] = eps4 * (sr12 - sr6) - shift
+    return acc, pair_pe, within.sum(axis=1)
+
+
+def _prefix_pe(pair_pe: np.ndarray) -> np.ndarray:
+    """Per-row energy by a strict left-to-right prefix sum.
+
+    Unlike ``.sum()`` (pairwise, with several accumulator lanes), the
+    last element of ``np.add.accumulate`` is invariant under dropping
+    the exact ``+0.0`` terms of out-of-cutoff columns: surviving terms
+    keep their global column order and nothing else is added.
+    """
+    return np.add.accumulate(pair_pe, axis=1, dtype=pair_pe.dtype)[:, -1]
+
+
+def _cell_grid(
+    positions: np.ndarray,
+    box: PeriodicBox,
+    potential: LennardJones,
+    dtype: np.dtype,
+):
+    """The cell grid :func:`compute_forces` scans, or ``None`` for the
+    dense branch (too few cells per side, or non-finite positions)."""
+    # celllist imports this module, so bind its grid lazily.
+    from repro.md.celllist import CellGrid, cells_per_side
+
+    extent = float(np.max(np.abs(positions), initial=0.0))
+    if not np.isfinite(extent):
+        return None
+    guard = _CELL_GUARD_EPS * float(np.finfo(dtype).eps) * (box.length + extent)
+    radius = potential.rcut + guard
+    if cells_per_side(box, radius) < _MIN_CELLS_PER_SIDE:
+        return None
+    return CellGrid(box, radius)
+
+
 def compute_forces(
     positions: np.ndarray,
     box: PeriodicBox,
@@ -127,7 +256,11 @@ def compute_forces(
     dtype: np.dtype | type = np.float64,
     block: int = _DEFAULT_BLOCK,
 ) -> ForceResult:
-    """Chunked vectorized all-pairs kernel.
+    """Vectorized kernel over every pair inside the cutoff.
+
+    Scans cell neighbourhoods when the box holds enough cells, else
+    row blocks against all columns (see the module docstring); both
+    give the same accelerations and pair counts bit for bit.
 
     Parameters
     ----------
@@ -137,55 +270,55 @@ def compute_forces(
         kernel reproduce the single-precision arithmetic bit-for-bit at
         the NumPy level.
     block:
-        Row-block size; bounds the transient working set to
-        ``block * n`` pair entries.
+        Row-block size of the dense branch; bounds its transient working
+        set to ``block * n`` pair entries.  The cell branch blocks by cell.
     """
     positions64 = _validate(positions, box, potential)
     n = positions64.shape[0]
     dtype = np.dtype(dtype)
     pos = positions64.astype(dtype)
-    length = dtype.type(box.length)
-    rcut2 = dtype.type(potential.rcut2)
-    sigma2 = dtype.type(potential.sigma * potential.sigma)
-    eps24 = dtype.type(24.0 * potential.epsilon)
-    eps4 = dtype.type(4.0 * potential.epsilon)
-    shift = dtype.type(potential.shift_energy)
-
     acc = np.zeros((n, 3), dtype=dtype)
-    pe = dtype.type(0.0)
-    interacting = 0
     row_interacting = np.zeros(n, dtype=np.int64)
 
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # delta[b, j, :] = minimum image of pos[start+b] - pos[j]
-        delta = pos[start:stop, None, :] - pos[None, :, :]
-        delta -= length * np.round(delta / length)
-        r2 = np.einsum("bjk,bjk->bj", delta, delta)
-        # Mask out the self pair (r2 == 0 on the diagonal) and the cutoff.
-        rows = np.arange(start, stop)
-        r2[np.arange(stop - start), rows] = np.inf
-        within = r2 < rcut2
-        row_interacting[start:stop] = within.sum(axis=1)
-        interacting += int(np.count_nonzero(within))
-        inv_r2 = np.where(within, sigma2 / np.where(within, r2, 1.0), dtype.type(0.0))
-        sr6 = inv_r2 * inv_r2 * inv_r2
-        sr12 = sr6 * sr6
-        f_over_r = eps24 * (dtype.type(2.0) * sr12 - sr6) * np.where(
-            within, dtype.type(1.0) / np.where(within, r2, 1.0), dtype.type(0.0)
-        )
-        acc[start:stop] += np.einsum("bj,bjk->bk", f_over_r, delta)
-        pair_pe = eps4 * (sr12 - sr6) - np.where(within, shift, dtype.type(0.0))
-        pe += pair_pe.sum(dtype=dtype)
+    grid = _cell_grid(positions64, box, potential, dtype)
+    if grid is None:
+        pe = dtype.type(0.0)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
+                pos[start:stop], pos, np.arange(start, stop), box, potential
+            )
+            acc[start:stop] += tile_acc
+            pe += pair_pe.sum(dtype=dtype)
+        ordered_examined = n * (n - 1)
+    else:
+        # Rows grouped by cell (ascending within each cell: stable sort),
+        # each against its 27-cell neighbourhood.
+        cell_of = grid.assign(positions64)
+        counts = np.bincount(cell_of, minlength=grid.n_cells)
+        members = np.split(np.argsort(cell_of, kind="stable"), np.cumsum(counts)[:-1])
+        pe_rows = np.zeros(n, dtype=dtype)
+        ordered_examined = 0
+        for cell, rows in enumerate(members):
+            if rows.size == 0:
+                continue
+            cols = np.sort(np.concatenate([members[c] for c in grid.neighbors[cell]]))
+            tile_acc, pair_pe, row_interacting[rows] = _lj_rows(
+                pos[rows], pos[cols], np.searchsorted(cols, rows), box, potential
+            )
+            acc[rows] += tile_acc
+            pe_rows[rows] += _prefix_pe(pair_pe)
+            ordered_examined += rows.size * (cols.size - 1)
+        pe = pe_rows.sum(dtype=dtype)
 
-    # Every unordered pair was visited twice (once from each row block),
-    # so halve the tallies; the force accumulation is already one-sided
+    # Every unordered pair was visited twice (once from each row), so
+    # halve the tallies; the force accumulation is already one-sided
     # per row and needs no halving.
     return ForceResult(
         accelerations=acc.astype(np.float64),
         potential_energy=0.5 * float(pe),
-        interacting_pairs=interacting // 2,
-        pairs_examined=n * (n - 1) // 2,
+        interacting_pairs=int(row_interacting.sum()) // 2,
+        pairs_examined=ordered_examined // 2,
         row_interacting=row_interacting,
     )
 

@@ -71,6 +71,25 @@ class TestAgainstPlainDevices:
             clustered.final_velocities, plain.final_velocities
         )
 
+    @pytest.mark.parametrize("device", ["cell", "opteron"])
+    def test_one_node_cluster_matches_plain_device_at_sparse_size(self, device):
+        """1024 atoms hold four cutoff-wide cells per side, so the plain
+        device's kernel scans cell neighbourhoods while the K=1 node
+        scans all columns: same state and same per-step energies, since
+        both reduce energy by per-row prefix sums."""
+        from repro.cell.device import CellDevice
+        from repro.opteron.device import OpteronDevice
+
+        make = {"cell": CellDevice, "opteron": OpteronDevice}[device]
+        config = MDConfig(n_atoms=1024)
+        plain = make().run(config, 2)
+        clustered = SimulatedCluster(device=device, n_nodes=1).run(config, 2)
+        assert np.array_equal(clustered.final_positions, plain.final_positions)
+        assert np.array_equal(clustered.final_velocities, plain.final_velocities)
+        assert [
+            (r.potential_energy, r.interacting_pairs) for r in clustered.records
+        ] == [(r.potential_energy, r.interacting_pairs) for r in plain.records]
+
     def test_decomposed_positions_match_plain_device(self):
         """Transitively: K>1 state equals the plain device run too."""
         from repro.opteron.device import OpteronDevice
