@@ -20,12 +20,13 @@ cost models consume.
 
 One row-by-column kernel
 ------------------------
-:func:`compute_forces` and the cluster's per-node kernel
-(:mod:`repro.cluster.forces`) share one private routine,
-:func:`_lj_rows`: a block of rows against a column set in ascending
-global order, with one fixed expression sequence (cast, minimum image,
-masks, ``einsum`` reductions).  Two facts make the column set free to
-choose without changing a bit of the accelerations:
+Every vectorized kernel — :func:`compute_forces`, the pair-list and
+27-image kernels, and the cluster's per-node kernel
+(:mod:`repro.cluster.forces`) — evaluates the LJ terms in one private
+routine, :func:`_lj_terms`: a block of rows against columns in
+ascending global order, with one fixed expression sequence (cutoff
+mask, LJ terms, ``einsum`` reductions).  Two facts make the column set
+free to choose without changing a bit of the accelerations:
 
 1. ``np.einsum("bj,bjk->bk", ...)`` (no ``optimize``) reduces the
    column axis in order, so dropping columns that contribute an exact
@@ -35,12 +36,12 @@ choose without changing a bit of the accelerations:
    and ``0.0`` energy — its LJ terms are never evaluated, so its
    entries stay exact zeros.
 
-So all columns, the 27-cell neighbourhood of a row's cell, and a
-cluster node's owned ∪ ghost set all give the same acceleration rows,
-interacting counts and per-row interacting tallies.  Energy needs one
-more step: pairwise ``.sum()`` is *not* invariant under dropping zero
-positions, while a strict left-to-right prefix sum is
-(:func:`_prefix_pe`).
+So all columns, the 27-cell neighbourhood of a row's cell, a cluster
+node's owned ∪ ghost set, and a row's partners in a fresh pair list all
+give the same acceleration rows, interacting counts and per-row
+interacting tallies.  Energy needs one more step: pairwise ``.sum()``
+is *not* invariant under dropping zero positions, while a strict
+left-to-right prefix sum is (:func:`_prefix_pe`).
 
 :func:`compute_forces` picks the column sets itself.  When the box
 holds at least :data:`_MIN_CELLS_PER_SIDE` cells per side, each wider
@@ -49,9 +50,12 @@ against its 27-cell neighbourhood (O(N) at fixed density) and reduces
 energy by prefix sums.  Otherwise it scans row blocks against all
 columns and reduces energy pairwise per block, which keeps small-box
 energies on the bits the benchmark references pin; at three cells per
-side the neighbourhood is the whole box anyway.  The device cost
-models are not affected either way: they price the paper's O(N²) scan
-from the interacting-pair count.
+side the neighbourhood is the whole box anyway.  The pair-list kernel
+scans each row against its ascending partners, padded with its own
+index, and prefix-sums energy too: on a fresh list its accelerations
+and tallies are :func:`compute_forces`'s bit for bit, its energy the
+cell branch's.  The device cost models are not affected either way:
+they price the paper's O(N²) scan from the interacting-pair count.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class ForceResult:
     interacting_pairs: int
     pairs_examined: int
     #: per-atom interacting-partner counts (ordered view: row i's scan);
-    #: None for kernels that do not tally them.  Drives the
+    #: None only from :func:`compute_forces_reference`.  Drives the
     #: load-balance analysis of the Cell partitioning strategies.
     row_interacting: np.ndarray | None = None
 
@@ -171,35 +175,51 @@ def compute_forces_reference(
 def _lj_rows(
     pos_rows: np.ndarray,
     pos_cols: np.ndarray,
-    self_col: np.ndarray,
+    skip: np.ndarray,
     box: PeriodicBox,
     potential: LennardJones,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LJ terms of a block of rows against an ascending column set.
+    """Minimum image of a block of rows against ascending column sets,
+    then :func:`_lj_terms`.
 
-    ``pos_rows`` (b, 3) and ``pos_cols`` (k, 3) are positions already
-    cast to the arithmetic dtype; the columns are in ascending global
-    index order and include every row, at ``self_col``.  Returns the
-    rows' accelerations (b, 3), the per-pair energies (b, k) in column
-    order, and each row's interacting-partner count (b,).  Both
-    branches of :func:`compute_forces` and the cluster's node kernel go
-    through this one expression sequence; see the module docstring for
-    why the column set cannot change a bit of the accelerations.
+    Positions are already cast to the arithmetic dtype.  ``pos_cols`` is
+    one column set (k, 3) shared by the ``pos_rows`` (b, 3), holding row
+    b at column ``skip[b]``, or one set per row (b, k, 3) with ``skip``
+    a (b, k) mask of the self and padding entries.
     """
-    dtype = pos_rows.dtype
-    length = dtype.type(box.length)
+    if pos_cols.ndim == 2:
+        pos_cols = pos_cols[None]
+        skip = (np.arange(pos_rows.shape[0]), skip)
+    length = pos_rows.dtype.type(box.length)
+    # delta[b, j, :] = minimum image of row b - column j
+    delta = pos_rows[:, None, :] - pos_cols
+    delta -= length * np.round(delta / length)
+    r2 = np.einsum("bjk,bjk->bj", delta, delta)
+    # Mask out the self pair (r2 == 0) and any padding.
+    r2[skip] = np.inf
+    return _lj_terms(delta, r2, potential)
+
+
+def _lj_terms(
+    delta: np.ndarray, r2: np.ndarray, potential: LennardJones
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one LJ term evaluation of every vectorized kernel.
+
+    ``delta`` (b, k, 3) holds minimum-image separations of b rows from
+    k columns in ascending global order, ``r2`` (b, k) their squared
+    lengths with the self and padding entries set to ``inf``.  Returns
+    the rows' accelerations (b, 3), the per-pair energies (b, k) in
+    column order, and each row's interacting-partner count (b,).  See
+    the module docstring for why the column set cannot change a bit of
+    the accelerations.
+    """
+    dtype = delta.dtype
     rcut2 = dtype.type(potential.rcut2)
     sigma2 = dtype.type(potential.sigma * potential.sigma)
     eps24 = dtype.type(24.0 * potential.epsilon)
     eps4 = dtype.type(4.0 * potential.epsilon)
     shift = dtype.type(potential.shift_energy)
 
-    # delta[b, j, :] = minimum image of row b - column j
-    delta = pos_rows[:, None, :] - pos_cols[None, :, :]
-    delta -= length * np.round(delta / length)
-    r2 = np.einsum("bjk,bjk->bj", delta, delta)
-    # Mask out the self pair (r2 == 0) and the cutoff.
-    r2[np.arange(pos_rows.shape[0]), self_col] = np.inf
     within = r2 < rcut2
     # The LJ terms are evaluated only inside the cutoff; every other
     # entry of f_over_r and pair_pe is an exact +0.0.
@@ -330,53 +350,44 @@ def compute_pair_forces(
     potential: LennardJones,
     dtype: np.dtype | type = np.float64,
 ) -> ForceResult:
-    """Force evaluation over an explicit (i, j) pair array.
+    """Force evaluation over an explicit half list of (i, j) pairs.
 
-    The single arithmetic path shared by every list-driven backend
-    (Verlet list, cell list): whichever structure produced ``pairs``,
-    the physics — and therefore the equivalence guarantees the test
-    suite asserts — is identical.  Pairs outside the cutoff contribute
-    nothing; ``pairs_examined`` reports ``pairs.shape[0]``.
+    The kernel of the Verlet- and cell-list backends: each row against
+    its ascending partners from the full list (see the module
+    docstring).  Pairs outside the cutoff contribute nothing;
+    ``pairs_examined`` reports ``pairs.shape[0]``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     dtype = np.dtype(dtype)
     pos = positions.astype(dtype)
     pairs = np.asarray(pairs)
+    # Row i of `partners`: i's partners in ascending order, padded with i
+    # (to at least one column, which _prefix_pe reads).
+    i, j = pairs.astype(np.int64).T
+    keys = np.sort(np.concatenate((i * n + j, j * n + i)))  # row-major
+    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    partners = np.repeat(np.arange(n)[:, None], counts.max(initial=1), axis=1)
+    partners[np.arange(partners.shape[1]) < counts[:, None]] = keys % n
+
     acc = np.zeros((n, 3), dtype=dtype)
-    if pairs.shape[0] == 0:
-        return ForceResult(
-            accelerations=acc.astype(np.float64),
-            potential_energy=0.0,
-            interacting_pairs=0,
-            pairs_examined=0,
+    pe_rows = np.zeros(n, dtype=dtype)
+    row_interacting = np.zeros(n, dtype=np.int64)
+    for start in range(0, n, _DEFAULT_BLOCK):
+        stop = min(start + _DEFAULT_BLOCK, n)
+        cols = partners[start:stop, : counts[start:stop].max(initial=1)]
+        pads = cols == np.arange(start, stop)[:, None]
+        tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
+            pos[start:stop], pos[cols], pads, box, potential
         )
-    i, j = pairs[:, 0], pairs[:, 1]
-    delta = pos[i] - pos[j]
-    length = dtype.type(box.length)
-    delta -= length * np.round(delta / length)
-    r2 = np.einsum("ij,ij->i", delta, delta)
-    within = r2 < dtype.type(potential.rcut2)
-    safe_r2 = np.where(within, r2, dtype.type(1.0))
-    inv_r2 = np.where(within, dtype.type(potential.sigma**2) / safe_r2, dtype.type(0.0))
-    sr6 = inv_r2 * inv_r2 * inv_r2
-    sr12 = sr6 * sr6
-    f_over_r = (
-        dtype.type(24.0 * potential.epsilon)
-        * (dtype.type(2.0) * sr12 - sr6)
-        * np.where(within, dtype.type(1.0) / safe_r2, dtype.type(0.0))
-    )
-    force = f_over_r[:, None] * delta
-    np.add.at(acc, i, force)
-    np.subtract.at(acc, j, force)
-    pair_pe = dtype.type(4.0 * potential.epsilon) * (sr12 - sr6) - np.where(
-        within, dtype.type(potential.shift_energy), dtype.type(0.0)
-    )
+        acc[start:stop] += tile_acc
+        pe_rows[start:stop] += _prefix_pe(pair_pe)
     return ForceResult(
         accelerations=acc.astype(np.float64),
-        potential_energy=float(pair_pe.sum(dtype=dtype)),
-        interacting_pairs=int(np.count_nonzero(within)),
+        potential_energy=0.5 * float(pe_rows.sum(dtype=dtype)),
+        interacting_pairs=int(row_interacting.sum()) // 2,
         pairs_examined=int(pairs.shape[0]),
+        row_interacting=row_interacting,
     )
 
 
@@ -399,15 +410,10 @@ def compute_forces_27image(
     dtype = np.dtype(dtype)
     pos = positions64.astype(dtype)
     offsets = (IMAGE_OFFSETS * box.length).astype(dtype)
-    rcut2 = dtype.type(potential.rcut2)
-    sigma2 = dtype.type(potential.sigma * potential.sigma)
-    eps24 = dtype.type(24.0 * potential.epsilon)
-    eps4 = dtype.type(4.0 * potential.epsilon)
-    shift = dtype.type(potential.shift_energy)
 
     acc = np.zeros((n, 3), dtype=dtype)
     pe = dtype.type(0.0)
-    interacting = 0
+    row_interacting = np.zeros(n, dtype=np.int64)
 
     for start in range(0, n, block):
         stop = min(start + block, n)
@@ -419,24 +425,15 @@ def compute_forces_27image(
         b_idx, j_idx = np.indices(best.shape)
         delta = candidates[b_idx, j_idx, best]
         r2 = norms2[b_idx, j_idx, best]
-        rows = np.arange(start, stop)
-        r2[np.arange(stop - start), rows] = np.inf
-        within = r2 < rcut2
-        interacting += int(np.count_nonzero(within))
-        safe_r2 = np.where(within, r2, dtype.type(1.0))
-        inv_r2 = np.where(within, sigma2 / safe_r2, dtype.type(0.0))
-        sr6 = inv_r2 * inv_r2 * inv_r2
-        sr12 = sr6 * sr6
-        f_over_r = eps24 * (dtype.type(2.0) * sr12 - sr6) * np.where(
-            within, dtype.type(1.0) / safe_r2, dtype.type(0.0)
-        )
-        acc[start:stop] += np.einsum("bj,bjk->bk", f_over_r, delta)
-        pair_pe = eps4 * (sr12 - sr6) - np.where(within, shift, dtype.type(0.0))
+        r2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        tile_acc, pair_pe, row_interacting[start:stop] = _lj_terms(delta, r2, potential)
+        acc[start:stop] += tile_acc
         pe += pair_pe.sum(dtype=dtype)
 
     return ForceResult(
         accelerations=acc.astype(np.float64),
         potential_energy=0.5 * float(pe),
-        interacting_pairs=interacting // 2,
+        interacting_pairs=int(row_interacting.sum()) // 2,
         pairs_examined=n * (n - 1) // 2,
+        row_interacting=row_interacting,
     )

@@ -132,9 +132,8 @@ def compute_forces_neighborlist(
 ) -> ForceResult:
     """Force evaluation over a pair list instead of all pairs.
 
-    Produces results identical (to the arithmetic precision) to
-    :func:`repro.md.forces.compute_forces` whenever the list is fresh
-    enough — a property the test suite asserts.
+    While the list is fresh, accelerations and pair counts equal
+    :func:`repro.md.forces.compute_forces` bit for bit.
     """
     nlist.update(positions)
     return compute_pair_forces(

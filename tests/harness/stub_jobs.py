@@ -15,6 +15,9 @@ from pathlib import Path
 from repro.experiments.common import ExperimentResult, ShapeCheck
 from repro.harness.jobs import Job
 
+# how long gated_job waits for its release file before failing
+GATE_TIMEOUT_S = 60.0
+
 
 def make_result(
     experiment_id: str = "stub", measured: float = 1.0, value: float = 42.0
@@ -46,6 +49,21 @@ def ok_job(measured: float = 1.0, value: float = 42.0) -> ExperimentResult:
 def napping_job(seconds: float = 0.2, value: float = 0.0) -> ExperimentResult:
     time.sleep(seconds)
     return make_result(value=value)
+
+
+def gated_job(release_path: str = "") -> ExperimentResult:
+    """Runs until ``release_path`` exists, polled every 10 ms.
+
+    Holds a job in flight for exactly as long as a test needs it, with
+    no wall-clock nap; a test that never releases it fails after
+    ``GATE_TIMEOUT_S`` instead of hanging.
+    """
+    deadline = time.monotonic() + GATE_TIMEOUT_S
+    while not Path(release_path).exists():
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{release_path} not released in {GATE_TIMEOUT_S} s")
+        time.sleep(0.01)
+    return make_result()
 
 
 def boom_job(message: str = "kaboom") -> ExperimentResult:

@@ -167,9 +167,8 @@ class TestCellListForceBackend:
         backend = CellListForceBackend(box, potential, buffer=0.4)
         direct = compute_forces(positions, box, potential)
         listed = backend(positions)
-        np.testing.assert_allclose(
-            listed.accelerations, direct.accelerations, atol=1e-9
-        )
+        assert np.array_equal(listed.accelerations, direct.accelerations)
+        assert np.array_equal(listed.row_interacting, direct.row_interacting)
         assert listed.potential_energy == pytest.approx(
             direct.potential_energy, abs=1e-9
         )

@@ -6,9 +6,9 @@ list — must produce the same physics for arbitrary (valid) systems.
 Hypothesis drives random system sizes, densities, jitters, and cutoffs
 through every registered backend and asserts forces, energies, and
 interacting-pair counts agree to tight tolerances, plus the structural
-invariants: Newton's third law and NVE energy conservation.  A second
-net holds ``compute_forces``'s cell-column branch to the all-columns
-scan bit for bit.
+invariants: Newton's third law and NVE energy conservation.  Two more
+nets hold the list backends to ``compute_forces``, and its cell-column
+branch to the all-columns scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,12 +167,54 @@ class TestEnergyConservation:
         reference.run(10)
         sim = MDSimulation(config, force_backend=name)
         sim.run(10)
-        np.testing.assert_allclose(
-            sim.state.positions, reference.state.positions, atol=1e-7
-        )
+        if name in ("verlet", "cell"):
+            # The lists are built once and reused across the ten steps.
+            assert np.array_equal(sim.state.positions, reference.state.positions)
+            assert np.array_equal(sim.state.velocities, reference.state.velocities)
+        else:
+            np.testing.assert_allclose(
+                sim.state.positions, reference.state.positions, atol=1e-7
+            )
         assert sim.records[-1].total_energy == pytest.approx(
             reference.records[-1].total_energy, rel=1e-9
         )
+
+
+class TestListBackendsAreAllPairs:
+    """On a fresh list the Verlet- and cell-list backends scan each row's
+    listed partners through the all-pairs kernel's own row-by-column
+    routine: accelerations and pair tallies equal ``compute_forces`` bit
+    for bit, and energy too wherever that kernel scans cells."""
+
+    @given(
+        params=st.tuples(
+            # 2 to 4 cutoff-wide cells per side at the paper's density,
+            # so both branches of compute_forces are in play
+            st.integers(min_value=256, max_value=1400),  # n atoms
+            st.floats(min_value=0.0, max_value=0.2),  # lattice jitter
+            st.integers(min_value=0, max_value=2**31),  # seed
+            st.sampled_from(["verlet", "cell"]),
+            st.sampled_from([np.float32, np.float64]),
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_fresh_list_matches_all_pairs_bitwise(self, params):
+        n, jitter, seed, name, dtype = params
+        config = MDConfig(n_atoms=n)
+        box, potential = config.make_box(), config.make_potential()
+        rng = np.random.default_rng(seed)
+        positions = box.wrap(cubic_lattice(n, box) + rng.normal(0, jitter, (n, 3)))
+        listed = make_force_backend(name, box, potential, dtype=dtype)(positions)
+        direct = compute_forces(positions, box, potential, dtype=dtype)
+        assert np.array_equal(listed.accelerations, direct.accelerations)
+        assert np.array_equal(listed.row_interacting, direct.row_interacting)
+        assert listed.interacting_pairs == direct.interacting_pairs
+        if direct.pairs_examined < n * (n - 1) // 2:  # the cell branch ran
+            assert listed.potential_energy == direct.potential_energy
+        else:
+            assert listed.potential_energy == pytest.approx(
+                direct.potential_energy, rel=1e-5 if dtype is np.float32 else 1e-12
+            )
 
 
 def _all_columns(positions, box, potential, dtype):

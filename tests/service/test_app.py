@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 import urllib.request
 
 import pytest
@@ -14,6 +15,7 @@ from repro.service.client import (
     ServiceClient,
     ServiceError,
 )
+from tests.harness.stub_jobs import GATE_TIMEOUT_S
 from tests.service.conftest import call, running_service, stub_spec
 
 
@@ -140,14 +142,17 @@ class TestSubmitAndFetch:
         run(scenario())
 
     def test_result_not_available_while_pending(self, tmp_path):
+        gate = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "gated_job", release_path=str(gate))}
             async with running_service(str(tmp_path), specs=specs) as svc:
                 client = ServiceClient(port=svc.port)
                 doc = await call(client.submit, "nap")
                 with pytest.raises(JobNotFound, match="no result yet"):
                     await call(client.result, doc["id"])
                 await call(client.cancel, doc["id"])
+                gate.touch()
 
         run(scenario())
 
@@ -200,9 +205,11 @@ class TestCaching:
 
 class TestCancel:
     def test_cancel_queued_job(self, tmp_path):
+        gate = tmp_path / "release"
+
         async def scenario():
             specs = {
-                "nap": stub_spec("nap", "napping_job", seconds=5.0),
+                "nap": stub_spec("nap", "gated_job", release_path=str(gate)),
                 "ok": stub_spec("ok", "ok_job"),
             }
             async with running_service(str(tmp_path), specs=specs) as svc:
@@ -214,6 +221,7 @@ class TestCancel:
                 doc = await call(client.job, queued["id"])
                 assert doc["status"] == "cancelled"
                 await call(client.cancel, blocker["id"])
+                gate.touch()
 
         run(scenario())
 
@@ -255,8 +263,10 @@ class TestCancel:
 
 class TestBackpressureHTTP:
     def test_quota_exceeded_is_429_with_retry_after(self, tmp_path):
+        gate = tmp_path / "release"
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "gated_job", release_path=str(gate))}
             async with running_service(
                 str(tmp_path), specs=specs, tenant_quota=1
             ) as svc:
@@ -269,6 +279,7 @@ class TestBackpressureHTTP:
                 assert exc.value.retry_after >= 1
                 assert "retry_after_seconds" in exc.value.payload
                 await call(client.cancel, first["id"])
+                gate.touch()
 
         run(scenario())
 
@@ -368,8 +379,20 @@ class TestPersistence:
 
 class TestShutdown:
     def test_shutdown_settles_queued_jobs_as_cancelled(self, tmp_path):
+        gate = tmp_path / "release"
+
+        async def release_once_queue_closes(service):
+            # Only after shutdown has stopped dispatch may the blocker
+            # finish; earlier, the worker would start the stranded job.
+            deadline = time.monotonic() + GATE_TIMEOUT_S
+            while not service.queue._closed:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("shutdown never closed the queue")
+                await asyncio.sleep(0.01)
+            gate.touch()
+
         async def scenario():
-            specs = {"nap": stub_spec("nap", "napping_job", seconds=5.0)}
+            specs = {"nap": stub_spec("nap", "gated_job", release_path=str(gate))}
             async with running_service(str(tmp_path), specs=specs) as svc:
                 client = ServiceClient(port=svc.port)
                 blocker = await call(client.submit, "nap")
@@ -377,7 +400,9 @@ class TestShutdown:
                 await call(client.cancel, blocker["id"])
                 stranded_id = stranded["id"]
                 service = svc
+                releaser = asyncio.ensure_future(release_once_queue_closes(svc))
             # context manager exit ran shutdown()
+            await releaser
             return service.jobs[stranded_id].status
 
         assert run(scenario()) == "cancelled"
