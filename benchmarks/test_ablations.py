@@ -16,8 +16,9 @@ def test_ablation_neighborlist(benchmark):
     result = run_and_assert(
         benchmark, lambda: ablations.run_neighborlist(n_atoms=1024, n_steps=20)
     )
-    allpairs, nlist = result.rows
-    assert nlist[1] < allpairs[1]
+    allpairs, verlet, cell = result.rows
+    assert verlet[1] < allpairs[1]
+    assert cell[1:] == verlet[1:]  # both names run one list
 
 
 def test_ablation_gpu_reduction(benchmark):

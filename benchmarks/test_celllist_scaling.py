@@ -1,8 +1,10 @@
-"""Cell-list vs blocked-scan list-build scaling — the O(N) win, measured.
+"""List-build scaling, production search vs O(N^2) reference — the O(N)
+win, measured.
 
-The acceptance bar for the linked-cell engine: at N = 16384 the cell
-binning must build the same pair list at least 5x faster than the
-O(N^2) blocked scan (it lands around 30-50x on commodity hardware).
+The acceptance bar for the production pair search (the linked-cell
+``build_pairs_cells``): at N = 16384 it must build the same pair list at
+least 5x faster than the O(N^2) reference scan ``build_pairs`` (it lands
+around 30-50x on commodity hardware).
 A second test checks the *asymptotic* shape: doubling N must grow the
 cell-list build far slower than the ~4x an O(N^2) scan pays.
 """
@@ -19,7 +21,7 @@ from repro.md.celllist import build_pairs_cells
 from repro.md.lattice import cubic_lattice
 from repro.md.neighborlist import build_pairs
 
-#: The paper's liquid density and a Verlet-list radius (rcut + skin).
+#: The paper's liquid density and a pair-list radius (rcut + skin).
 _DENSITY = 0.8442
 _RADIUS = 2.8
 

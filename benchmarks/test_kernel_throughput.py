@@ -12,9 +12,13 @@ import pytest
 
 from repro.cell import SpePairSweep, build_spe_kernel, kernel_constants
 from repro.cell.kernels import OPT_LEVELS
-from repro.md import MDConfig, compute_forces, compute_forces_27image
+from repro.md import (
+    MDConfig,
+    compute_forces,
+    compute_forces_27image,
+    make_force_backend,
+)
 from repro.md.lattice import cubic_lattice
-from repro.md.neighborlist import NeighborList, compute_forces_neighborlist
 from repro.vm.bench import bench_kernels, speedups
 
 CONFIG = MDConfig(n_atoms=1024)
@@ -42,13 +46,10 @@ def test_bench_27image_search(benchmark):
 
 
 def test_bench_neighborlist(benchmark):
-    nlist = NeighborList(BOX, POTENTIAL, skin=0.3)
-    nlist.update(POSITIONS)
+    backend = make_force_backend("verlet", BOX, POTENTIAL, skin=0.3)
+    backend(POSITIONS)  # build the list; the timed calls reuse it
 
-    def run():
-        return compute_forces_neighborlist(POSITIONS, nlist)
-
-    result = benchmark(run)
+    result = benchmark(backend, POSITIONS)
     assert result.interacting_pairs > 0
 
 

@@ -3,9 +3,9 @@
 The box is cut into K equal slabs along x; node r owns every atom whose
 wrapped x lands in ``[r * L/K, (r+1) * L/K)``.  A node additionally
 imports as **ghosts** all non-owned atoms whose periodic x-distance to
-its slab is below the halo width — ``rcut + skin``, the same skin the
-cell list uses (:data:`repro.md.celllist.DEFAULT_BUFFER`-equivalent
-0.3σ) so migration between rebuilds can never strand an interaction.
+its slab is below the halo width — ``rcut + skin``, the same 0.3σ
+default skin the pair list (:class:`repro.md.celllist.CellList`) uses,
+so migration between rebuilds can never strand an interaction.
 
 Correctness argument (the one the equivalence test net certifies): for
 an owned atom i every partner j inside the cutoff satisfies
@@ -35,7 +35,7 @@ __all__ = [
     "SlabDecomposition",
 ]
 
-#: Halo skin beyond the cutoff, in σ — matches the cell-list buffer
+#: Halo skin beyond the cutoff, in σ — matches the pair-list skin
 #: (``repro.md.celllist`` default 0.3) so the halo imports exactly the
 #: shell the neighbor structure demands.
 DEFAULT_HALO_SKIN = 0.3

@@ -2,7 +2,7 @@
 
 * ``neighborlist`` — the pairlist optimization the paper explicitly
   skipped (section 3.4): how much the Opteron's *functional* kernel
-  gains from a Verlet list, measured by examined-pair counts (the cost
+  gains from a pair list, measured by examined-pair counts (the cost
   driver on every device).
 * ``gpu_reduction`` — the PE-readback trick vs the multi-pass gather
   reduction the paper rejected, priced on the GPU model.
@@ -57,7 +57,7 @@ __all__ = [
 #: One-line roster descriptions keyed by experiment id
 #: (``--list`` / harness job metadata).
 DESCRIPTIONS = {
-    "abl-nlist": "Three-way force-path ablation: O(N^2) vs Verlet vs cell list",
+    "abl-nlist": "Force-path ablation: O(N^2) all-pairs vs the pair list",
     "abl-reduce": "PE-in-w readback vs multi-pass gather reduction on the GPU",
     "abl-xmt": "Projection of the kernel onto XMT-class hardware",
     "abl-xmt-net": "XMT network-locality penalty, quantified (section 3.3.1)",
@@ -82,13 +82,15 @@ def _own_check(key: str, measured: float, low: float, high: float, desc: str) ->
 def run_neighborlist(
     n_atoms: int = 1024, n_steps: int = 20, skin: float = 0.3
 ) -> ExperimentResult:
-    """Three-way force-path ablation: O(N^2) vs Verlet list vs cell list.
+    """Force-path ablation: O(N^2) all-pairs vs the pair list.
 
-    All three registered backends run the same trajectory; the table
-    compares total pair visits, list rebuild/reuse statistics, and the
-    final total energy against the all-pairs reference.  A static
-    cross-check additionally asserts the cell-list pair search finds
-    *exactly* the Verlet list's pairs for the same ``rcut + skin``.
+    The all-pairs kernel and both list backend names, ``verlet`` and
+    ``cell``, run the same trajectory; both names run the one linked-cell
+    list, so their rows agree by construction.  The table compares total
+    pair visits, list rebuild/reuse statistics, and the final total
+    energy against the all-pairs reference.  A static cross-check
+    additionally asserts the linked-cell search finds *exactly* the
+    O(N^2) reference scan's pairs for the same ``rcut + skin``.
     """
     config = paper_config(n_atoms)
     box = config.make_box()
@@ -104,8 +106,8 @@ def run_neighborlist(
     from repro.md import make_force_backend
 
     runs: dict[str, dict[str, float | int]] = {}
-    for name, options in (("verlet", {"skin": skin}), ("cell", {"buffer": skin})):
-        lists = make_force_backend(name, box, potential, **options)
+    for name in ("verlet", "cell"):
+        lists = make_force_backend(name, box, potential, skin=skin)
         examined = 0
 
         def counting(positions: np.ndarray, _inner=lists):
@@ -126,9 +128,9 @@ def run_neighborlist(
 
     # Static exactness cross-check at the same radius, same positions.
     probe = reference.state.positions
-    verlet_pairs = build_pairs(probe, box, potential.rcut + skin)
+    reference_pairs = build_pairs(probe, box, potential.rcut + skin)
     cell_pairs = build_pairs_cells(probe, box, potential.rcut + skin)
-    pair_count_gap = abs(verlet_pairs.shape[0] - cell_pairs.shape[0])
+    pair_count_gap = abs(reference_pairs.shape[0] - cell_pairs.shape[0])
 
     rows = [("all-pairs O(N^2)", allpairs_examined, 1.0, "-", "-")]
     for name, label in (("verlet", "verlet list"), ("cell", "cell list")):
@@ -188,8 +190,9 @@ def run_neighborlist(
             "The paper deliberately skips this optimization; the ratio "
             "shows what the O(N^2) formulation pays for it.",
             f"list reuse — {reuse_note}",
-            "The cell list finds the identical pair set in O(N) build "
-            "time; build_pairs is the O(N^2) blocked scan.",
+            "Both list names run one linked-cell list, built in O(N); "
+            "the static check compares its pairs with the O(N^2) "
+            "reference scan.",
         ),
     )
 
@@ -442,15 +445,15 @@ def run_cache_patterns(n_atoms: int = 8192) -> ExperimentResult:
     and the one the MTA's uniform-latency memory shrugs off.
     """
     from repro.arch import calibration as c
-    from repro.md import NeighborList
+    from repro.md import CellList
     from repro.opteron.costmodel import make_opteron_hierarchy
 
     config = MDConfig(n_atoms=n_atoms)
     box = config.make_box()
     potential = config.make_potential()
     positions = cubic_lattice(n_atoms, box)
-    nlist = NeighborList(box, potential, skin=0.3)
-    nlist.update(positions)
+    pair_list = CellList(box, potential, skin=0.3)
+    pair_list.update(positions)
     rng = np.random.default_rng(config.seed)
 
     element = c.VEC3_F64_BYTES
@@ -459,7 +462,7 @@ def run_cache_patterns(n_atoms: int = 8192) -> ExperimentResult:
         return np.asarray(order, dtype=np.int64) * element
 
     sequential = atom_addresses(np.arange(n_atoms))
-    gather_targets = nlist.pairs[:, 1]
+    gather_targets = pair_list.pairs[:, 1]
     shuffled_pairs = rng.permutation(len(gather_targets))
     random_gather = atom_addresses(gather_targets[shuffled_pairs])
     sorted_gather = atom_addresses(np.sort(gather_targets))

@@ -13,7 +13,6 @@ from repro.md.celllist import (
     build_pairs_cells,
 )
 from repro.md.forcefield import (
-    VerletListForceBackend,
     available_backends,
     make_force_backend,
     register_backend,
@@ -33,11 +32,7 @@ from repro.md.lattice import (
     zero_net_momentum,
 )
 from repro.md.lj import LennardJones
-from repro.md.neighborlist import (
-    NeighborList,
-    build_pairs,
-    compute_forces_neighborlist,
-)
+from repro.md.neighborlist import build_pairs
 from repro.md.observables import (
     kinetic_energy,
     net_momentum,
@@ -62,14 +57,12 @@ __all__ = [
     "HarmonicBond",
     "RadialDistribution",
     "VelocityRescale",
-    "VerletListForceBackend",
     "radial_distribution",
     "Frame",
     "LJUnitSystem",
     "LennardJones",
     "MDConfig",
     "MDSimulation",
-    "NeighborList",
     "PeriodicBox",
     "State",
     "StepRecord",
@@ -79,7 +72,6 @@ __all__ = [
     "build_pairs_cells",
     "compute_forces",
     "compute_forces_27image",
-    "compute_forces_neighborlist",
     "compute_forces_reference",
     "compute_pair_forces",
     "cubic_lattice",

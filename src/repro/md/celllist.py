@@ -1,27 +1,27 @@
-"""Linked-cell (binning) pair search — the O(N) list build.
+"""The pair list: linked-cell search plus a self-maintaining list.
 
-:func:`repro.md.neighborlist.build_pairs` finds the same pairs with an
-O(N^2) blocked scan, which caps every downstream consumer (the Verlet
-list, the ablations, the fig9 sweep) at ~10^4 atoms.  This module bins
-atoms into a cubic grid of cells at least ``radius`` wide, so each atom
-only examines the 27 cells around its own — O(N) total work at fixed
-density.  The structure is the one HOOMD-blue's ``NList``/``CellList``
-pair uses (see SNIPPETS.md) and the one the GPU N-body literature
-identifies as the step that unlocks large-N MD.
+Section 3.4 of the paper names the neighbouring-atom pair list,
+"updated every few simulation time steps", as the optimisation its
+kernels deliberately skip.  This module is the repo's one
+implementation of it; both list backends of the force registry
+(``verlet`` and ``cell``) run it.
 
-Skin semantics follow HOOMD's buffer contract:
+:func:`build_pairs_cells` bins atoms into a cubic grid of cells at least
+``radius`` wide, so each atom only examines the cells around its own —
+O(N) total work at fixed density.  It returns exactly the array, order
+included, of :func:`repro.md.neighborlist.build_pairs`, the O(N^2)
+reference scan the tests hold it to.  The structure is the one
+HOOMD-blue's ``NList``/``CellList`` pair uses (see SNIPPETS.md) and the
+one the GPU N-body literature identifies as the step that unlocks
+large-N MD.
 
-* ``buffer`` — extra shell beyond the cutoff; a list built once stays
-  valid until some atom has moved more than ``buffer / 2``.
-* ``rebuild_check_delay`` — the displacement check starts only that many
-  updates after the last build (the list is reused unconditionally in
-  between); with ``check_dist=False`` the list instead rebuilds
-  unconditionally every ``rebuild_check_delay`` updates.
-
-:class:`CellListForceBackend` wraps the list into the ``ForceBackend``
-callable shape that :class:`repro.md.simulation.MDSimulation` and the
-device models consume, and exposes rebuild/reuse counters for the
-experiment reports.
+:class:`CellList` stores every pair within ``rcut + skin`` and stays
+valid until some atom has moved more than ``skin / 2`` since the last
+build; it checks displacements on every update and rebuilds when they
+exceed that.  :class:`CellListForceBackend` wraps the list into the
+``ForceBackend`` callable shape that
+:class:`repro.md.simulation.MDSimulation` and the device models consume,
+and exposes rebuild/reuse counters for the experiment reports.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from repro.md.box import PeriodicBox
 from repro.md.forces import ForceResult, compute_pair_forces
 from repro.md.lj import LennardJones
-from repro.md.neighborlist import build_pairs, validate_list_radius
+from repro.md.neighborlist import validate_list_radius
 
 __all__ = [
     "CellGrid",
@@ -52,32 +52,36 @@ def cells_per_side(box: PeriodicBox, radius: float) -> int:
 class CellGrid:
     """A cubic binning of the periodic box into ``m**3`` cells.
 
-    Precomputes, for each of the 27 neighbor offsets, the flat id of the
-    neighboring cell of every cell — the periodic "cell adjacency" the
-    pair search walks.  Requires ``m >= 3`` so the 27 wrapped neighbor
-    cells of any cell are distinct (with fewer, the same cell appears
-    under several offsets and pairs would be double-counted).
+    Precomputes each cell's periodic neighbourhood — the flat ids of the
+    cells at most one step away along every axis, the "cell adjacency"
+    the pair search walks.  With ``m >= 3`` that is the 27 offsets in
+    ``{-1, 0, 1}**3``, all distinct.  With ``m == 2`` the offsets -1 and
+    +1 name the same cell, so each cell lists the 8 distinct cells
+    ``{0, 1}**3`` away: the whole box, each cell once.  ``m < 2`` means
+    a radius beyond half the box, which no minimum-image search admits.
     """
 
     def __init__(self, box: PeriodicBox, radius: float) -> None:
         m = cells_per_side(box, radius)
-        if m < 3:
+        if m < 2:
             raise ValueError(
                 f"box of length {box.length} holds only {m} cells of width "
-                f">= {radius} per side; need >= 3 for a linked-cell search"
+                f">= {radius} per side; need >= 2 for a linked-cell search"
             )
         self.box = box
         self.radius = radius
         self.m = m
         self.n_cells = m**3
         self.cell_width = box.length / m
+        steps = (-1, 0, 1) if m >= 3 else (0, 1)
         offsets = np.array(
-            [(dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)],
+            [(dx, dy, dz) for dx in steps for dy in steps for dz in steps],
             dtype=np.int64,
         )
         grid = np.indices((m, m, m)).reshape(3, -1).T  # (m^3, 3) cell coords
         neighbor_coords = (grid[:, None, :] + offsets[None, :, :]) % m
         #: (n_cells, 27) flat ids of each cell's periodic neighborhood
+        #: (n_cells, 8) when m == 2
         self.neighbors = (
             neighbor_coords[:, :, 0] * m * m
             + neighbor_coords[:, :, 1] * m
@@ -98,21 +102,16 @@ def build_pairs_cells(
     positions: np.ndarray,
     box: PeriodicBox,
     radius: float,
-    grid: CellGrid | None = None,
 ) -> np.ndarray:
     """All unordered pairs (i < j) within ``radius``, by linked-cell search.
 
-    Exactly the pair set :func:`repro.md.neighborlist.build_pairs`
-    returns (the tests assert set equality), built in O(N) instead of
-    O(N^2).  Falls back to the blocked scan when the box is too small to
-    hold a 3x3x3 cell grid — the regime where O(N^2) is cheap anyway.
+    Exactly the array :func:`repro.md.neighborlist.build_pairs` returns
+    — same pairs, same row-major order — built in O(N) instead of
+    O(N^2).
     """
     positions = np.asarray(positions, dtype=np.float64)
     validate_list_radius(radius, box)
-    if grid is None:
-        if cells_per_side(box, radius) < 3:
-            return build_pairs(positions, box, radius)
-        grid = CellGrid(box, radius)
+    grid = CellGrid(box, radius)
     n = positions.shape[0]
     cell_of = grid.assign(positions)
 
@@ -126,11 +125,10 @@ def build_pairs_cells(
     radius2 = radius * radius
     chunks: list[np.ndarray] = []
     atom_idx = np.arange(n)
-    for off in range(27):
-        # For every atom, enumerate all atoms in its `off`-th neighbor
-        # cell as candidate partners, fully vectorized: the candidate
+    for nc in grid.neighbors[cell_of].T:
+        # For every atom, enumerate all atoms in one of its neighbor
+        # cells as candidate partners, fully vectorized: the candidate
         # block of atom i is a run of counts[nc[i]] entries of `order`.
-        nc = grid.neighbors[cell_of, off]
         runs = counts[nc]
         total = int(runs.sum())
         if total == 0:
@@ -153,141 +151,92 @@ def build_pairs_cells(
         return np.empty((0, 2), dtype=np.intp)
     pairs = np.concatenate(chunks, axis=0).astype(np.intp, copy=False)
     # Deterministic order regardless of cell geometry, matching the
-    # row-major order of the blocked scan.
+    # row-major order of the reference scan.
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 class CellList:
     """Self-maintaining pair list built by linked-cell binning.
 
-    The cell-list sibling of :class:`repro.md.neighborlist.NeighborList`:
-    same ``rcut + buffer`` shell, same staleness criterion, O(N) rebuild.
-
     Parameters
     ----------
     box, potential:
         The periodic cell and the potential whose cutoff the list serves.
-    buffer:
-        HOOMD's name for the skin: extra shell thickness beyond the
-        cutoff.  A built list stays valid until an atom moves more than
-        ``buffer / 2``.
-    rebuild_check_delay:
-        Number of updates after a build before the displacement check
-        starts (the list is reused unconditionally until then).  With
-        ``check_dist=False`` the list instead rebuilds unconditionally
-        every ``rebuild_check_delay`` updates.
-    check_dist:
-        Whether staleness is decided by measured displacements (True,
-        the default) or purely by the update counter (False).
+    skin:
+        Extra shell thickness beyond the cutoff (HOOMD's ``buffer``).  A
+        built list stays valid until an atom moves more than
+        ``skin / 2``; larger skins rebuild less often but visit more
+        non-interacting pairs per step.
     """
 
     def __init__(
         self,
         box: PeriodicBox,
         potential: LennardJones,
-        buffer: float = 0.3,
-        rebuild_check_delay: int = 1,
-        check_dist: bool = True,
+        skin: float = 0.3,
     ) -> None:
-        if buffer < 0.0:
-            raise ValueError(f"buffer must be non-negative, got {buffer}")
-        if rebuild_check_delay < 1:
-            raise ValueError(
-                f"rebuild_check_delay must be >= 1, got {rebuild_check_delay}"
-            )
-        validate_list_radius(potential.rcut + buffer, box)
+        if skin < 0.0:
+            raise ValueError(f"skin must be non-negative, got {skin}")
+        validate_list_radius(potential.rcut + skin, box)
         self.box = box
         self.potential = potential
-        self.buffer = buffer
-        self.rebuild_check_delay = rebuild_check_delay
-        self.check_dist = check_dist
+        self.skin = skin
         self.pairs = np.empty((0, 2), dtype=np.intp)
         self.rebuild_count = 0
         self.reuse_count = 0
-        self.check_count = 0
-        self._updates_since_build = 0
         self._reference_positions: np.ndarray | None = None
-        self._grid: CellGrid | None = None
-        if cells_per_side(box, self.radius) >= 3:
-            self._grid = CellGrid(box, self.radius)
 
     @property
     def radius(self) -> float:
-        """The list radius, ``rcut + buffer``."""
-        return self.potential.rcut + self.buffer
-
-    def max_displacement(self, positions: np.ndarray) -> float:
-        """Largest minimum-image displacement since the last build."""
-        if self._reference_positions is None:
-            return float("inf")
-        delta = np.asarray(positions, dtype=np.float64) - self._reference_positions
-        delta -= self.box.length * np.round(delta / self.box.length)
-        return float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
+        """The list radius, ``rcut + skin``."""
+        return self.potential.rcut + self.skin
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
-        """Apply the HOOMD buffer contract to the current positions.
-
-        Judged for the *next* update: the displacement check (or the
-        unconditional rebuild when ``check_dist=False``) fires once the
-        list is ``rebuild_check_delay`` updates old.  With the default
-        delay of 1 every update runs the check, matching
-        ``NeighborList``.
-        """
+        """True if any atom moved more than ``skin / 2`` since the last
+        build (minimum-image displacement)."""
         if self._reference_positions is None:
             return True
-        age = self._updates_since_build + 1
-        if not self.check_dist:
-            return age >= self.rebuild_check_delay
-        if age < self.rebuild_check_delay:
-            return False
-        self.check_count += 1
-        return self.max_displacement(positions) > 0.5 * self.buffer
+        delta = np.asarray(positions, dtype=np.float64) - self._reference_positions
+        delta -= self.box.length * np.round(delta / self.box.length)
+        max_disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", delta, delta))))
+        return max_disp > 0.5 * self.skin
 
     def update(self, positions: np.ndarray) -> bool:
-        """Rebuild if stale; returns True when a rebuild happened.
+        """Rebuild the list if stale; returns True when a rebuild happened.
 
-        Like :meth:`NeighborList.update`, re-validates the radius
-        against the current box every call so a mid-run box change fails
-        loudly instead of silently serving a stale list.
+        Re-validates ``rcut + skin`` against the *current* box on every
+        call: a box swapped mid-run must fail loudly here, not silently
+        serve a stale list between rebuilds.
         """
         validate_list_radius(self.radius, self.box)
         if not self.needs_rebuild(positions):
-            self._updates_since_build += 1  # ages the list by one update
             self.reuse_count += 1
             return False
         positions = np.asarray(positions, dtype=np.float64)
-        self.pairs = build_pairs_cells(positions, self.box, self.radius, self._grid)
+        self.pairs = build_pairs_cells(positions, self.box, self.radius)
         self._reference_positions = positions.copy()
-        self._updates_since_build = 0
         self.rebuild_count += 1
         return True
 
 
 class CellListForceBackend:
-    """``ForceBackend`` adapter: cell-list pair search + shared pair kernel.
+    """``ForceBackend`` adapter: the pair list + the shared pair kernel.
 
-    Plugs into :class:`repro.md.simulation.MDSimulation` (and the device
-    models) anywhere ``compute_forces`` or the Verlet-list path does.
-    The ``rebuild_count`` / ``reuse_count`` properties feed the
-    list-reuse statistics the ablation report prints.
+    The one list backend; the registry serves it under both ``verlet``
+    and ``cell``.  Plugs into :class:`repro.md.simulation.MDSimulation`
+    (and the device models) anywhere ``compute_forces`` does.  The
+    ``rebuild_count`` / ``reuse_count`` properties feed the list-reuse
+    statistics the ablation report prints.
     """
 
     def __init__(
         self,
         box: PeriodicBox,
         potential: LennardJones,
-        buffer: float = 0.3,
+        skin: float = 0.3,
         dtype: np.dtype | type = np.float64,
-        rebuild_check_delay: int = 1,
-        check_dist: bool = True,
     ) -> None:
-        self.cell_list = CellList(
-            box,
-            potential,
-            buffer=buffer,
-            rebuild_check_delay=rebuild_check_delay,
-            check_dist=check_dist,
-        )
+        self.cell_list = CellList(box, potential, skin=skin)
         self.dtype = np.dtype(dtype)
 
     @property

@@ -1,16 +1,18 @@
 """The force-backend registry: select a force path by name.
 
 Every force formulation in the repo — the nested-loop executable
-specification, the paper's all-pairs kernels, the Verlet list, the
-linked-cell list — is registered here under a short name, so
+specification, the paper's all-pairs kernels, the pair list — is
+registered here under a short name, so
 :class:`repro.md.simulation.MDSimulation`, the device models, the
 ablations, and the fig9 sweep can all select one with a string instead
 of hand-wiring closures.  A factory receives ``(box, potential)`` plus
 keyword options and returns a ``ForceBackend`` callable
 (``positions -> ForceResult``).
 
-Stateful backends (Verlet, cell) return fresh objects per call to
-:func:`make_force_backend`, so two simulations never share a list.
+The pair list is served under two names, ``verlet`` and ``cell``: both
+build the same linked-cell :class:`repro.md.celllist.CellList` and take
+one option, ``skin``.  Each call to :func:`make_force_backend` returns a
+fresh list, so two simulations never share one.
 """
 
 from __future__ import annotations
@@ -28,14 +30,12 @@ from repro.md.forces import (
     compute_forces_reference,
 )
 from repro.md.lj import LennardJones
-from repro.md.neighborlist import NeighborList, compute_forces_neighborlist
 from repro.tune.context import tuned_value
 from repro.tune.spec import TunableSpec, register_tunable
 
 __all__ = [
     "BackendFactory",
     "TUNED_OPTION_MAP",
-    "VerletListForceBackend",
     "available_backends",
     "make_force_backend",
     "register_backend",
@@ -82,9 +82,9 @@ def make_force_backend(
 ) -> Callable[[np.ndarray], ForceResult]:
     """Instantiate the named backend for one simulation.
 
-    ``options`` are backend-specific (e.g. ``skin`` for ``"verlet"``,
-    ``buffer``/``rebuild_check_delay`` for ``"cell"``); unknown names
-    raise with the list of registered ones.
+    ``options`` are backend-specific (``block`` for the dense scans,
+    ``skin`` for the pair list); unknown names raise with the list of
+    registered ones.
     """
     try:
         factory = _REGISTRY[name]
@@ -94,44 +94,6 @@ def make_force_backend(
             f"{', '.join(available_backends())}"
         ) from None
     return factory(box, potential, np.dtype(dtype), **options)
-
-
-class VerletListForceBackend:
-    """``ForceBackend`` adapter over a self-maintaining Verlet list.
-
-    The Verlet sibling of
-    :class:`repro.md.celllist.CellListForceBackend`, with the same
-    rebuild/reuse counters so reports can compare list reuse across the
-    two structures.
-    """
-
-    def __init__(
-        self,
-        box: PeriodicBox,
-        potential: LennardJones,
-        skin: float = 0.3,
-        dtype: np.dtype | type = np.float64,
-    ) -> None:
-        self.nlist = NeighborList(box, potential, skin=skin)
-        self.dtype = np.dtype(dtype)
-        self.reuse_count = 0
-
-    @property
-    def rebuild_count(self) -> int:
-        return self.nlist.rebuild_count
-
-    @property
-    def reuse_fraction(self) -> float:
-        """Share of force evaluations served by an already-built list."""
-        total = self.rebuild_count + self.reuse_count
-        return self.reuse_count / total if total else 0.0
-
-    def __call__(self, positions: np.ndarray) -> ForceResult:
-        before = self.nlist.rebuild_count
-        result = compute_forces_neighborlist(positions, self.nlist, dtype=self.dtype)
-        if self.nlist.rebuild_count == before:
-            self.reuse_count += 1
-        return result
 
 
 @register_backend("reference")
@@ -172,28 +134,12 @@ def _27image(box, potential, dtype, **options):
 
 
 @register_backend("verlet")
-def _verlet(box, potential, dtype, **options):
+@register_backend("cell")
+def _pair_list(box, potential, dtype, **options):
     skin = float(options.pop("skin", 0.3))
     if options:
-        raise TypeError(f"'verlet' got unknown options {sorted(options)}")
-    return VerletListForceBackend(box, potential, skin=skin, dtype=dtype)
-
-
-@register_backend("cell")
-def _cell(box, potential, dtype, **options):
-    buffer = float(options.pop("buffer", 0.3))
-    rebuild_check_delay = int(options.pop("rebuild_check_delay", 1))
-    check_dist = bool(options.pop("check_dist", True))
-    if options:
-        raise TypeError(f"'cell' got unknown options {sorted(options)}")
-    return CellListForceBackend(
-        box,
-        potential,
-        buffer=buffer,
-        dtype=dtype,
-        rebuild_check_delay=rebuild_check_delay,
-        check_dist=check_dist,
-    )
+        raise TypeError(f"the pair list got unknown options {sorted(options)}")
+    return CellListForceBackend(box, potential, skin=skin, dtype=dtype)
 
 
 # -- tunable knobs -----------------------------------------------------
@@ -203,8 +149,8 @@ def _cell(box, potential, dtype, **options):
 # None of these change the physics — block sizes only re-chunk the dense
 # pair scans (reordering float energy reductions within shape-band
 # tolerance; accelerations are blocked by row and do not move), and
-# skin/buffer/rebuild-delay only trade list rebuilds against extra
-# candidate pairs; every neighbor inside the cutoff is still found.
+# the skin only trades list rebuilds against extra candidate pairs;
+# every neighbor inside the cutoff is still found.
 
 register_tunable(TunableSpec(
     name="md.block",
@@ -229,32 +175,9 @@ register_tunable(TunableSpec(
     candidates=(0.1, 0.2, 0.3, 0.45, 0.6),
     low=0.01,
     high=2.0,
-    description="Verlet neighbor-list skin radius (sigma units)",
+    description="pair-list skin beyond the cutoff (sigma units)",
     effect="thicker skin -> fewer rebuilds but more candidate pairs "
            "per force evaluation",
-))
-register_tunable(TunableSpec(
-    name="md.cell_buffer",
-    backend="md",
-    kind="float",
-    default=0.3,
-    candidates=(0.1, 0.2, 0.3, 0.45, 0.6),
-    low=0.01,
-    high=2.0,
-    description="linked-cell list buffer width (sigma units)",
-    effect="wider buffer -> fewer cell rebuilds but larger cells to scan",
-))
-register_tunable(TunableSpec(
-    name="md.rebuild_delay",
-    backend="md",
-    kind="int",
-    default=1,
-    candidates=(1, 2, 4, 8),
-    low=1,
-    high=64,
-    description="steps between linked-cell displacement checks",
-    effect="longer delay skips distance checks; the buffer still "
-           "guarantees correctness between rebuilds",
 ))
 
 #: force-backend name -> {factory option: knob name}; the hook
@@ -264,7 +187,7 @@ TUNED_OPTION_MAP: dict[str, dict[str, str]] = {
     "all-pairs": {"block": "md.block"},
     "27image": {"block": "md.block"},
     "verlet": {"skin": "md.skin"},
-    "cell": {"buffer": "md.cell_buffer", "rebuild_check_delay": "md.rebuild_delay"},
+    "cell": {"skin": "md.skin"},
 }
 
 

@@ -12,7 +12,7 @@ contribute a force and a potential-energy term.  This module provides
 * :func:`compute_forces_27image` — same physics with the minimum image
   obtained by the explicit 27-image search the Cell kernel uses;
 * :func:`compute_pair_forces` — the same physics over an explicit pair
-  list, shared by the Verlet- and cell-list backends.
+  list, the kernel of the pair-list backend (``verlet``/``cell``).
 
 All of them return a :class:`ForceResult` carrying the accelerations,
 the potential energy and the interacting-pair count that the device
@@ -352,9 +352,8 @@ def compute_pair_forces(
 ) -> ForceResult:
     """Force evaluation over an explicit half list of (i, j) pairs.
 
-    The kernel of the Verlet- and cell-list backends: each row against
-    its ascending partners from the full list (see the module
-    docstring).  Pairs outside the cutoff contribute nothing;
+    The kernel of the pair-list backend: each row against its
+    ascending partners from the full list (see the module docstring).  Pairs outside the cutoff contribute nothing;
     ``pairs_examined`` reports ``pairs.shape[0]``.
     """
     positions = np.asarray(positions, dtype=np.float64)

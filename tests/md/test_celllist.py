@@ -48,11 +48,12 @@ class TestBuildPairsCells:
         pairs = build_pairs_cells(positions, box, radius=2.0)
         assert np.all(pairs[:, 0] < pairs[:, 1])
 
-    def test_falls_back_when_box_too_small_for_grid(self):
-        # radius > length/3 leaves fewer than 3 cells per side
+    def test_two_cells_per_side_matches_reference(self):
+        # radius > length/3 leaves two cells per side: each cell's
+        # neighbourhood is the whole box, each cell listed once
         box, _potential, positions = _system(n=32, density=0.3)
         radius = 0.45 * box.length
-        assert cells_per_side(box, radius) < 3
+        assert cells_per_side(box, radius) == 2
         cells = build_pairs_cells(positions, box, radius)
         reference = build_pairs(positions, box, radius)
         np.testing.assert_array_equal(cells, reference)
@@ -72,10 +73,19 @@ class TestBuildPairsCells:
 
 
 class TestCellGrid:
-    def test_requires_three_cells_per_side(self):
+    def test_requires_two_cells_per_side(self):
         box = PeriodicBox(length=6.0)
         with pytest.raises(ValueError):
-            CellGrid(box, radius=2.5)  # only 2 cells per side
+            CellGrid(box, radius=3.5)  # only 1 cell per side
+
+    def test_two_cells_per_side_lists_each_cell_once(self):
+        box = PeriodicBox(length=6.0)
+        grid = CellGrid(box, radius=2.5)
+        assert grid.m == 2
+        assert grid.neighbors.shape == (8, 8)
+        for c in range(grid.n_cells):
+            # with m == 2 every cell neighbors every cell exactly once
+            assert sorted(grid.neighbors[c]) == list(range(8))
 
     def test_neighbors_are_distinct_and_cover_27(self):
         box = PeriodicBox(length=9.0)
@@ -96,10 +106,10 @@ class TestCellGrid:
 class TestCellListSkinReuse:
     def test_drift_under_half_buffer_reuses(self):
         box, potential, positions = _system()
-        clist = CellList(box, potential, buffer=0.4)
+        clist = CellList(box, potential, skin=0.4)
         clist.update(positions)
         assert clist.rebuild_count == 1
-        # drift every atom by just under buffer/2 in one axis
+        # drift every atom by just under skin/2 in one axis
         drift = np.zeros_like(positions)
         drift[:, 0] = 0.19
         assert not clist.update(box.wrap(positions + drift))
@@ -108,7 +118,7 @@ class TestCellListSkinReuse:
 
     def test_drift_over_half_buffer_rebuilds(self):
         box, potential, positions = _system()
-        clist = CellList(box, potential, buffer=0.4)
+        clist = CellList(box, potential, skin=0.4)
         clist.update(positions)
         drift = np.zeros_like(positions)
         drift[0, 0] = 0.21  # one atom crossing the threshold suffices
@@ -116,33 +126,9 @@ class TestCellListSkinReuse:
         assert clist.rebuild_count == 2
         assert clist.reuse_count == 0
 
-    def test_rebuild_check_delay_defers_the_check(self):
-        box, potential, positions = _system()
-        clist = CellList(box, potential, buffer=0.4, rebuild_check_delay=3)
-        clist.update(positions)
-        far = box.wrap(positions + 0.5)  # way past buffer/2
-        # ages 1 and 2: reused without even checking displacements
-        assert not clist.update(far)
-        assert not clist.update(far)
-        assert clist.check_count == 0
-        # age 3: the check fires and triggers the rebuild
-        assert clist.update(far)
-        assert clist.check_count == 1
-        assert clist.rebuild_count == 2
-
-    def test_check_dist_false_rebuilds_on_schedule(self):
-        box, potential, positions = _system()
-        clist = CellList(
-            box, potential, buffer=0.4, rebuild_check_delay=2, check_dist=False
-        )
-        clist.update(positions)
-        assert not clist.update(positions)  # age 1: reuse
-        assert clist.update(positions)  # age 2: unconditional rebuild
-        assert clist.rebuild_count == 2
-
     def test_box_shrunk_mid_run_fails_loudly(self):
         box, potential, positions = _system()
-        clist = CellList(box, potential, buffer=0.3)
+        clist = CellList(box, potential, skin=0.3)
         clist.update(positions)
         clist.box = PeriodicBox(length=potential.rcut)  # half_length < rcut
         with pytest.raises(ValueError, match="exceeds half the box"):
@@ -151,20 +137,18 @@ class TestCellListSkinReuse:
     def test_validates_radius_at_construction(self):
         box = PeriodicBox(length=5.0)
         with pytest.raises(ValueError):
-            CellList(box, LennardJones(rcut=2.4), buffer=0.2)
+            CellList(box, LennardJones(rcut=2.4), skin=0.2)
 
     def test_rejects_bad_parameters(self):
         box, potential, _positions = _system()
         with pytest.raises(ValueError):
-            CellList(box, potential, buffer=-0.1)
-        with pytest.raises(ValueError):
-            CellList(box, potential, rebuild_check_delay=0)
+            CellList(box, potential, skin=-0.1)
 
 
 class TestCellListForceBackend:
     def test_matches_all_pairs_kernel(self):
         box, potential, positions = _system()
-        backend = CellListForceBackend(box, potential, buffer=0.4)
+        backend = CellListForceBackend(box, potential, skin=0.4)
         direct = compute_forces(positions, box, potential)
         listed = backend(positions)
         assert np.array_equal(listed.accelerations, direct.accelerations)
@@ -176,7 +160,7 @@ class TestCellListForceBackend:
 
     def test_counters_and_reuse_fraction(self):
         box, potential, positions = _system()
-        backend = CellListForceBackend(box, potential, buffer=0.4)
+        backend = CellListForceBackend(box, potential, skin=0.4)
         backend(positions)
         backend(box.wrap(positions + 0.01))
         backend(box.wrap(positions + 0.02))
@@ -186,7 +170,7 @@ class TestCellListForceBackend:
 
     def test_float32_dtype_respected(self):
         box, potential, positions = _system()
-        backend = CellListForceBackend(box, potential, buffer=0.4, dtype=np.float32)
+        backend = CellListForceBackend(box, potential, skin=0.4, dtype=np.float32)
         f32 = backend(positions)
         f64 = compute_forces(positions, box, potential, dtype=np.float64)
         scale = float(np.max(np.abs(f64.accelerations)))

@@ -1,14 +1,15 @@
 """Property-based equivalence net over the whole force stack.
 
 Every force backend — the nested-loop executable specification, the
-paper's two all-pairs kernels, the Verlet list, and the linked-cell
-list — must produce the same physics for arbitrary (valid) systems.
+paper's two all-pairs kernels, and the pair list (registered as both
+``verlet`` and ``cell``) — must produce the same physics for arbitrary (valid) systems.
 Hypothesis drives random system sizes, densities, jitters, and cutoffs
 through every registered backend and asserts forces, energies, and
 interacting-pair counts agree to tight tolerances, plus the structural
-invariants: Newton's third law and NVE energy conservation.  Two more
-nets hold the list backends to ``compute_forces``, and its cell-column
-branch to the all-columns scan, bit for bit.
+invariants: Newton's third law and NVE energy conservation.  Three more
+nets hold the linked-cell pair search to the O(N^2) reference scan, the
+list backends to ``compute_forces``, and its cell-column branch to the
+all-columns scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.md import (
     make_force_backend,
 )
 from repro.md.box import PeriodicBox
-from repro.md.celllist import build_pairs_cells
+from repro.md.celllist import build_pairs_cells, cells_per_side
 from repro.md.forces import (
     _lj_rows,
     compute_forces,
@@ -55,8 +56,7 @@ def _backend_options(name, box, potential):
     """Options keeping list radii inside the box for any geometry."""
     if name in ("verlet", "cell"):
         room = box.half_length - potential.rcut
-        key = "skin" if name == "verlet" else "buffer"
-        return {key: min(0.3, 0.5 * room)}
+        return {"skin": min(0.3, 0.5 * room)}
     return {}
 
 
@@ -69,7 +69,35 @@ system_strategy = st.tuples(
 )
 
 
+def _face_system(cells, length, ulps, n, seed, straddle):
+    """Atoms in a box of ``length`` holding ``cells`` search radii per
+    side, the radius nudged by ``ulps`` units in the last place so the
+    cell width may round to either side of it, and every atom moved by
+    whole box lengths out of ``[0, L)``.  With ``straddle`` the first
+    atoms sit in pairs a hair inside the radius apart, astride a cell
+    face or the periodic boundary, so that a rounding slip in the
+    binning would drop them."""
+    box = PeriodicBox(length=length)
+    radius = min(length / cells * (1.0 + ulps * np.finfo(float).eps), box.half_length)
+    width = length / cells_per_side(box, radius)
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(0.0, length, size=(n, 3))
+    if straddle:
+        for k in range(cells):
+            gap = radius * (1.0 - rng.choice([1e-13, 1e-12, 1e-11]))
+            centre = k * width + 1e-3 * rng.uniform(-1.0, 1.0) * width
+            y, z = rng.uniform(0.0, length, size=2)
+            positions[2 * k] = (centre - 0.5 * gap, y, z)
+            positions[2 * k + 1] = (centre + 0.5 * gap, y, z)
+    positions += length * rng.integers(-2, 3, size=(n, 3))
+    return box, radius, positions
+
+
 class TestPairSearchEquivalence:
+    """The linked-cell search returns the O(N^2) reference scan's array
+    exactly: the same pairs in the same order (``abl-cache`` permutes
+    ``pairs[:, 1]`` with a seeded RNG, so order is output)."""
+
     @given(params=system_strategy)
     @settings(max_examples=30, deadline=None)
     def test_cell_search_finds_exactly_the_blocked_scan_pairs(self, params):
@@ -78,8 +106,29 @@ class TestPairSearchEquivalence:
         radius = potential.rcut
         reference = build_pairs(positions, box, radius)
         cells = build_pairs_cells(positions, box, radius)
-        assert {tuple(p) for p in cells} == {tuple(p) for p in reference}
-        assert cells.shape == reference.shape  # no duplicates either
+        assert np.array_equal(cells, reference)
+
+    @given(
+        params=st.tuples(
+            st.integers(min_value=2, max_value=6),  # radii per side
+            st.floats(min_value=2.0, max_value=12.0),  # box length
+            st.integers(min_value=-3, max_value=3),  # radius nudge, ulps
+            st.integers(min_value=16, max_value=160),  # n atoms
+            st.integers(min_value=0, max_value=2**31),  # seed
+            st.booleans(),  # pairs straddling cell faces
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cell_faces_and_out_of_box_positions(self, params):
+        cells, length, ulps, n, seed, straddle = params
+        box, radius, positions = _face_system(cells, length, ulps, n, seed, straddle)
+        assert cells_per_side(box, radius) in (cells - 1, cells)
+        reference = build_pairs(positions, box, radius)
+        found = build_pairs_cells(positions, box, radius)
+        assert np.array_equal(found, reference)
+        if straddle:
+            straddling = {(2 * k, 2 * k + 1) for k in range(cells)}
+            assert straddling <= {tuple(p) for p in reference}
 
 
 class TestForceEquivalence:

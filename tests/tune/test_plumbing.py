@@ -29,15 +29,7 @@ class TestTunedBackendOptions:
         with applied({"md.block": 64, "md.skin": 0.45}):
             assert tuned_backend_options("all-pairs") == {"block": 64}
             assert tuned_backend_options("verlet") == {"skin": 0.45}
-
-    def test_cell_backend_maps_both_knobs(self):
-        from repro.md.forcefield import tuned_backend_options
-
-        with applied({"md.cell_buffer": 0.45, "md.rebuild_delay": 4}):
-            assert tuned_backend_options("cell") == {
-                "buffer": 0.45,
-                "rebuild_check_delay": 4,
-            }
+            assert tuned_backend_options("cell") == {"skin": 0.45}
 
     def test_device_scoped_value_only_applies_to_that_device(self):
         from repro.md.forcefield import tuned_backend_options

@@ -17,8 +17,6 @@ from repro.tune.spec import (
 EXPECTED_KNOBS = {
     "md.block",
     "md.skin",
-    "md.cell_buffer",
-    "md.rebuild_delay",
     "cell.partition",
     "gpu.row_block",
     "mta.streams",
