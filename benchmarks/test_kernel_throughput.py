@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cell import SpePairSweep, build_spe_kernel, kernel_constants
+from repro.cell import build_spe_kernel, kernel_constants
 from repro.cell.kernels import OPT_LEVELS
 from repro.md import (
     MDConfig,
@@ -20,6 +20,7 @@ from repro.md import (
 )
 from repro.md.lattice import cubic_lattice
 from repro.vm.bench import bench_kernels, speedups
+from repro.vm.sweep import PairSweep
 
 CONFIG = MDConfig(n_atoms=1024)
 BOX = CONFIG.make_box()
@@ -57,13 +58,13 @@ def test_bench_neighborlist(benchmark):
 def test_bench_vm_spe_kernel(benchmark, backend):
     """Batched VM execution of the fully-SIMDized SPE kernel, per backend."""
     program = build_spe_kernel("simd_acceleration", BOX.length)
-    sweep = SpePairSweep(program, exec_backend=backend)
+    sweep = PairSweep(program, exec_backend=backend)
     constants = kernel_constants(POTENTIAL)
     positions = POSITIONS[:256]
     rows = np.arange(64)
 
     def run():
-        return sweep.run(positions, rows, constants)
+        return sweep.run(positions, constants, rows=rows)
 
     acc, _pe = benchmark(run)
     assert np.isfinite(acc).all()
@@ -73,13 +74,13 @@ def test_bench_vm_spe_kernel(benchmark, backend):
 def test_bench_vm_original_kernel(benchmark, backend):
     """The scalar fig5 'original' kernel: the interpreter's worst case."""
     program = build_spe_kernel("original", BOX.length)
-    sweep = SpePairSweep(program, exec_backend=backend)
+    sweep = PairSweep(program, exec_backend=backend)
     constants = kernel_constants(POTENTIAL)
     positions = POSITIONS[:256]
     rows = np.arange(64)
 
     def run():
-        return sweep.run(positions, rows, constants)
+        return sweep.run(positions, constants, rows=rows)
 
     acc, _pe = benchmark(run)
     assert np.isfinite(acc).all()

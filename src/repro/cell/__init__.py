@@ -17,7 +17,7 @@ from repro.cell.partition import (
 )
 from repro.cell.ppe import PPE, PPE_COST_TABLE
 from repro.cell.scheduler import LaunchStrategy, SpeThreadScheduler
-from repro.cell.spe import SPE, SPE_COST_TABLE, SpePairSweep
+from repro.cell.spe import SPE, SPE_COST_TABLE
 
 __all__ = [
     "CellDevice",
@@ -35,7 +35,6 @@ __all__ = [
     "PPE_COST_TABLE",
     "SPE",
     "SPE_COST_TABLE",
-    "SpePairSweep",
     "SpeThreadScheduler",
     "build_spe_kernel",
     "kernel_constants",

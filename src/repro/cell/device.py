@@ -33,7 +33,7 @@ from repro.cell.kernels import OPT_LEVELS, build_spe_kernel, kernel_constants
 from repro.cell.partition import RowPartition
 from repro.cell.ppe import PPE
 from repro.cell.scheduler import LaunchStrategy, SpeThreadScheduler
-from repro.cell.spe import SPE, SPE_COST_TABLE, SpePairSweep
+from repro.cell.spe import SPE, SPE_COST_TABLE
 from repro.md.box import PeriodicBox
 from repro.md.forces import ForceResult
 from repro.md.lattice import cubic_lattice
@@ -41,6 +41,7 @@ from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.vm.schedule import issue_stats
+from repro.vm.sweep import PairSweep
 
 __all__ = ["CellDevice", "PPEOnlyDevice"]
 
@@ -64,11 +65,11 @@ def _measure_reflect_probability(density: float, rcut: float) -> float:
     potential = config.make_potential()
     positions = cubic_lattice(config.n_atoms, box)
     program = build_spe_kernel("original", box.length)
-    sweep = SpePairSweep(program)
+    sweep = PairSweep(program)
     sweep.run(
         positions,
+        kernel_constants(potential),
         rows=np.arange(min(16, config.n_atoms)),
-        constants=kernel_constants(potential),
     )
     return sweep.machine.measured_probability("reflect_take")
 
@@ -114,14 +115,14 @@ class CellDevice(Device):
         self.dma = make_dma_engine()
         self.active_spes = n_spes
         self._program_cache: dict[float, object] = {}
-        self._sweep_cache: dict[float, SpePairSweep] = {}
+        self._sweep_cache: dict[float, PairSweep] = {}
         #: VM work accumulated since the last observed step: segment
         #: executions and per-branch (taken_mass, samples) deltas
         self._vm_window: dict[str, object] = {"segments": 0, "branches": {}}
 
     # -- functional side ---------------------------------------------------
 
-    def _sweep(self, box_length: float) -> SpePairSweep:
+    def _sweep(self, box_length: float) -> PairSweep:
         """The vm-mode sweep for this box, cached across runs.
 
         The machine's :class:`~repro.vm.machine.BranchStat` accumulators
@@ -135,7 +136,7 @@ class CellDevice(Device):
         if sweep is None:
             if len(self._sweep_cache) > 4:
                 self._sweep_cache.clear()
-            sweep = SpePairSweep(self._program(box_length))
+            sweep = PairSweep(self._program(box_length))
             self._sweep_cache[key] = sweep
         return sweep
 
@@ -161,9 +162,7 @@ class CellDevice(Device):
                 for key, stat in machine.branch_stats.items()
             }
             total0, count0 = before.get("interacting_fraction", (0.0, 0))
-            acc, pe_rows = sweep.run(
-                positions, rows=np.arange(n), constants=constants
-            )
+            acc, pe_rows = sweep.run(positions, constants)
             total1, count1 = machine.branch_snapshot("interacting_fraction")
             new_samples = count1 - count0
             fraction = (total1 - total0) / new_samples if new_samples else 0.0

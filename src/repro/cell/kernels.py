@@ -23,12 +23,11 @@ execute all six over real configurations and assert they produce the
 reference forces; the cycle model schedules the exact instruction
 streams to produce Figure 5's runtimes.
 
-Register convention (driver contract, see
-:class:`repro.cell.spe.SpePairSweep`): inputs ``xi``/``xj`` hold the two
-positions as (x, y, z, 0) vectors; ``self_flag`` is 1.0 on self-pairs;
-constants are preloaded registers; outputs are ``acc_out`` (force
-contribution as (fx, fy, fz, junk)) and ``pe_out`` (PE contribution in
-lane 0).
+Register convention (the driver contract of :mod:`repro.vm.sweep`):
+inputs ``xi``/``xj`` hold the two positions as (x, y, z, 0) vectors;
+``self_flag`` is 1.0 on self-pairs; constants are preloaded registers;
+outputs are ``acc_out`` (force contribution as (fx, fy, fz, junk)) and
+``pe_out`` (PE contribution in lane 0).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The streaming GPU model: shader contract, pipelines, PCIe, device."""
 
-from repro.gpu.device import GpuDevice, GpuPairSweep, make_pcie_bus
+from repro.gpu.device import GpuDevice, gpu_row_block, make_pcie_bus
 from repro.gpu.kernels import (
     build_md_shader,
     build_reduction_shader,
@@ -14,7 +14,6 @@ from repro.gpu.shader import MAX_INPUT_ARRAYS, ShaderContractError, ShaderProgra
 __all__ = [
     "GPU_ISSUE_SLOTS",
     "GpuDevice",
-    "GpuPairSweep",
     "MAX_INPUT_ARRAYS",
     "PipelineArray",
     "ShaderContractError",
@@ -22,6 +21,7 @@ __all__ = [
     "build_md_shader",
     "build_reduction_shader",
     "gpu_reduce",
+    "gpu_row_block",
     "make_pcie_bus",
     "reduction_pass_count",
     "shader_constants",

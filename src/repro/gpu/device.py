@@ -26,10 +26,10 @@ from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.tune.context import tuned_value
 from repro.tune.spec import TunableSpec, register_tunable
-from repro.vm.machine import Machine
 from repro.vm.schedule import count_issues
+from repro.vm.sweep import PairSweep
 
-__all__ = ["GpuDevice", "GpuPairSweep", "make_pcie_bus"]
+__all__ = ["GpuDevice", "gpu_row_block", "make_pcie_bus"]
 
 # The pair-batch width of the functional rasterization: how many output
 # rows each driver dispatch materializes as an (rows x N) pair batch.
@@ -60,186 +60,10 @@ def make_pcie_bus() -> PCIeBus:
     )
 
 
-class GpuPairSweep:
-    """Functional execution of the MD shader on the batched VM.
-
-    One "rasterization": every output atom's invocation scans all N
-    partner positions.  The driver plays the rasterizer/texture units:
-    it materializes the (i, j) pair batch, runs the shader body, and
-    sums each invocation's masked contributions — the accumulation that
-    the shader's single-output loop performs across its inner scan.
-    """
-
-    def __init__(
-        self, shader, width: int = 4, exec_backend: str = "fused"
-    ) -> None:
-        self.shader = shader
-        self.machine = Machine(
-            width=width, dtype=np.float32, exec_backend=exec_backend
-        )
-        self._env_cache: dict[int, dict[str, np.ndarray]] = {}
-        self._env_constants: tuple | None = None
-        self._replica_env_cache: dict[tuple, dict[str, np.ndarray]] = {}
-
-    @staticmethod
-    def _resolve_row_block(row_block: int | None) -> int:
-        """Explicit argument > tuned ``gpu.row_block`` > 128."""
-        if row_block is not None:
-            return row_block
-        tuned = tuned_value("gpu.row_block", "gpu")
-        return int(tuned) if tuned is not None else 128
-
-    def _block_env(self, batch: int, constants: dict[str, float]) -> dict[str, np.ndarray]:
-        """Constant/zero/tiny/self_flag registers per batch size, reused
-        across row blocks (only ``self_flag`` is mutated, re-zeroed here)."""
-        key = tuple(sorted(constants.items()))
-        if key != self._env_constants:
-            self._env_cache.clear()
-            self._env_constants = key
-        cached = self._env_cache.get(batch)
-        if cached is None:
-            machine = self.machine
-            cached = {
-                name: machine.make_register(batch, float(value))
-                for name, value in constants.items()
-            }
-            cached["zero"] = machine.make_register(batch, 0.0)
-            cached["tiny"] = machine.make_register(batch, 1.0e-12)
-            cached["self_flag"] = machine.make_register(batch, 0.0)
-            if len(self._env_cache) > 8:
-                self._env_cache.clear()
-            self._env_cache[batch] = cached
-        return cached
-
-    def run(
-        self,
-        positions: np.ndarray,
-        constants: dict[str, float],
-        row_block: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (accelerations (n, 3), pe contribution per atom (n,))."""
-        row_block = self._resolve_row_block(row_block)
-        positions32 = np.asarray(positions, dtype=np.float32)
-        n = positions32.shape[0]
-        machine = self.machine
-        acc = np.zeros((n, 3), dtype=np.float32)
-        pe = np.zeros(n, dtype=np.float32)
-        for start in range(0, n, row_block):
-            stop = min(start + row_block, n)
-            rows = np.arange(start, stop)
-            xi = np.repeat(positions32[rows], n, axis=0)
-            xj = np.tile(positions32, (rows.size, 1))
-            j_index = np.tile(np.arange(n), rows.size)
-            i_index = np.repeat(rows, n)
-            self_rows = i_index == j_index
-            env: dict[str, np.ndarray] = {
-                "xi": machine.load_vec3(xi),
-                "xj": machine.load_vec3(xj),
-            }
-            batch = env["xi"].shape[0]
-            env.update(self._block_env(batch, constants))
-            self_flag = env["self_flag"]
-            self_flag.fill(0.0)
-            self_flag[self_rows] = 1.0
-            machine.run_segment(self.shader.program, "pair", env)
-            out = env["acc_out"].reshape(rows.size, n, machine.width)
-            acc[rows] = out[:, :, :3].sum(axis=1, dtype=np.float32)
-            pe[rows] = out[:, :, 3].sum(axis=1, dtype=np.float32)
-        return acc, pe
-
-    def _replica_block_env(
-        self, batch: int, constants: tuple[dict[str, float], ...]
-    ) -> dict[str, np.ndarray]:
-        """Constant registers for a replica-stacked batch, cached.
-
-        Unlike the SPE kernels — whose box length is baked into
-        reflection immediates — the shader reads its box from ``boxL``/
-        ``invL`` *registers*, so replicas may differ in any constant:
-        replica r's value fills its row range ``r*B .. (r+1)*B-1``.
-        """
-        key = (batch, tuple(tuple(sorted(c.items())) for c in constants))
-        cached = self._replica_env_cache.get(key)
-        if cached is None:
-            machine = self.machine
-            replicas = len(constants)
-            rows = batch // replicas
-            names = constants[0].keys()
-            cached = {}
-            for name in names:
-                reg = machine.make_register(batch, 0.0)
-                for index, per_replica in enumerate(constants):
-                    reg[index * rows : (index + 1) * rows] = np.float32(
-                        per_replica[name]
-                    )
-                cached[name] = reg
-            cached["zero"] = machine.make_register(batch, 0.0)
-            cached["tiny"] = machine.make_register(batch, 1.0e-12)
-            cached["self_flag"] = machine.make_register(batch, 0.0)
-            if len(self._replica_env_cache) > 8:
-                self._replica_env_cache.clear()
-            self._replica_env_cache[key] = cached
-        return cached
-
-    def run_replicas(
-        self,
-        positions: np.ndarray,
-        constants,
-        row_block: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched multi-replica rasterization: R position sets at once.
-
-        ``positions`` is (R, n, 3); ``constants`` is either one dict
-        shared by every replica or a sequence of R dicts (replicas may
-        run different box sizes — the shader's constants are registers).
-        Replica r occupies rows ``r*B .. (r+1)*B-1``; the ``fused``
-        backend executes all replicas per block in one closure call,
-        other backends loop per replica with bit-identical results.
-        Returns ``(acc (R, n, 3), pe (R, n))``.
-        """
-        row_block = self._resolve_row_block(row_block)
-        positions32 = np.asarray(positions, dtype=np.float32)
-        if positions32.ndim != 3:
-            raise ValueError(
-                f"expected (replicas, n, 3) positions, got {positions32.shape}"
-            )
-        replicas, n, _ = positions32.shape
-        if isinstance(constants, dict):
-            constants = (constants,) * replicas
-        else:
-            constants = tuple(constants)
-        if len(constants) != replicas:
-            raise ValueError(
-                f"{len(constants)} constant sets for {replicas} replicas"
-            )
-        machine = self.machine
-        acc = np.zeros((replicas, n, 3), dtype=np.float32)
-        pe = np.zeros((replicas, n), dtype=np.float32)
-        for start in range(0, n, row_block):
-            stop = min(start + row_block, n)
-            rows = np.arange(start, stop)
-            xi = np.concatenate(
-                [np.repeat(positions32[r, rows], n, axis=0) for r in range(replicas)]
-            )
-            xj = np.concatenate(
-                [np.tile(positions32[r], (rows.size, 1)) for r in range(replicas)]
-            )
-            j_index = np.tile(np.arange(n), rows.size)
-            i_index = np.repeat(rows, n)
-            self_rows = np.tile(i_index == j_index, replicas)
-            env: dict[str, np.ndarray] = {
-                "xi": machine.load_vec3(xi),
-                "xj": machine.load_vec3(xj),
-            }
-            batch = env["xi"].shape[0]
-            env.update(self._replica_block_env(batch, constants))
-            self_flag = env["self_flag"]
-            self_flag.fill(0.0)
-            self_flag[self_rows] = 1.0
-            machine.run_program(self.shader.program, env, replicas=replicas)
-            out = env["acc_out"].reshape(replicas, rows.size, n, machine.width)
-            acc[:, rows] = out[:, :, :, :3].sum(axis=2, dtype=np.float32)
-            pe[:, rows] = out[:, :, :, 3].sum(axis=2, dtype=np.float32)
-        return acc, pe
+def gpu_row_block() -> int:
+    """Output rows per GPU pair-batch dispatch: tuned ``gpu.row_block`` > 128."""
+    tuned = tuned_value("gpu.row_block", "gpu")
+    return int(tuned) if tuned is not None else 128
 
 
 class GpuDevice(Device):
@@ -257,7 +81,7 @@ class GpuDevice(Device):
         self.pipelines = PipelineArray()
         self.pcie = make_pcie_bus()
         self._shader_cache: dict[float, object] = {}
-        self._sweep_cache: dict[float, GpuPairSweep] = {}
+        self._sweep_cache: dict[float, PairSweep] = {}
 
     def prepare(self, config: MDConfig) -> None:
         self._box_length = config.make_box().length
@@ -278,9 +102,10 @@ class GpuDevice(Device):
         if sweep is None:
             if len(self._sweep_cache) > 4:
                 self._sweep_cache.clear()
-            sweep = GpuPairSweep(self._shader(sim_box.length))
+            sweep = PairSweep(self._shader(sim_box.length).program)
             self._sweep_cache[key] = sweep
         constants = shader_constants(potential, sim_box.length)
+        row_block = gpu_row_block()
         # Cached machines carry state across runs: disarm any stale
         # fault session before optionally arming this run's.
         sweep.machine.install_fault_session(None)
@@ -290,7 +115,7 @@ class GpuDevice(Device):
 
         def vm_backend(positions: np.ndarray) -> ForceResult:
             n = positions.shape[0]
-            acc, pe_rows = sweep.run(positions, constants)
+            acc, pe_rows = sweep.run(positions, constants, row_block=row_block)
             # interacting count from the pair distances (host-side tally,
             # only for bookkeeping — the shader itself is branchless)
             reference = compute_forces(positions, sim_box, potential, dtype=np.float32)

@@ -94,10 +94,10 @@ def _pair_body(a: Asm) -> list[Node]:
 def build_md_shader(box_length: float) -> ShaderProgram:
     """The per-pair body of the MD fragment program.
 
-    Register contract (see :class:`repro.gpu.device.GpuPairSweep`):
-    ``xi`` is the output atom's position, ``xj`` the scanned partner
-    (fetched from the position texture), ``self_flag`` marks the
-    self-pair; the output ``acc_out`` carries (fx, fy, fz, pe).
+    Register contract (see :mod:`repro.vm.sweep`): ``xi`` is the
+    output atom's position, ``xj`` the scanned partner (fetched from
+    the position texture), ``self_flag`` marks the self-pair; the
+    output ``acc_out`` carries (fx, fy, fz, pe).
     """
     a = Asm()
     program = Program(

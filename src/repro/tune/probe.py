@@ -119,18 +119,22 @@ def _probe_cell(scenario: TuneScenario, quick: bool, repeats: int):
 
 
 def _probe_gpu(scenario: TuneScenario, quick: bool, repeats: int):
-    from repro.gpu.device import GpuPairSweep
+    from repro.gpu.device import gpu_row_block
     from repro.gpu.kernels import build_md_shader, shader_constants
     from repro.md.lj import LennardJones
+    from repro.vm.sweep import PairSweep
 
     n = scenario.size(quick)
     config = paper_config(n)
     box_length = config.make_box().length
-    sweep = GpuPairSweep(build_md_shader(box_length))
+    sweep = PairSweep(build_md_shader(box_length).program)
     constants = shader_constants(LennardJones(), box_length)
     rng = np.random.default_rng(2)
     positions = rng.uniform(0.0, box_length, size=(n, 3)).astype(np.float32)
-    seconds, _ = _best_wall(lambda: sweep.run(positions, constants), repeats)
+    row_block = gpu_row_block()
+    seconds, _ = _best_wall(
+        lambda: sweep.run(positions, constants, row_block=row_block), repeats
+    )
     # one rasterization = one shader pass over all n output atoms
     return 1.0 / seconds, seconds, 0.0
 

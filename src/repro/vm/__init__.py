@@ -4,6 +4,8 @@ Execution comes in two bit-identical backends, chosen per
 :class:`Machine`: the default ``fused`` backend, which runs segments and
 whole programs as NumPy closures built by :mod:`repro.vm.compile` (with
 replica batching), and the reference interpreter ``interp``.
+:class:`PairSweep` drives the per-pair kernels of both the SPE and the
+GPU ports over whole rows of partners.
 """
 
 from repro.vm.builder import Asm
@@ -27,6 +29,7 @@ from repro.vm.schedule import (
     estimate_cycles,
     straightline_cycles,
 )
+from repro.vm.sweep import PairSweep
 
 __all__ = [
     "Asm",
@@ -45,6 +48,7 @@ __all__ = [
     "OPS",
     "OpCost",
     "OpSpec",
+    "PairSweep",
     "Program",
     "Segment",
     "SegmentCycles",

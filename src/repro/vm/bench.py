@@ -35,6 +35,7 @@ from repro.cell.kernels import (
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.md.lj import LennardJones
 from repro.vm.machine import Machine
+from repro.vm.sweep import input_registers
 
 __all__ = [
     "EnsembleBench",
@@ -83,36 +84,24 @@ class KernelBench:
         }
 
 
-def _pair_env(machine: Machine, batch: int, constants: dict[str, float],
-              extra: dict[str, float]) -> dict[str, np.ndarray]:
+def _make_runner(kernel: str, backend: str, batch: int):
+    """A zero-argument callable executing one pair segment of ``batch`` pairs."""
+    potential = LennardJones()
+    if kernel.startswith("spe:"):
+        level = kernel.split(":", 1)[1]
+        program = build_spe_kernel(level, box_length=BOX_LENGTH)
+        constants = kernel_constants(potential)
+    elif kernel == "gpu:md_shader":
+        program = build_md_shader(box_length=BOX_LENGTH).program
+        constants = shader_constants(potential, BOX_LENGTH)
+    else:
+        raise ValueError(f"unknown benchmark kernel {kernel!r}")
+    machine = Machine(width=4, dtype=np.float32, exec_backend=backend)
     rng = np.random.default_rng(0)
     xi = rng.uniform(0.0, BOX_LENGTH, size=(batch, 3)).astype(np.float32)
     xj = rng.uniform(0.0, BOX_LENGTH, size=(batch, 3)).astype(np.float32)
     env = {"xi": machine.load_vec3(xi), "xj": machine.load_vec3(xj)}
-    for name, value in constants.items():
-        env[name] = machine.make_register(batch, float(value))
-    for name, value in extra.items():
-        env[name] = machine.make_register(batch, float(value))
-    env["self_flag"] = machine.make_register(batch, 0.0)
-    return env
-
-
-def _make_runner(kernel: str, backend: str, batch: int):
-    """A zero-argument callable executing one pair segment of ``batch`` pairs."""
-    potential = LennardJones()
-    machine = Machine(width=4, dtype=np.float32, exec_backend=backend)
-    if kernel.startswith("spe:"):
-        level = kernel.split(":", 1)[1]
-        program = build_spe_kernel(level, box_length=BOX_LENGTH)
-        env = _pair_env(machine, batch, kernel_constants(potential),
-                        extra={"zero": 0.0})
-    elif kernel == "gpu:md_shader":
-        program = build_md_shader(box_length=BOX_LENGTH).program
-        env = _pair_env(machine, batch,
-                        shader_constants(potential, BOX_LENGTH),
-                        extra={"zero": 0.0, "tiny": 1.0e-12})
-    else:
-        raise ValueError(f"unknown benchmark kernel {kernel!r}")
+    env.update(input_registers(machine, program, batch, constants))
 
     def run():
         # Fresh dict per call (interp writes every register into it);

@@ -11,10 +11,11 @@ from repro.cell.kernels import (
     build_spe_kernel,
     kernel_constants,
 )
-from repro.cell.spe import SPE_COST_TABLE, SpePairSweep
+from repro.cell.spe import SPE_COST_TABLE
 from repro.md import MDConfig, compute_forces
 from repro.md.lattice import cubic_lattice
 from repro.vm.schedule import estimate_cycles
+from repro.vm.sweep import PairSweep
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +57,8 @@ class TestFunctionalEquivalence:
     def test_every_level_computes_reference_forces(self, system, level):
         box, potential, positions, reference = system
         program = build_spe_kernel(level, box.length)
-        sweep = SpePairSweep(program)
-        acc, pe = sweep.run(
-            positions, np.arange(positions.shape[0]), kernel_constants(potential)
-        )
+        sweep = PairSweep(program)
+        acc, pe = sweep.run(positions, kernel_constants(potential))
         scale = np.max(np.abs(reference.accelerations))
         np.testing.assert_allclose(
             acc / scale, reference.accelerations / scale, atol=2e-5
@@ -71,9 +70,9 @@ class TestFunctionalEquivalence:
     def test_partial_row_sweep(self, system):
         box, potential, positions, reference = system
         program = build_spe_kernel("simd_acceleration", box.length)
-        sweep = SpePairSweep(program)
+        sweep = PairSweep(program)
         rows = np.arange(10, 30)
-        acc, _pe = sweep.run(positions, rows, kernel_constants(potential))
+        acc, _pe = sweep.run(positions, kernel_constants(potential), rows=rows)
         scale = np.max(np.abs(reference.accelerations))
         np.testing.assert_allclose(
             acc / scale, reference.accelerations[rows] / scale, atol=2e-5

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpu.device import GpuDevice, GpuPairSweep, make_pcie_bus
+from repro.gpu.device import GpuDevice, make_pcie_bus
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.gpu.pipelines import PipelineArray
 from repro.md import MDConfig, compute_forces
 from repro.md.lattice import cubic_lattice
+from repro.vm.sweep import PairSweep
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +44,10 @@ class TestPipelineArray:
         assert t2 == pytest.approx(2 * t1)
 
 
-class TestGpuPairSweep:
+class TestShaderSweep:
     def test_shader_reproduces_reference_forces(self, system):
         box, potential, positions, reference = system
-        sweep = GpuPairSweep(build_md_shader(box.length))
+        sweep = PairSweep(build_md_shader(box.length).program)
         acc, pe = sweep.run(positions, shader_constants(potential, box.length))
         scale = np.max(np.abs(reference.accelerations))
         np.testing.assert_allclose(
@@ -60,7 +61,7 @@ class TestGpuPairSweep:
         """The paper's trick: one output array carries (fx, fy, fz, pe)."""
         box, potential, positions, _reference = system
         shader = build_md_shader(box.length)
-        machine_width = GpuPairSweep(shader).machine.width
+        machine_width = PairSweep(shader.program).machine.width
         assert machine_width == 4
         # the shader's only output is acc_out; no second array exists
         assert shader.output_register == "acc_out"

@@ -1,11 +1,12 @@
 """Regression net for the BranchStat-window fix in ``cell/device.py``.
 
-The VM machines inside ``SpePairSweep`` are cached across ``run()``
-calls, and their ``BranchStat`` tallies accumulate for the machine's
-whole lifetime.  The device therefore snapshots the stats around each
-step and charges only the *window* — so a second run on the same device
-must charge exactly the same ``vm.*`` counters as a first run on a
-fresh device, and physics must not depend on how many runs came before.
+The device caches one :class:`~repro.vm.sweep.PairSweep` per box, so
+its VM machine lives across ``run()`` calls, and the machine's
+``BranchStat`` tallies accumulate for its whole lifetime.  The device
+therefore snapshots the stats around each step and charges only the
+*window* — so a second run on the same device must charge exactly the
+same ``vm.*`` counters as a first run on a fresh device, and physics
+must not depend on how many runs came before.
 """
 
 import numpy as np

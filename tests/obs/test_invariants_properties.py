@@ -134,14 +134,14 @@ class TestBackendCounterIdentity:
         import functools
 
         import repro.cell.device as cell_device
-        from repro.cell.spe import SpePairSweep
+        from repro.vm.sweep import PairSweep
 
         snapshots = {}
         for backend in ("interp", "fused"):
             # the device builds its sweeps itself: hand it the backend
             monkeypatch.setattr(
-                cell_device, "SpePairSweep",
-                functools.partial(SpePairSweep, exec_backend=backend),
+                cell_device, "PairSweep",
+                functools.partial(PairSweep, exec_backend=backend),
             )
             device = CellDevice(n_spes=1, mode="vm")
             result = device.run(

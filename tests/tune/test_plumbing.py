@@ -107,24 +107,30 @@ class TestCellPartition:
 
 class TestGpuRowBlock:
     def test_resolution_priority(self):
-        from repro.gpu.device import GpuPairSweep
+        from repro.gpu.device import gpu_row_block
 
-        assert GpuPairSweep._resolve_row_block(99) == 99
-        assert GpuPairSweep._resolve_row_block(None) == 128
+        assert gpu_row_block() == 128
         with applied({"gpu/gpu.row_block": 256}):
-            assert GpuPairSweep._resolve_row_block(None) == 256
-            assert GpuPairSweep._resolve_row_block(99) == 99
+            assert gpu_row_block() == 256
 
-    def test_widths_are_bit_identical(self):
-        from repro.gpu.device import GpuPairSweep
+    @pytest.mark.parametrize("kernel", ["gpu:md_shader", "spe:original"])
+    def test_widths_are_bit_identical(self, kernel):
+        from repro.cell.kernels import build_spe_kernel, kernel_constants
         from repro.gpu.kernels import build_md_shader, shader_constants
         from repro.md.lj import LennardJones
+        from repro.vm.sweep import PairSweep
 
         n = 96
         config = paper_config(n)
         box_length = config.make_box().length
-        sweep = GpuPairSweep(build_md_shader(box_length))
-        constants = shader_constants(LennardJones(), box_length)
+        family, name = kernel.split(":")
+        if family == "gpu":
+            program = build_md_shader(box_length).program
+            constants = shader_constants(LennardJones(), box_length)
+        else:
+            program = build_spe_kernel(name, box_length)
+            constants = kernel_constants(LennardJones())
+        sweep = PairSweep(program)
         rng = np.random.default_rng(3)
         positions = rng.uniform(0.0, box_length, size=(n, 3)).astype(np.float32)
         acc_a, pe_a = sweep.run(positions, constants, row_block=32)

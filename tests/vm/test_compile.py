@@ -8,7 +8,7 @@ same order) as the ``interp`` reference backend.  Coverage:
 
 * every shipped kernel — the full fig5 ladder, the GPU pair shader,
   and the reduction shader at several fan-ins;
-* the device drivers end to end (SpePairSweep / GpuPairSweep / gpu_reduce);
+* the device drivers end to end (``PairSweep`` over both ports, ``gpu_reduce``);
 * hypothesis-generated random programs over the whole ISA, with loops,
   per-iteration immediates, and nested IfBlocks;
 * the compiler's own machinery — caching, slot reuse, dead-code
@@ -23,8 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cell.kernels import OPT_LEVELS, build_spe_kernel, kernel_constants
-from repro.cell.spe import SpePairSweep
-from repro.gpu.device import GpuPairSweep
 from repro.gpu.kernels import (
     build_md_shader,
     build_reduction_shader,
@@ -35,6 +33,7 @@ from repro.md.lj import LennardJones
 from repro.vm.compile import CompiledSegment, VMCompileError, compiled_segment
 from repro.vm.machine import EXEC_BACKENDS, BranchStat, Machine, MachineError
 from repro.vm.program import IfBlock, Instr, Loop, Program, Segment
+from repro.vm.sweep import PairSweep
 
 BOX_LENGTH = 6.0
 
@@ -104,8 +103,8 @@ class TestFig5LadderDifferential:
         rows = np.arange(pos.shape[0])
         outs = {}
         for backend in EXEC_BACKENDS:
-            sweep = SpePairSweep(program, exec_backend=backend)
-            acc, pe = sweep.run(pos, rows, constants, row_block=16)
+            sweep = PairSweep(program, exec_backend=backend)
+            acc, pe = sweep.run(pos, constants, rows=rows, row_block=16)
             outs[backend] = (acc.tobytes(), pe.tobytes(), _stats(sweep.machine))
         assert outs["interp"] == outs["fused"]
 
@@ -143,7 +142,7 @@ class TestGpuDifferential:
         pos = _positions(24, seed=13)
         outs = {}
         for backend in EXEC_BACKENDS:
-            sweep = GpuPairSweep(shader, exec_backend=backend)
+            sweep = PairSweep(shader.program, exec_backend=backend)
             acc, pe = sweep.run(pos, constants, row_block=8)
             outs[backend] = (acc.tobytes(), pe.tobytes())
         assert outs["interp"] == outs["fused"]
@@ -423,12 +422,10 @@ class TestBackendSelection:
 
         monkeypatch.setattr(vm_compile, "compiled_segment", counting)
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        sweep = SpePairSweep(program)
+        sweep = PairSweep(program)
         assert sweep.machine.exec_backend == "fused"
-        sweep.run(_positions(8), np.arange(8), kernel_constants(LennardJones()))
+        sweep.run(_positions(8), kernel_constants(LennardJones()))
         assert units == ["pair"]
-        shader = build_md_shader(BOX_LENGTH)
-        assert GpuPairSweep(shader).machine.exec_backend == "fused"
 
 
 class TestCompilerMachinery:

@@ -34,11 +34,8 @@ from repro.cell.kernels import (
     kernel_constants,
     timestep_constants,
 )
-from repro.cell.spe import SpePairSweep
-from repro.gpu.device import GpuPairSweep
 from repro.gpu.kernels import (
     build_gpu_timestep_shader,
-    build_md_shader,
     shader_constants,
 )
 from repro.md.lj import LennardJones
@@ -450,7 +447,7 @@ class TestCompileCacheScoping:
 
 
 # ---------------------------------------------------------------------------
-# run_program error paths + driver batching
+# run_program error paths
 # ---------------------------------------------------------------------------
 
 
@@ -479,71 +476,3 @@ class TestRunProgramErrors:
         machine.run_program(program, dict(env), replicas=1)
         assert machine.programs_run == 2
         assert machine.replicas_run == 4
-
-
-class TestDriverReplicaBatching:
-    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
-    def test_spe_sweep_run_replicas_matches_run(self, backend):
-        program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
-        constants = timestep_constants(LennardJones(), dt=DT)
-        rng = np.random.default_rng(17)
-        replicas, n = 3, 12
-        positions = rng.uniform(
-            0.0, BOX_LENGTH, size=(replicas, n, 3)
-        ).astype(np.float32)
-        rows = np.arange(n)
-
-        # run() drives the pair segment only, so compare against the
-        # plain pair kernel program; run_replicas on the same program.
-        from repro.cell.kernels import build_spe_kernel
-
-        pair = build_spe_kernel("simd_acceleration", BOX_LENGTH)
-        pair_constants = kernel_constants(LennardJones())
-        batched = SpePairSweep(pair, exec_backend=backend)
-        acc_b, pe_b = batched.run_replicas(
-            positions, rows, pair_constants, row_block=5
-        )
-        for r in range(replicas):
-            single = SpePairSweep(pair)
-            acc_s, pe_s = single.run(positions[r], rows, pair_constants,
-                                     row_block=5)
-            assert acc_b[r].tobytes() == acc_s.tobytes()
-            assert pe_b[r].tobytes() == pe_s.tobytes()
-
-    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
-    def test_gpu_sweep_run_replicas_mixed_boxes(self, backend):
-        shader = build_md_shader(BOX_LENGTH)
-        rng = np.random.default_rng(19)
-        replicas, n = 3, 10
-        positions = rng.uniform(0.0, 5.5, size=(replicas, n, 3)).astype(
-            np.float32
-        )
-        boxes = (6.0, 7.0, 8.0)
-        const_list = [
-            shader_constants(LennardJones(), box) for box in boxes
-        ]
-        batched = GpuPairSweep(shader, exec_backend=backend)
-        acc_b, pe_b = batched.run_replicas(positions, const_list, row_block=4)
-        for r in range(replicas):
-            single = GpuPairSweep(shader)
-            acc_s, pe_s = single.run(positions[r], const_list[r], row_block=4)
-            assert acc_b[r].tobytes() == acc_s.tobytes()
-            assert pe_b[r].tobytes() == pe_s.tobytes()
-
-    def test_gpu_run_replicas_constants_shape_mismatch(self):
-        shader = build_md_shader(BOX_LENGTH)
-        sweep = GpuPairSweep(shader)
-        positions = np.zeros((3, 4, 3), dtype=np.float32)
-        with pytest.raises(ValueError, match="constant sets"):
-            sweep.run_replicas(
-                positions, [shader_constants(LennardJones(), 6.0)] * 2
-            )
-
-    def test_run_replicas_requires_replica_axis(self):
-        shader = build_md_shader(BOX_LENGTH)
-        sweep = GpuPairSweep(shader)
-        with pytest.raises(ValueError, match="replicas"):
-            sweep.run_replicas(
-                np.zeros((4, 3), dtype=np.float32),
-                shader_constants(LennardJones(), 6.0),
-            )
