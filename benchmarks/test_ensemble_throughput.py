@@ -16,27 +16,26 @@ from repro.cell.kernels import build_spe_timestep_kernel, timestep_constants
 from repro.md.lj import LennardJones
 from repro.vm.bench import (
     BOX_LENGTH,
+    ENSEMBLE_GATE_REPLICAS,
+    ENSEMBLE_MIN_SPEEDUP,
     bench_ensemble,
     ensemble_speedups,
     timestep_env,
 )
 from repro.vm.machine import Machine
 
-GATE_REPLICAS = 8
-MIN_SPEEDUP = 2.0
-
 
 def test_fused_batched_speedup_at_gate_replicas():
     """Acceptance gate: >= 2x replicas/sec for fused-batched at R >= 8."""
     results = bench_ensemble(
-        replica_counts=(GATE_REPLICAS,), rows_per_replica=256, repeats=5
+        replica_counts=(ENSEMBLE_GATE_REPLICAS,), rows_per_replica=256, repeats=5
     )
     ratios = ensemble_speedups(results)
-    assert set(ratios) == {GATE_REPLICAS}
-    ratio = ratios[GATE_REPLICAS]
-    assert ratio >= MIN_SPEEDUP, (
+    assert set(ratios) == {ENSEMBLE_GATE_REPLICAS}
+    ratio = ratios[ENSEMBLE_GATE_REPLICAS]
+    assert ratio >= ENSEMBLE_MIN_SPEEDUP, (
         f"fused-batched only {ratio:.2f}x fused-sequential replicas/sec "
-        f"at R={GATE_REPLICAS} (required >= {MIN_SPEEDUP:.2f}x)"
+        f"at R={ENSEMBLE_GATE_REPLICAS} (required >= {ENSEMBLE_MIN_SPEEDUP:.2f}x)"
     )
 
 

@@ -1,148 +1,124 @@
 #!/usr/bin/env python
-"""Record VM throughput per backend into BENCH_vm.json / BENCH_vm2.json.
+"""Record, gate and validate the repo's host-side perf tables (BENCH_*.json).
 
 Usage::
 
-    python scripts/record_bench.py [--quick] [--out BENCH_vm.json]
-    python scripts/record_bench.py --quick --check
-    python scripts/record_bench.py --ensemble [--quick] [--check]
-    python scripts/record_bench.py --tune [--quick] [--check]
-    python scripts/record_bench.py --cluster [--quick] [--check]
+    python scripts/record_bench.py [--quick] [--check] [--force] [--out FILE]
+    python scripts/record_bench.py --ensemble|--tune|--cluster [--quick] [--check]
+    python scripts/record_bench.py --validate [FILE ...]
 
-Default mode measures pairs/sec for every shipped pair kernel (the fig5
-SPE ladder plus the GPU MD shader) under both VM execution backends and
-writes a machine-readable record, so the repo's perf history is
-diffable from this commit onward.  ``--check`` is the CI gate: it exits
-nonzero if the fused backend is slower than the interpreter on the
-fig5 SIMD kernel (``--gate-kernel``/``--min-speedup`` to adjust).
+Each table is one :class:`BenchSpec` in :data:`SPECS`, and one path
+serves them all: measure, build the record, validate it against the
+spec's schema before writing, refuse (exit 3) to overwrite a stored
+table whose speedups the new one undercuts by more than
+:data:`REGRESS_TOLERANCE` unless ``--force``, and with ``--check`` run
+the spec's gate (exit 1 on a failed bound, 2 when the gated quantity
+was not measured).
 
-``--ensemble`` instead measures replicas/sec through one whole fused
-timestep (force + integration, batched replicas) against R sequential
-single-replica calls of the same fused closure, writing
-``BENCH_vm2.json``.  Its ``--check`` gate requires fused-batched to reach
-``--min-ensemble-speedup`` (default 2x) at every measured replica count
->= 8.
+``vm`` (default, ``BENCH_vm.json``): pairs/sec of every shipped pair
+kernel (the fig5 SPE ladder and the GPU MD shader) under both VM
+execution backends.  Gate: fused >= :data:`MIN_FUSED_SPEEDUP` x the
+interpreter on :data:`GATE_KERNEL`.
 
-``--tune`` runs the closed-loop autotuner over every scenario in
-:data:`repro.tune.probe.SCENARIOS` (persisting winning configs under
-``runs/tuned/`` for later runs to auto-load) and writes
-``BENCH_tune.json`` with the tuned-vs-default speedup per scenario plus
-each scenario's accuracy-tolerance × speed Pareto front.  Its
-``--check`` gate requires tuned >= default on *every* (experiment,
-device) cell — true by construction, since a candidate that does not
-measurably beat the defaults is never adopted — and a per-device
-speedup geomean >= ``--min-tune-geomean`` (default 1.3x) on at least
-one device.
+``ensemble`` (``BENCH_vm2.json``): replicas/sec through one whole fused
+timestep, R replicas batched into one call against R single-replica
+calls of the same closure.  Gate: the bound in :mod:`repro.vm.bench`,
+batched >= ``ENSEMBLE_MIN_SPEEDUP`` x sequential at every measured
+R >= ``ENSEMBLE_GATE_REPLICAS``.
 
-``--cluster`` runs the fixed-size strong-scaling sweep over the
-simulated cluster (:mod:`repro.cluster`): one slab-decomposed run per
-(device model, node count) cell, writing ``BENCH_cluster.json`` with
-simulated seconds per step, the speedup over the same device's one-node
-run, and the exact ghost-exchange byte ledger.  The numbers are
-*simulated* time from the calibrated device models — deterministic, so
-the stored table is reproducible to the digit.  Its ``--check`` gate
-requires every device to beat its one-node run at the largest node
-count (``--min-cluster-speedup``, default 1.0) and the ghost-exchange
-conservation audit to pass on every cell.
+``tune`` (``BENCH_tune.json``): the closed-loop autotuner over every
+scenario in :data:`repro.tune.probe.SCENARIOS` (winners persist under
+``runs/tuned/`` for later runs to auto-load), with the tuned-vs-default
+speedup and accuracy x speed Pareto front per scenario.  Gate: tuned >=
+default on every (experiment, device) cell — true by construction, a
+candidate that does not measurably beat the defaults is never adopted —
+and a per-device geomean >= :data:`MIN_TUNE_GEOMEAN` on some device.
 
-Either mode refuses (exit 3) to overwrite an existing BENCH file when
-the new table regresses any stored speedup by more than
-``--regress-tolerance`` (default 0.15) — pass ``--force`` to overwrite
-anyway.  ``scripts/assert_bench_schema.py`` validates the files.
+``cluster`` (``BENCH_cluster.json``): the fixed-size strong-scaling
+sweep over the simulated cluster (:mod:`repro.cluster`), one
+slab-decomposed run per (device model, node count), with simulated
+seconds per step, speedup over one node and the exact ghost-exchange
+byte ledger.  A failed conservation audit on any cell stops the run
+(exit 1) before anything is written.  Simulated time is deterministic,
+so the gate asks for equality: K-node state digests equal the one-node
+run's, and a run at the stored table's config reproduces every
+simulated column of it (the stored table is read before the write, so
+``--force`` cannot skip this); and every device beats one node at the
+largest K by :data:`MIN_CLUSTER_SPEEDUP`.
+
+``--validate`` checks files against their declared schema (the four
+repo tables when none is named, skipping absent ones) and prints one
+line per violation.  It is stdlib-only, so it runs before any project
+import could fail.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
+import statistics
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import numpy as np  # noqa: E402
+#: ``vm`` gate: fused/interp pairs-per-second ratio on this kernel.
+GATE_KERNEL = "spe:simd_acceleration"
+MIN_FUSED_SPEEDUP = 1.0
 
-from repro.vm.bench import (  # noqa: E402
-    bench_ensemble,
-    bench_kernels,
-    ensemble_speedups,
-    speedups,
-)
+#: ``tune`` gate: every cell's tuned/default ratio (1.0 up to rounding),
+#: and the per-device geomean the best device must reach.
+MIN_TUNED_RATIO = 0.999
+MIN_TUNE_GEOMEAN = 1.3
+#: Probes per scenario; covers every shipped knob grid.
+TUNE_BUDGET = 16
 
-#: Replica counts the ensemble gate applies to (R >= this must hit the
-#: minimum speedup).
-GATE_REPLICAS = 8
+#: ``cluster`` fabric, and the largest-K speedup every device must reach.
+CLUSTER_TOPOLOGY = "switch"
+MIN_CLUSTER_SPEEDUP = 1.0
 
-#: ``--regress-tolerance`` default: a new table may undercut the stored
-#: one by this fraction before the overwrite is refused (benchmarks on
-#: shared CI runners jitter; a real regression moves further than this).
+#: A new table may undercut the stored one by this fraction before the
+#: overwrite is refused (benchmarks on shared CI runners jitter; a real
+#: regression moves further than this).
 REGRESS_TOLERANCE = 0.15
 
 #: Exit code for "refusing to overwrite with a regressed table" —
-#: distinct from the speed-gate failure (1) and usage errors (2).
+#: distinct from a failed gate (1) and usage errors (2).
 EXIT_REGRESSED = 3
 
-
-def regressed_speedups(
-    old: dict, new: dict, tolerance: float
-) -> dict[str, tuple[float, float]]:
-    """Keys measured in both tables where new < old * (1 - tolerance)."""
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be >= 0")
-    slow: dict[str, tuple[float, float]] = {}
-    for key, prev in old.items():
-        cur = new.get(key)
-        if cur is not None and float(cur) < float(prev) * (1.0 - tolerance):
-            slow[key] = (float(prev), float(cur))
-    return slow
+#: What a spec's ``measure`` returns: (config, result rows, speedups).
+Measurement = tuple[dict, list[dict], dict[str, float]]
 
 
-def _existing_record(out: Path, schema: str) -> dict | None:
-    """The stored record at ``out`` iff it parses and matches ``schema``."""
-    try:
-        existing = json.loads(out.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    return existing if existing.get("schema") == schema else None
+class NotMeasured(Exception):
+    """The quantity a gate bounds is absent from the record (exit 2)."""
 
 
-def _write_record(
-    args: argparse.Namespace, out: Path, record: dict, speedup_field: str
-) -> int:
-    """Write ``record``, refusing to clobber a faster stored table.
+@dataclass(frozen=True)
+class BenchSpec:
+    """One BENCH table: where it lives, its schema, how it is measured and gated."""
 
-    The BENCH files are the repo's perf history — one accidental run on
-    a loaded machine must not silently rewrite it downward.  ``--force``
-    overrides (e.g. after an intentional trade-off).
-    """
-    existing = _existing_record(out, record["schema"])
-    if existing is not None and not args.force:
-        old = {
-            k: v for k, v in (existing.get(speedup_field) or {}).items()
-            if isinstance(v, (int, float))
-        }
-        slow = regressed_speedups(
-            old, record[speedup_field], args.regress_tolerance
-        )
-        if slow:
-            print(
-                f"REFUSED: new table regresses {out.name} beyond "
-                f"{args.regress_tolerance:.0%} on {len(slow)} speedup(s); "
-                "re-run on an idle machine or pass --force:",
-                file=sys.stderr,
-            )
-            for key in sorted(slow):
-                prev, cur = slow[key]
-                print(f"  {key}: {prev:.2f}x -> {cur:.2f}x", file=sys.stderr)
-            return EXIT_REGRESSED
-    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return 0
+    out: str
+    schema: str
+    speedup_field: str
+    row_fields: dict[str, type]
+    measure: Callable[[bool], Measurement]
+    gate: Callable[[dict], list[str]]
+    show: Callable[[dict], None]
+    #: Simulated, not host-timed: a run at the stored table's config
+    #: must reproduce its rows and speedups exactly.
+    deterministic: bool = False
 
 
 def _host() -> dict:
+    import numpy as np
+
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
@@ -150,149 +126,108 @@ def _host() -> dict:
     }
 
 
-def _run_kernels(args: argparse.Namespace, out: Path) -> int:
-    if args.quick:
-        sizing = {"batch": 1024, "repeats": 3}
-    else:
-        sizing = {"batch": 1024, "repeats": 7}
+def _measure_vm(quick: bool) -> Measurement:
+    from repro.vm.bench import bench_kernels, speedups
 
+    sizing = {"batch": 1024, "repeats": 3 if quick else 7}
     results = bench_kernels(**sizing)
-    ratios = speedups(results)
-    record = {
-        "schema": "repro.bench_vm/1",
-        "recorded_unix": time.time(),
-        "host": _host(),
-        "config": {**sizing, "quick": args.quick},
-        "results": [r.to_dict() for r in results],
-        "speedup_fused_over_interp": ratios,
-    }
-    rc = _write_record(args, out, record, "speedup_fused_over_interp")
-    if rc:
-        return rc
+    rows = [r.to_dict() for r in results]
+    return {**sizing, "quick": quick}, rows, speedups(results)
 
-    width = max(len(r.kernel) for r in results)
-    for r in results:
-        print(f"{r.kernel:<{width}}  {r.backend:<8}  "
-              f"{r.pairs_per_second / 1e6:8.3f} Mpairs/s")
-    for kernel, ratio in sorted(ratios.items()):
+
+def _gate_vm(record: dict) -> list[str]:
+    ratio = record["speedup_fused_over_interp"].get(GATE_KERNEL)
+    if ratio is None:
+        raise NotMeasured(f"gate kernel {GATE_KERNEL!r} not measured")
+    if ratio < MIN_FUSED_SPEEDUP:
+        return [
+            f"fused backend is {ratio:.2f}x the interpreter on "
+            f"{GATE_KERNEL} (required >= {MIN_FUSED_SPEEDUP:.2f}x)"
+        ]
+    return []
+
+
+def _show_vm(record: dict) -> None:
+    rows = record["results"]
+    width = max(len(r["kernel"]) for r in rows)
+    for r in rows:
+        print(f"{r['kernel']:<{width}}  {r['backend']:<8}  "
+              f"{r['pairs_per_second'] / 1e6:8.3f} Mpairs/s")
+    for kernel, ratio in sorted(record["speedup_fused_over_interp"].items()):
         print(f"{kernel:<{width}}  speedup   {ratio:8.2f}x")
-    print(f"wrote {out}")
-
-    if args.check:
-        ratio = ratios.get(args.gate_kernel)
-        if ratio is None:
-            print(f"error: gate kernel {args.gate_kernel!r} not measured",
-                  file=sys.stderr)
-            return 2
-        if ratio < args.min_speedup:
-            print(
-                f"FAIL: fused backend is {ratio:.2f}x the interpreter on "
-                f"{args.gate_kernel} (required >= {args.min_speedup:.2f}x)",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"gate ok: {args.gate_kernel} fused/interp = {ratio:.2f}x "
-              f">= {args.min_speedup:.2f}x")
-    return 0
 
 
-def _run_ensemble(args: argparse.Namespace, out: Path) -> int:
-    if args.quick:
-        sizing = {
-            "replica_counts": (1, 2, 4, 8),
-            "rows_per_replica": 256,
-            "repeats": 3,
-        }
-    else:
-        sizing = {
-            "replica_counts": (1, 2, 4, 8, 16),
-            "rows_per_replica": 256,
-            "repeats": 7,
-        }
+def _measure_ensemble(quick: bool) -> Measurement:
+    from repro.vm.bench import bench_ensemble, ensemble_speedups
 
-    results = bench_ensemble(**sizing)
-    ratios = ensemble_speedups(results)
-    record = {
-        "schema": "repro.bench_vm2/1",
-        "recorded_unix": time.time(),
-        "host": _host(),
-        "config": {
-            "replica_counts": list(sizing["replica_counts"]),
-            "rows_per_replica": sizing["rows_per_replica"],
-            "repeats": sizing["repeats"],
-            "quick": args.quick,
-        },
-        "results": [r.to_dict() for r in results],
-        # JSON object keys are strings; keep replica counts readable.
-        "speedup_batched_over_sequential": {
-            str(r): ratio for r, ratio in sorted(ratios.items())
-        },
+    config = {
+        "replica_counts": [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16],
+        "rows_per_replica": 256,
+        "repeats": 3 if quick else 7,
+        "quick": quick,
     }
-    rc = _write_record(args, out, record, "speedup_batched_over_sequential")
-    if rc:
-        return rc
-
-    for r in results:
-        print(f"R={r.replicas:<3} {r.mode:<20} "
-              f"{r.replicas_per_second:10.1f} replicas/s "
-              f"({r.best_seconds * 1e3:.3f} ms)")
-    for replicas, ratio in sorted(ratios.items()):
-        print(f"R={replicas:<3} speedup              {ratio:10.2f}x")
-    print(f"wrote {out}")
-
-    if args.check:
-        gated = {r: v for r, v in ratios.items() if r >= GATE_REPLICAS}
-        if not gated:
-            print(f"error: no replica count >= {GATE_REPLICAS} measured",
-                  file=sys.stderr)
-            return 2
-        slow = {r: round(v, 2) for r, v in gated.items()
-                if v < args.min_ensemble_speedup}
-        if slow:
-            print(
-                f"FAIL: fused-batched below "
-                f"{args.min_ensemble_speedup:.2f}x replicas/sec over "
-                f"fused-sequential at R={sorted(slow)}: {slow}",
-                file=sys.stderr,
-            )
-            return 1
-        floor = min(gated.values())
-        print(f"gate ok: batched/sequential >= {floor:.2f}x at every "
-              f"R >= {GATE_REPLICAS} (required "
-              f">= {args.min_ensemble_speedup:.2f}x)")
-    return 0
+    results = bench_ensemble(
+        replica_counts=tuple(config["replica_counts"]),
+        rows_per_replica=config["rows_per_replica"],
+        repeats=config["repeats"],
+    )
+    # JSON object keys are strings; keep replica counts readable.
+    ratios = {str(r): v for r, v in sorted(ensemble_speedups(results).items())}
+    return config, [r.to_dict() for r in results], ratios
 
 
-def _geomean(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    return float(np.exp(np.mean(np.log(np.asarray(values, dtype=float)))))
+def _gate_ensemble(record: dict) -> list[str]:
+    from repro.vm.bench import ENSEMBLE_GATE_REPLICAS, ENSEMBLE_MIN_SPEEDUP
+
+    gated = {
+        int(r): v
+        for r, v in record["speedup_batched_over_sequential"].items()
+        if int(r) >= ENSEMBLE_GATE_REPLICAS
+    }
+    if not gated:
+        raise NotMeasured(
+            f"no replica count >= {ENSEMBLE_GATE_REPLICAS} measured"
+        )
+    slow = {r: round(v, 2) for r, v in gated.items()
+            if v < ENSEMBLE_MIN_SPEEDUP}
+    if slow:
+        return [
+            f"fused-batched below {ENSEMBLE_MIN_SPEEDUP:.2f}x replicas/sec "
+            f"over fused-sequential at R={sorted(slow)}: {slow}"
+        ]
+    return []
 
 
-def _run_tune(args: argparse.Namespace, out: Path) -> int:
-    from repro.reporting.pareto import pareto_front, render_pareto
+def _show_ensemble(record: dict) -> None:
+    for r in record["results"]:
+        print(f"R={r['replicas']:<3} {r['mode']:<20} "
+              f"{r['replicas_per_second']:10.1f} replicas/s "
+              f"({r['best_seconds'] * 1e3:.3f} ms)")
+    ratios = record["speedup_batched_over_sequential"]
+    for replicas in sorted(ratios, key=int):
+        print(f"R={replicas:<3} speedup              {ratios[replicas]:10.2f}x")
+
+
+def _measure_tune(quick: bool) -> Measurement:
+    from repro.reporting.pareto import pareto_front
     from repro.tune.artifact import TunedStore
     from repro.tune.search import tune_scenarios
 
-    budget = args.budget
-    repeats = 2 if args.quick else 3
+    repeats = 2 if quick else 3
     # force=True: the bench always re-measures — a stale cached artifact
     # must never masquerade as today's numbers.  The persisted artifacts
     # still land under runs/tuned/ for subsequent runs to auto-load.
-    store = TunedStore(REPO_ROOT / "runs")
     outcomes = tune_scenarios(
-        quick=args.quick,
-        budget=budget,
+        quick=quick,
+        budget=TUNE_BUDGET,
         repeats=repeats,
-        store=store,
+        store=TunedStore(REPO_ROOT / "runs"),
         force=True,
     )
-
     rows = []
     ratios: dict[str, float] = {}
     for sid, outcome in sorted(outcomes.items()):
         art = outcome.artifact
-        front = pareto_front(art.trials)
         rows.append(
             {
                 "scenario": art.scenario_id,
@@ -313,260 +248,427 @@ def _run_tune(args: argparse.Namespace, out: Path) -> int:
                         "per_second": t.get("per_second"),
                         "accuracy": t.get("accuracy"),
                     }
-                    for t in front
+                    for t in pareto_front(art.trials)
                 ],
             }
         )
         ratios[sid] = art.speedup
-    record = {
-        "schema": "repro.bench_tune/1",
-        "recorded_unix": time.time(),
-        "host": _host(),
-        "config": {"budget": budget, "repeats": repeats, "quick": args.quick},
-        "results": rows,
-        "speedup_tuned_over_default": ratios,
-    }
-    rc = _write_record(args, out, record, "speedup_tuned_over_default")
-    if rc:
-        return rc
+    config = {"budget": TUNE_BUDGET, "repeats": repeats, "quick": quick}
+    return config, rows, ratios
 
+
+def _gate_tune(record: dict) -> list[str]:
+    ratios = record["speedup_tuned_over_default"]
+    slower = {sid: round(v, 3) for sid, v in ratios.items()
+              if v < MIN_TUNED_RATIO}
+    if slower:
+        return [f"tuned below default on {sorted(slower)}: {slower}"]
+    by_device: dict[str, list[float]] = {}
+    for r in record["results"]:
+        by_device.setdefault(r["device"], []).append(r["speedup"])
+    geomeans = {d: statistics.geometric_mean(v) for d, v in by_device.items()}
+    best = max(geomeans, key=geomeans.get)
+    if geomeans[best] < MIN_TUNE_GEOMEAN:
+        return [
+            "no device reaches a tuned/default speedup geomean "
+            f">= {MIN_TUNE_GEOMEAN:.2f}x; best is {best} at "
+            f"{geomeans[best]:.2f}x ({geomeans})"
+        ]
+    return []
+
+
+def _show_tune(record: dict) -> None:
+    from repro.reporting.pareto import render_pareto
+
+    rows = record["results"]
     width = max(len(r["scenario"]) for r in rows)
     for r in rows:
-        winner = r["winner"] or "(defaults)"
-        print(
-            f"{r['scenario']:<{width}}  {r['device']:<7} "
-            f"{r['speedup']:6.2f}x  {winner}"
-        )
+        print(f"{r['scenario']:<{width}}  {r['device']:<7} "
+              f"{r['speedup']:6.2f}x  {r['winner'] or '(defaults)'}")
     for r in rows:
-        art = outcomes[r["scenario"]].artifact
         print()
         print(render_pareto(
-            art.trials,
-            title=f"pareto [{r['scenario']}]: accuracy tolerance vs speed",
+            r["pareto"],
+            title=f"pareto front [{r['scenario']}]: accuracy tolerance vs speed",
         ))
-    print(f"\nwrote {out}; tuned artifacts under {store.dir}")
-
-    if args.check:
-        slower = {
-            sid: round(v, 3) for sid, v in ratios.items() if v < 0.999
-        }
-        if slower:
-            print(
-                f"FAIL: tuned below default on {sorted(slower)}: {slower}",
-                file=sys.stderr,
-            )
-            return 1
-        by_device: dict[str, list[float]] = {}
-        for r in rows:
-            by_device.setdefault(r["device"], []).append(r["speedup"])
-        geomeans = {d: _geomean(v) for d, v in by_device.items()}
-        best_device = max(geomeans, key=geomeans.get)
-        if geomeans[best_device] < args.min_tune_geomean:
-            print(
-                "FAIL: no device reaches a tuned/default speedup geomean "
-                f">= {args.min_tune_geomean:.2f}x; best is {best_device} at "
-                f"{geomeans[best_device]:.2f}x ({geomeans})",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            "gate ok: tuned >= default on every (experiment, device) cell; "
-            f"{best_device} geomean = {geomeans[best_device]:.2f}x "
-            f">= {args.min_tune_geomean:.2f}x"
-        )
-    return 0
 
 
-def _run_cluster(args: argparse.Namespace, out: Path) -> int:
+def _measure_cluster(quick: bool) -> Measurement:
     from repro.cluster.machine import SimulatedCluster
     from repro.experiments.common import paper_config
     from repro.obs.invariants import cluster_conservation_problems
     from repro.obs.observe import Observation
 
-    if args.quick:
-        sizing = {
-            "n_atoms": 1024,
-            "n_steps": 2,
-            "node_counts": (1, 2, 4, 8),
-            "devices": ("cell", "gpu"),
-        }
-    else:
-        sizing = {
-            "n_atoms": 2048,
-            "n_steps": 4,
-            "node_counts": (1, 2, 4, 8),
-            "devices": ("cell", "gpu", "mta", "opteron"),
-        }
-    topology = args.topology
-    config = paper_config(sizing["n_atoms"])
-
+    config = {
+        "n_atoms": 1024 if quick else 2048,
+        "n_steps": 2 if quick else 4,
+        "node_counts": [1, 2, 4, 8],
+        "devices": ["cell", "gpu"] if quick else ["cell", "gpu", "mta", "opteron"],
+        "topology": CLUSTER_TOPOLOGY,
+        "quick": quick,
+    }
+    md_config = paper_config(config["n_atoms"])
+    n_steps = config["n_steps"]
     rows = []
     ratios: dict[str, float] = {}
-    audit_problems: list[str] = []
-    equivalence_ok = True
-    for device in sizing["devices"]:
+    audit: list[str] = []
+    for device in config["devices"]:
         baseline = None
-        reference_digest = None
-        for k in sizing["node_counts"]:
+        for k in config["node_counts"]:
             cluster = SimulatedCluster(
-                device=device, n_nodes=k, topology=topology
+                device=device, n_nodes=k, topology=CLUSTER_TOPOLOGY
             )
-            obs = Observation(device=cluster.name)
-            result = cluster.run(config, sizing["n_steps"], observe=obs)
-            audit_problems.extend(
+            result = cluster.run(
+                md_config, n_steps, observe=Observation(device=cluster.name)
+            )
+            audit.extend(
                 f"{device}/K={k}: {p}"
                 for p in cluster_conservation_problems(result.counters, result)
             )
-            digest = result.state_digest()
-            if k == sizing["node_counts"][0]:
+            if baseline is None:
                 baseline = result.seconds_per_step
-                reference_digest = digest
-            equivalence_ok = equivalence_ok and digest == reference_digest
             speedup = baseline / result.seconds_per_step
             ratios[f"{device}/{k}"] = speedup
             rows.append(
                 {
                     "device": device,
                     "nodes": k,
-                    "topology": topology,
+                    "topology": CLUSTER_TOPOLOGY,
                     "seconds_per_step": result.seconds_per_step,
                     "speedup_over_one_node": speedup,
                     "exchange_bytes": result.exchange_bytes,
                     "ghost_atoms_per_step": result.ghost_atoms
-                    // max(1, sizing["n_steps"]),
+                    // max(1, n_steps),
                     "hidden_exchange_seconds": sum(
                         e.hidden_seconds for e in result.ledger
                     ),
-                    "state_digest": digest,
+                    "state_digest": result.state_digest(),
                 }
             )
+    if audit:
+        raise SystemExit(
+            "FAIL: ghost-exchange conservation audit:\n"
+            + "\n".join(f"  - {p}" for p in audit)
+        )
+    return config, rows, ratios
 
-    record = {
-        "schema": "repro.bench_cluster/1",
-        "recorded_unix": time.time(),
-        "host": _host(),
-        "config": {
-            "n_atoms": sizing["n_atoms"],
-            "n_steps": sizing["n_steps"],
-            "node_counts": list(sizing["node_counts"]),
-            "devices": list(sizing["devices"]),
-            "topology": topology,
-            "quick": args.quick,
-        },
-        "results": rows,
-        "speedup_over_one_node": ratios,
-    }
-    rc = _write_record(args, out, record, "speedup_over_one_node")
-    if rc:
-        return rc
 
-    for r in rows:
+def _gate_cluster(record: dict) -> list[str]:
+    failures = []
+    reference: dict[str, str] = {}
+    for r in record["results"]:
+        reference.setdefault(r["device"], r["state_digest"])
+    diverged = sorted({r["device"] for r in record["results"]
+                       if r["state_digest"] != reference[r["device"]]})
+    if diverged:
+        failures.append(
+            "decomposed state digest diverges from the one-node run on "
+            f"{diverged} (bit-identity broken)"
+        )
+    ratios = record["speedup_over_one_node"]
+    kmax = max(record["config"]["node_counts"])
+    slow = {d: round(ratios[f"{d}/{kmax}"], 3)
+            for d in record["config"]["devices"]
+            if ratios[f"{d}/{kmax}"] < MIN_CLUSTER_SPEEDUP}
+    if slow:
+        failures.append(
+            f"K={kmax} below {MIN_CLUSTER_SPEEDUP:.2f}x over one node on: {slow}"
+        )
+    return failures
+
+
+def _show_cluster(record: dict) -> None:
+    for r in record["results"]:
         print(
             f"{r['device']:<8} K={r['nodes']:<2} "
             f"{r['seconds_per_step'] * 1e3:9.4f} ms/step  "
             f"{r['speedup_over_one_node']:6.2f}x  "
             f"{r['exchange_bytes'] / 1e6:8.3f} MB exchanged"
         )
-    print(f"wrote {out}")
 
-    if args.check:
-        if not equivalence_ok:
-            print(
-                "FAIL: decomposed state digest diverges from the one-node "
-                "run (bit-identity broken)",
-                file=sys.stderr,
-            )
-            return 1
-        if audit_problems:
-            print("FAIL: ghost-exchange conservation audit:", file=sys.stderr)
-            for problem in audit_problems:
-                print(f"  - {problem}", file=sys.stderr)
-            return 1
-        kmax = max(sizing["node_counts"])
-        slow = {
-            d: round(ratios[f"{d}/{kmax}"], 3)
-            for d in sizing["devices"]
-            if ratios[f"{d}/{kmax}"] < args.min_cluster_speedup
-        }
+
+SPECS: dict[str, BenchSpec] = {
+    "vm": BenchSpec(
+        "BENCH_vm.json", "repro.bench_vm/1", "speedup_fused_over_interp",
+        {"kernel": str, "backend": str, "pairs": int, "repeats": int,
+         "best_seconds": float, "pairs_per_second": float},
+        _measure_vm, _gate_vm, _show_vm,
+    ),
+    "ensemble": BenchSpec(
+        "BENCH_vm2.json", "repro.bench_vm2/1", "speedup_batched_over_sequential",
+        {"mode": str, "replicas": int, "rows_per_replica": int, "repeats": int,
+         "best_seconds": float, "replicas_per_second": float},
+        _measure_ensemble, _gate_ensemble, _show_ensemble,
+    ),
+    "tune": BenchSpec(
+        "BENCH_tune.json", "repro.bench_tune/1", "speedup_tuned_over_default",
+        {"scenario": str, "experiment": str, "device": str, "n": int,
+         "metric": str, "objective": str, "default_per_second": float,
+         "tuned_per_second": float, "speedup": float, "winner": dict,
+         "source": str, "probes": int, "pareto": list},
+        _measure_tune, _gate_tune, _show_tune,
+    ),
+    "cluster": BenchSpec(
+        "BENCH_cluster.json", "repro.bench_cluster/1", "speedup_over_one_node",
+        {"device": str, "nodes": int, "topology": str,
+         "seconds_per_step": float, "speedup_over_one_node": float,
+         "exchange_bytes": int, "ghost_atoms_per_step": int,
+         "hidden_exchange_seconds": float, "state_digest": str},
+        _measure_cluster, _gate_cluster, _show_cluster,
+        deterministic=True,
+    ),
+}
+
+#: The spec recorded when no mode flag is given.
+DEFAULT_SPEC = "vm"
+
+
+_REQUIRED_TOP = ("schema", "recorded_unix", "host", "config", "results")
+
+
+def _spec_for(schema: object) -> BenchSpec | None:
+    return next((s for s in SPECS.values() if s.schema == schema), None)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_finite(value: object) -> bool:
+    return _is_number(value) and math.isfinite(value) and value > 0.0
+
+
+def validate_record(record: object) -> list[str]:
+    """Structural violations of one decoded BENCH record (empty = ok)."""
+    if not isinstance(record, dict):
+        return ["top level is not a JSON object"]
+    spec = _spec_for(record.get("schema"))
+    if spec is None:
+        return [
+            f"unknown schema {record.get('schema')!r}; expected one of "
+            + ", ".join(sorted(s.schema for s in SPECS.values()))
+        ]
+    problems = [f"missing top-level key {key!r}"
+                for key in _REQUIRED_TOP if key not in record]
+    if "recorded_unix" in record and not _positive_finite(
+        record["recorded_unix"]
+    ):
+        problems.append("recorded_unix is not a positive number")
+
+    results = record.get("results")
+    if not isinstance(results, list) or not results:
+        problems.append("results is not a non-empty list")
+        results = []
+    for i, row in enumerate(results):
+        if not isinstance(row, dict):
+            problems.append(f"results[{i}] is not an object")
+            continue
+        for field, kind in spec.row_fields.items():
+            value = row.get(field)
+            if value is None:
+                problems.append(f"results[{i}] missing {field!r}")
+            elif kind is float and not _is_number(value):
+                problems.append(f"results[{i}].{field} is not a number")
+            elif kind is int and isinstance(value, bool):
+                problems.append(f"results[{i}].{field} is not int")
+            elif kind is not float and not isinstance(value, kind):
+                problems.append(f"results[{i}].{field} is not {kind.__name__}")
+        if "best_seconds" in row and not _positive_finite(row["best_seconds"]):
+            problems.append(f"results[{i}].best_seconds must be > 0")
+
+    field = spec.speedup_field
+    speedups = record.get(field)
+    if not isinstance(speedups, dict) or not speedups:
+        problems.append(f"{field} is not a non-empty object")
+    else:
+        problems.extend(
+            f"{field}[{key!r}] is not a positive number"
+            for key, value in speedups.items() if not _positive_finite(value)
+        )
+    return problems
+
+
+def validate_file(path: Path) -> list[str]:
+    try:
+        record = json.loads(path.read_text())
+    except OSError as exc:
+        return [f"unreadable: {exc}"]
+    except json.JSONDecodeError as exc:
+        return [f"not valid JSON: {exc}"]
+    return validate_record(record)
+
+
+def validate_files(names: list[str]) -> int:
+    """``--validate``: named files must exist; the repo defaults may be absent."""
+    paths = ([Path(n) for n in names] if names
+             else [REPO_ROOT / spec.out for spec in SPECS.values()])
+    failures = 0
+    for path in paths:
+        if not path.exists():
+            if names:
+                print(f"{path}: missing", file=sys.stderr)
+                failures += 1
+            else:
+                print(f"{path.name}: absent (skipped)")
+            continue
+        problems = validate_file(path)
+        for problem in problems:
+            print(f"{path.name}: {problem}", file=sys.stderr)
+        if problems:
+            failures += 1
+        else:
+            print(f"{path.name}: ok")
+    return 1 if failures else 0
+
+
+def regressed_speedups(
+    old: dict, new: dict, tolerance: float
+) -> dict[str, tuple[float, float]]:
+    """Keys measured in both tables where new < old * (1 - tolerance)."""
+    if tolerance < 0.0:
+        raise ValueError("tolerance must be >= 0")
+    slow: dict[str, tuple[float, float]] = {}
+    for key, prev in old.items():
+        cur = new.get(key)
+        if cur is not None and float(cur) < float(prev) * (1.0 - tolerance):
+            slow[key] = (float(prev), float(cur))
+    return slow
+
+
+def stored_record(out: Path, schema: str) -> dict | None:
+    """The stored record at ``out`` iff it parses and matches ``schema``."""
+    try:
+        existing = json.loads(out.read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+    if isinstance(existing, dict) and existing.get("schema") == schema:
+        return existing
+    return None
+
+
+def replay_problems(spec: BenchSpec, stored: dict | None, record: dict) -> list[str]:
+    """Where a deterministic ``record`` departs from ``stored`` at the same config."""
+    if not spec.deterministic or stored is None or stored.get("config") != record["config"]:
+        return []
+    invalid = validate_record(stored)
+    if invalid:
+        return [f"stored table: {problem}" for problem in invalid]
+    old_rows, new_rows = stored["results"], record["results"]
+    problems = []
+    if len(old_rows) != len(new_rows):
+        problems.append(f"{len(new_rows)} rows, stored table has {len(old_rows)}")
+    for i, (old, new) in enumerate(zip(old_rows, new_rows)):
+        problems.extend(
+            f"results[{i}].{field}: stored {old[field]!r}, now {new[field]!r}"
+            for field in spec.row_fields if old[field] != new[field]
+        )
+    field = spec.speedup_field
+    old, new = stored[field], record[field]
+    problems.extend(
+        f"{field}[{key!r}]: stored {old.get(key)!r}, now {new.get(key)!r}"
+        for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)
+    )
+    return problems
+
+
+def write_record(out: Path, record: dict, force: bool = False) -> int:
+    """Validate ``record`` and write it, refusing to clobber a faster table.
+
+    The BENCH files are the repo's perf history — one accidental run on
+    a loaded machine must not silently rewrite it downward.  ``force``
+    overrides (e.g. after an intentional trade-off).
+    """
+    problems = validate_record(record)
+    if problems:
+        print(f"INVALID: not writing {out.name}:", file=sys.stderr)
+        for problem in problems:
+            print(f"  {problem}", file=sys.stderr)
+        return 1
+    field = _spec_for(record["schema"]).speedup_field
+    stored = stored_record(out, record["schema"])
+    if stored is not None and not force:
+        old = {k: v for k, v in (stored.get(field) or {}).items()
+               if isinstance(v, (int, float))}
+        slow = regressed_speedups(old, record[field], REGRESS_TOLERANCE)
         if slow:
             print(
-                f"FAIL: K={kmax} below {args.min_cluster_speedup:.2f}x over "
-                f"one node on: {slow}",
+                f"REFUSED: new table regresses {out.name} beyond "
+                f"{REGRESS_TOLERANCE:.0%} on {len(slow)} speedup(s); "
+                "re-run on an idle machine or pass --force:",
                 file=sys.stderr,
             )
-            return 1
-        floor = min(ratios[f"{d}/{kmax}"] for d in sizing["devices"])
-        print(
-            f"gate ok: bit-identical, conserved, and K={kmax} >= "
-            f"{floor:.2f}x over one node on every device (required >= "
-            f"{args.min_cluster_speedup:.2f}x)"
-        )
+            for key in sorted(slow):
+                prev, cur = slow[key]
+                print(f"  {key}: {prev:.2f}x -> {cur:.2f}x", file=sys.stderr)
+            return EXIT_REGRESSED
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+def run_spec(
+    spec: BenchSpec, out: Path, *, quick: bool, check: bool, force: bool
+) -> int:
+    """Measure ``spec``, write its table to ``out`` and, with ``check``, gate it."""
+    config, rows, speedups = spec.measure(quick)
+    record = {
+        "schema": spec.schema,
+        "recorded_unix": time.time(),
+        "host": _host(),
+        "config": config,
+        "results": rows,
+        spec.speedup_field: speedups,
+    }
+    replayed = replay_problems(spec, stored_record(out, spec.schema), record)
+    rc = write_record(out, record, force)
+    if rc:
+        return rc
+    spec.show(record)
+    print(f"wrote {out}")
+    if not check:
+        return 0
+    try:
+        failures = spec.gate(record) + replayed
+    except NotMeasured as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"gate ok: {out.name}")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--out", type=Path, default=None,
-                        help="output path (default: repo-root BENCH_vm.json, "
-                        "or BENCH_vm2.json with --ensemble)")
+                        help="output path (default: the table's BENCH file "
+                        "at the repo root)")
     parser.add_argument("--quick", action="store_true",
-                        help="smaller batches and fewer repeats (CI-sized)")
+                        help="smaller sizes and fewer repeats (CI-sized)")
     parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless the mode's speed gate holds")
-    parser.add_argument("--ensemble", action="store_true",
-                        help="measure batched-replica whole-timestep "
-                        "throughput instead of per-kernel pairs/sec")
-    parser.add_argument("--tune", action="store_true",
-                        help="run the autotuner over every scenario and "
-                        "record tuned-vs-default speedups")
-    parser.add_argument("--cluster", action="store_true",
-                        help="record the simulated-cluster strong-scaling "
-                        "table (fixed size, K nodes per device model)")
-    parser.add_argument("--topology", default="switch",
-                        help="cluster fabric topology for --cluster "
-                        "(default: switch)")
-    parser.add_argument("--min-cluster-speedup", type=float, default=1.0,
-                        help="minimum largest-K speedup over one node, per "
-                        "device, for --cluster --check (default 1.0)")
-    parser.add_argument("--budget", type=int, default=16,
-                        help="max probes per scenario for --tune "
-                        "(default 16; covers every shipped grid)")
-    parser.add_argument("--min-tune-geomean", type=float, default=1.3,
-                        help="minimum per-device tuned/default speedup "
-                        "geomean (on the best device) for --tune --check")
-    parser.add_argument("--gate-kernel", default="spe:simd_acceleration",
-                        help="kernel the kernel-mode --check gate applies to")
-    parser.add_argument("--min-speedup", type=float, default=1.0,
-                        help="minimum fused/interp ratio for --check")
-    parser.add_argument("--min-ensemble-speedup", type=float, default=2.0,
-                        help="minimum fused-batched/fused-sequential "
-                        f"replicas-per-second ratio at R >= {GATE_REPLICAS} "
-                        "for --ensemble --check")
-    parser.add_argument("--regress-tolerance", type=float,
-                        default=REGRESS_TOLERANCE, metavar="FRAC",
-                        help="overwrite refusal threshold: refuse when any "
-                        "stored speedup drops by more than this fraction "
-                        f"(default {REGRESS_TOLERANCE})")
+                        help="exit 1 unless the table's gate holds")
     parser.add_argument("--force", action="store_true",
                         help="overwrite the stored table even if the new "
                         "one regresses it")
+    mode = parser.add_mutually_exclusive_group()
+    for name, spec in SPECS.items():
+        if name != DEFAULT_SPEC:
+            mode.add_argument(f"--{name}", dest="spec", action="store_const",
+                              const=name, help=f"record {spec.out}")
+    mode.add_argument("--validate", nargs="*", metavar="FILE",
+                      help="check BENCH files against their schema instead "
+                      "(default: the repo's tables)")
+    parser.set_defaults(spec=DEFAULT_SPEC)
     args = parser.parse_args(argv)
-    if args.regress_tolerance < 0.0:
-        parser.error("--regress-tolerance must be >= 0")
 
-    if sum((args.ensemble, args.tune, args.cluster)) > 1:
-        parser.error("--ensemble, --tune and --cluster are mutually exclusive")
-    if args.cluster:
-        out = args.out or REPO_ROOT / "BENCH_cluster.json"
-        return _run_cluster(args, out)
-    if args.tune:
-        out = args.out or REPO_ROOT / "BENCH_tune.json"
-        return _run_tune(args, out)
-    if args.ensemble:
-        out = args.out or REPO_ROOT / "BENCH_vm2.json"
-        return _run_ensemble(args, out)
-    out = args.out or REPO_ROOT / "BENCH_vm.json"
-    return _run_kernels(args, out)
+    if args.validate is not None:
+        return validate_files(args.validate)
+    spec = SPECS[args.spec]
+    return run_spec(spec, args.out or REPO_ROOT / spec.out,
+                    quick=args.quick, check=args.check, force=args.force)
 
 
 if __name__ == "__main__":

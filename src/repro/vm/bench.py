@@ -196,6 +196,13 @@ def timestep_env(
 #: replica batching alone.
 ENSEMBLE_MODES = ("fused-sequential", "fused-batched")
 
+#: The ensemble acceptance bound: fused-batched reaches at least
+#: ``ENSEMBLE_MIN_SPEEDUP`` x fused-sequential replicas/sec at every
+#: replica count >= ``ENSEMBLE_GATE_REPLICAS``, where the batch is large
+#: enough to amortize the dispatch.
+ENSEMBLE_GATE_REPLICAS = 8
+ENSEMBLE_MIN_SPEEDUP = 2.0
+
 
 def bench_ensemble(
     replica_counts: Iterable[int] = (1, 2, 4, 8, 16),
