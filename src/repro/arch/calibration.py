@@ -180,6 +180,15 @@ VEC4_F32_BYTES = 16
 VEC3_F64_BYTES = 24
 
 # --------------------------------------------------------------------------
+# Kernel branch behaviour
+# --------------------------------------------------------------------------
+
+#: P(taken) of the per-axis reflection search's if on a uniform liquid.
+#: Geometry-determined (the Cell path measures it on the VM per run);
+#: the models that do not measure it price their kernels with this.
+REFLECT_TAKE = 0.04
+
+# --------------------------------------------------------------------------
 # Cluster interconnect (node-to-node, 2006-era fabric)
 # --------------------------------------------------------------------------
 

@@ -4,15 +4,18 @@ A device model must *actually run* the MD physics (through its force
 backend, in its native precision) and, for every step, report simulated
 wall-clock components derived from its cost model and the measured
 kernel metrics of that step.  :meth:`Device.run` is the template method
-tying the two halves to the MD driver; subclasses implement the two
-abstract hooks.
+tying the two halves to the MD driver.  Everything the models share
+lives here — the run's box, the per-box program and vm-sweep cache, the
+NumPy-level and instruction-level force paths, and the timeline layout —
+so a model defines only its pricing (:meth:`Device.step_seconds`), its
+counters, its fault sites and the order of its step components.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from repro.md.simulation import MDConfig, MDSimulation, StepRecord
 from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
 
-__all__ = ["Device", "DeviceRunResult", "merge_breakdowns"]
+__all__ = ["Device", "DeviceRunResult", "StepComponent", "merge_breakdowns"]
 
 
 def merge_breakdowns(*breakdowns: dict[str, float]) -> dict[str, float]:
@@ -36,6 +39,20 @@ def merge_breakdowns(*breakdowns: dict[str, float]) -> dict[str, float]:
         for key, value in breakdown.items():
             merged[key] = merged.get(key, 0.0) + value
     return merged
+
+
+@dataclasses.dataclass(frozen=True)
+class StepComponent:
+    """Where one step-breakdown component sits on a device's timeline."""
+
+    #: the component's key in the ``step_seconds`` breakdown
+    part: str
+    #: lanes the component's span occupies (one per concurrent unit)
+    lanes: tuple[str, ...]
+    #: span name; defaults to ``part``
+    span: str | None = None
+    #: span args beyond ``step``
+    args: Mapping[str, Any] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,7 +100,7 @@ class DeviceRunResult:
 
 
 class Device(abc.ABC):
-    """Base class for the four device models."""
+    """Base class for the device models of the four architectures."""
 
     #: human-readable device name
     name: str = "device"
@@ -101,23 +118,24 @@ class Device(abc.ABC):
     #: that family (see :mod:`repro.tune.context`)
     tune_family: str = "host"
 
-    @abc.abstractmethod
     def force_backend(self, sim_box, potential):
         """Return the functional force callable for this device.
 
         The callable maps positions -> :class:`ForceResult` and must
-        perform arithmetic in the device's native precision.
+        perform arithmetic in the device's native precision.  The
+        default is :meth:`functional_backend`; models with an
+        instruction-level mode route it through :meth:`vm_backend`.
         """
+        return self.functional_backend(sim_box, potential)
 
     def functional_backend(self, sim_box, potential):
         """Resolve :attr:`force_path` through the backend registry.
 
-        The concrete devices' NumPy-level ("fast") force paths all
-        delegate here, so every device honors a ``force_path`` override;
-        instruction-level VM paths ignore it by design.  Active tuned
-        knob values for this device's :attr:`tune_family` become factory
-        options; with no tuning in effect the factory defaults apply
-        unchanged.
+        Every device's NumPy-level ("fast") force path is this, so every
+        device honors a ``force_path`` override; instruction-level VM
+        paths ignore it by design.  Active tuned knob values for this
+        device's :attr:`tune_family` become factory options; with no
+        tuning in effect the factory defaults apply unchanged.
         """
         from repro.md.forcefield import make_force_backend, tuned_backend_options
 
@@ -130,6 +148,49 @@ class Device(abc.ABC):
             **options,
         )
 
+    def vm_backend(
+        self,
+        sim_box,
+        program,
+        constants: Mapping[str, float],
+        interacting_pairs: Callable[[np.ndarray, Any, dict], int],
+        **run_options: Any,
+    ):
+        """The instruction-level force path: ``program`` run on the VM.
+
+        The :class:`~repro.vm.sweep.PairSweep` is cached per box on this
+        instance, so its machine carries state across runs: any fault
+        session left armed by an earlier run is disarmed, and this run's
+        session (if any) adopts the machine and flips bits in its real
+        output registers instead of post hoc.  ``interacting_pairs(
+        positions, machine, before)`` is the model's own tally for one
+        evaluation; ``before`` holds the machine's branch snapshots taken
+        just before the sweep ran.  ``run_options`` go to
+        :meth:`PairSweep.run`.
+        """
+        from repro.vm.sweep import PairSweep
+
+        sweep = self._per_box(sim_box.length, "sweep", lambda: PairSweep(program))
+        machine = sweep.machine
+        machine.install_fault_session(None)
+        if self.fault_session is not None:
+            self.fault_session.adopt_machine(machine)
+
+        def backend(positions: np.ndarray) -> ForceResult:
+            n = positions.shape[0]
+            before = {
+                key: stat.snapshot() for key, stat in machine.branch_stats.items()
+            }
+            acc, pe_rows = sweep.run(positions, constants, **run_options)
+            return ForceResult(
+                accelerations=acc.astype(np.float64),
+                potential_energy=0.5 * float(pe_rows.sum(dtype=np.float64)),
+                interacting_pairs=interacting_pairs(positions, machine, before),
+                pairs_examined=n * (n - 1) // 2,
+            )
+
+        return backend
+
     @abc.abstractmethod
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
@@ -141,7 +202,51 @@ class Device(abc.ABC):
         return {}
 
     def prepare(self, config: MDConfig) -> None:
-        """Hook called once per run before stepping (program builds, ...)."""
+        """Per-run setup, called once before stepping: records the box.
+
+        Models extend this to reset per-run state and to read their
+        tuned knobs, so a knob applies to the runs inside its
+        :func:`~repro.tune.context.applied` block whenever the device
+        was built.
+        """
+        self.set_box(config.make_box().length)
+
+    def set_box(self, box_length: float) -> None:
+        """Price the following steps for a cubic box of side ``box_length``."""
+        self._box_length = box_length
+
+    def build_program(self, box_length: float) -> Any:
+        """The model's kernel program for a box of side ``box_length``."""
+        raise NotImplementedError(f"{type(self).__name__} prices no kernel program")
+
+    def program(self, box_length: float | None = None) -> Any:
+        """:meth:`build_program` for ``box_length`` (default: the run's
+        box), built once per box on this instance."""
+        if box_length is None:
+            box_length = self._box_length
+        return self._per_box(
+            box_length, "program", lambda: self.build_program(box_length)
+        )
+
+    def _per_box(self, box_length: float, kind: str, build: Callable[[], Any]) -> Any:
+        """``build()`` once per box and kind, cached on this instance.
+
+        Keyed by ``round(box_length, 12)``.  Never process-wide: vm
+        sweeps carry :class:`~repro.vm.machine.BranchStat` accumulators
+        and fault-session hooks, so every consumer differences
+        ``branch_snapshot`` windows instead of reading lifetime totals.
+        A sixth box clears the cache.
+        """
+        cache = self.__dict__.setdefault("_box_cache", {})
+        key = round(box_length, 12)
+        entry = cache.get(key)
+        if entry is None:
+            if len(cache) > 4:
+                cache.clear()
+            entry = cache[key] = {}
+        if kind not in entry:
+            entry[kind] = build()
+        return entry[kind]
 
     def workers(self) -> int:
         """How many workers split the ordered pair scan (SPE count, ...)."""
@@ -159,9 +264,9 @@ class Device(abc.ABC):
     def observation(self) -> Observation | None:
         """The active :class:`Observation` during :meth:`run`, else ``None``.
 
-        Device hooks may consult this mid-run; counter charging and span
-        emission happen through :meth:`observe_step`, called by the
-        template method once per completed step.
+        Device hooks may consult this mid-run; counters are charged
+        through :meth:`observe_step` and spans laid out from
+        :meth:`timeline`, once per completed step.
         """
         return getattr(self, "_observation", None)
 
@@ -344,8 +449,9 @@ class Device(abc.ABC):
         parts: dict[str, float],
         step_index: int,
     ) -> None:
-        """Charge the generic counters and the ``step`` span, then
-        delegate to :meth:`observe_step` and advance the cursor."""
+        """Charge the generic counters and the ``step`` span, delegate to
+        :meth:`observe_step`, lay out :meth:`timeline` and advance the
+        cursor."""
         total = sum(parts.values())
         workers = self.workers()
         obs.charge("step.count", 1)
@@ -361,6 +467,19 @@ class Device(abc.ABC):
             "step", "step", 0.0, total, args={"step": step_index, **parts}
         )
         self.observe_step(obs, metrics, parts, step_index)
+        # Components run end to end: each starts where the ones before
+        # it (present or not) end, on every lane it declares.
+        offset = 0.0
+        for component in self.timeline(parts):
+            seconds = parts.get(component.part, 0.0)
+            if seconds > 0.0:
+                args = {"step": step_index, **component.args}
+                for lane in component.lanes:
+                    obs.span_at(
+                        component.span or component.part, lane, offset, seconds,
+                        args=args,
+                    )
+            offset += seconds
         obs.advance(total)
 
     def observe_step(
@@ -370,19 +489,24 @@ class Device(abc.ABC):
         parts: dict[str, float],
         step_index: int,
     ) -> None:
-        """Device-specific counters and spans for one completed step.
+        """Device-specific counters for one completed step.
 
         ``parts`` is the step's final component breakdown (including any
-        ``fault_recovery`` surcharge).  The default lays the components
-        end to end, each on a lane named after itself; devices with
-        concurrent hardware units (SPEs, pipelines, streams) override
-        this to emit one lane per unit and charge their hardware
-        counters.  Implementations must *recompute* whatever they need
-        from the same inputs ``step_seconds`` used — never mutate
-        simulation state.
+        ``fault_recovery`` surcharge).  Implementations must *recompute*
+        whatever they need from the same inputs ``step_seconds`` used —
+        never mutate simulation state.  Spans are not emitted here: the
+        base lays out the components :meth:`timeline` declares.  The
+        default charges nothing.
         """
-        offset = 0.0
-        for name, seconds in parts.items():
-            if seconds > 0.0:
-                obs.span_at(name, name, offset, seconds, args={"step": step_index})
-                offset += seconds
+
+    def timeline(self, parts: Mapping[str, float]) -> Sequence[StepComponent]:
+        """This step's components in timeline order, with their lanes.
+
+        Each component's span starts at the summed seconds of the
+        components before it and appears on every lane it declares
+        (one per concurrent unit: SPE, pipeline, processor); a
+        component absent from ``parts`` or of zero length emits nothing
+        but keeps its place.  The default lays every part end to end,
+        in breakdown order, each on a lane named after itself.
+        """
+        return [StepComponent(name, (name,)) for name in parts]

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 
 from repro.arch import calibration as cal
-from repro.arch.device import Device
+from repro.arch.device import Device, StepComponent
 from repro.arch.profilecounts import KernelMetrics
 from repro.cell.dma import MDTrafficPlan, make_dma_engine
 from repro.cell.kernels import OPT_LEVELS, build_spe_kernel, kernel_constants
@@ -35,7 +35,6 @@ from repro.cell.ppe import PPE
 from repro.cell.scheduler import LaunchStrategy, SpeThreadScheduler
 from repro.cell.spe import SPE, SPE_COST_TABLE
 from repro.md.box import PeriodicBox
-from repro.md.forces import ForceResult
 from repro.md.lattice import cubic_lattice
 from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
@@ -114,78 +113,44 @@ class CellDevice(Device):
         self.scheduler = SpeThreadScheduler(n_spes=n_spes, strategy=strategy)
         self.dma = make_dma_engine()
         self.active_spes = n_spes
-        self._program_cache: dict[float, object] = {}
-        self._sweep_cache: dict[float, PairSweep] = {}
         #: VM work accumulated since the last observed step: segment
         #: executions and per-branch (taken_mass, samples) deltas
         self._vm_window: dict[str, object] = {"segments": 0, "branches": {}}
 
     # -- functional side ---------------------------------------------------
 
-    def _sweep(self, box_length: float) -> PairSweep:
-        """The vm-mode sweep for this box, cached across runs.
-
-        The machine's :class:`~repro.vm.machine.BranchStat` accumulators
-        survive with the cache, so every consumer must difference
-        ``branch_snapshot`` windows instead of reading lifetime totals —
-        reusing the machine must never let one run's branch statistics
-        leak into the next run's physics or counters.
-        """
-        key = round(box_length, 12)
-        sweep = self._sweep_cache.get(key)
-        if sweep is None:
-            if len(self._sweep_cache) > 4:
-                self._sweep_cache.clear()
-            sweep = PairSweep(self._program(box_length))
-            self._sweep_cache[key] = sweep
-        return sweep
-
     def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         if self.mode == "fast":
             return self.functional_backend(sim_box, potential)
+        return self.vm_backend(
+            sim_box,
+            self.program(sim_box.length),
+            kernel_constants(potential),
+            self._vm_interacting_pairs,
+        )
 
-        sweep = self._sweep(sim_box.length)
-        constants = kernel_constants(potential)
-        # Disarm any fault session left by a previous run on the cached
-        # machine before optionally arming this run's session.
-        sweep.machine.install_fault_session(None)
-        if self.fault_session is not None:
-            # vm mode injects bit-flips at the instruction level, into
-            # real local-store output registers, instead of post hoc.
-            self.fault_session.adopt_machine(sweep.machine)
+    def _vm_interacting_pairs(self, positions, machine, before) -> int:
+        """Interacting pairs from the sweep's measured interacting fraction.
 
-        def vm_backend(positions: np.ndarray) -> ForceResult:
-            n = positions.shape[0]
-            machine = sweep.machine
-            before = {
-                key: stat.snapshot()
-                for key, stat in machine.branch_stats.items()
-            }
-            total0, count0 = before.get("interacting_fraction", (0.0, 0))
-            acc, pe_rows = sweep.run(positions, constants)
-            total1, count1 = machine.branch_snapshot("interacting_fraction")
-            new_samples = count1 - count0
-            fraction = (total1 - total0) / new_samples if new_samples else 0.0
-            interacting = int(round(fraction * n * (n - 1) / 2.0))
-            if self.observation is not None:
-                self._record_vm_window(before)
-            return ForceResult(
-                accelerations=acc.astype(np.float64),
-                potential_energy=0.5 * float(pe_rows.sum(dtype=np.float64)),
-                interacting_pairs=interacting,
-                pairs_examined=n * (n - 1) // 2,
-            )
-
-        return vm_backend
+        The fraction averages all n lanes of each row, self lanes
+        included, and is scaled by n(n-1)/2: (n-1)/n of the true count.
+        """
+        n = positions.shape[0]
+        total0, count0 = before.get("interacting_fraction", (0.0, 0))
+        total1, count1 = machine.branch_snapshot("interacting_fraction")
+        new_samples = count1 - count0
+        fraction = (total1 - total0) / new_samples if new_samples else 0.0
+        if self.observation is not None:
+            self._record_vm_window(machine, before)
+        return int(round(fraction * n * (n - 1) / 2.0))
 
     def _record_vm_window(
-        self, before: dict[str, tuple[float, int]]
+        self, machine, before: dict[str, tuple[float, int]]
     ) -> None:
         """Fold one VM force evaluation's branch deltas into the window."""
         window = self._vm_window
         window["segments"] = int(window["segments"]) + 1
         branches: dict[str, tuple[float, int]] = window["branches"]
-        machine = self._sweep(self._box_length).machine
         for key, stat in machine.branch_stats.items():
             total0, count0 = before.get(key, (0.0, 0))
             total1, count1 = stat.snapshot()
@@ -197,7 +162,7 @@ class CellDevice(Device):
     # -- timing side ---------------------------------------------------------
 
     def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
+        super().prepare(config)
         self.active_spes = self.n_spes  # crashed SPEs stay dead per run
         self._vm_window = {"segments": 0, "branches": {}}
         if self._explicit_partition is not None:
@@ -228,16 +193,13 @@ class CellDevice(Device):
             )
         }
 
-    def _program(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._program_cache:
-            self._program_cache[key] = build_spe_kernel(self.opt_level, box_length)
-        return self._program_cache[key]
+    def build_program(self, box_length: float):
+        return build_spe_kernel(self.opt_level, box_length)
 
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
     ) -> dict[str, float]:
-        program = self._program(self._box_length)
+        program = self.program()
         traffic = self._traffic(metrics.n_atoms)
         layout = traffic.layout(self.spes[0].local_store)
         kernel_seconds = self.spes[0].kernel_seconds(program, metrics.as_dict())
@@ -280,8 +242,7 @@ class CellDevice(Device):
             obs.charge("cell.mailbox.round_trips", active)
         obs.charge("cell.spe.active", active)
         obs.charge("cell.spe.slots", self.n_spes)
-        program = self._program(self._box_length)
-        stats = issue_stats(program, SPE_COST_TABLE, metrics.as_dict())
+        stats = issue_stats(self.program(), SPE_COST_TABLE, metrics.as_dict())
         obs.charge_many({
             "cell.spe.instructions": stats.instructions * active,
             "cell.spe.cycles": stats.cycles * active,
@@ -301,34 +262,18 @@ class CellDevice(Device):
                     obs.charge(f"vm.branch.{key}.taken_mass", taken_mass)
             self._vm_window = {"segments": 0, "branches": {}}
 
-        # Timeline: launch on the PPE, then all SPEs gather and compute
+    def timeline(self, parts):
+        # Launch on the PPE, then all SPEs gather and compute
         # concurrently, then the PPE drains mailboxes and integrates.
-        launch = parts.get("thread_launch", 0.0)
-        dma = parts.get("dma", 0.0)
-        kernel = parts.get("spe_kernel", 0.0)
-        mailbox = parts.get("mailbox", 0.0)
-        host = parts.get("ppe_host", 0.0)
-        recovery = parts.get("fault_recovery", 0.0)
-        if launch > 0.0:
-            obs.span_at("thread_launch", "ppe", 0.0, launch,
-                        args={"step": step_index})
-        for spe in range(active):
-            lane = f"spe{spe}"
-            if dma > 0.0:
-                obs.span_at("dma", lane, launch, dma, args={"step": step_index})
-            if kernel > 0.0:
-                obs.span_at("spe_exec", lane, launch + dma, kernel,
-                            args={"step": step_index})
-        after = launch + dma + kernel
-        if mailbox > 0.0:
-            obs.span_at("mailbox_wait", "ppe", after, mailbox,
-                        args={"step": step_index})
-        if host > 0.0:
-            obs.span_at("ppe_host", "ppe", after + mailbox, host,
-                        args={"step": step_index})
-        if recovery > 0.0:
-            obs.span_at("fault_recovery", "ppe", after + mailbox + host,
-                        recovery, args={"step": step_index})
+        spes = tuple(f"spe{spe}" for spe in range(self.active_spes))
+        return (
+            StepComponent("thread_launch", ("ppe",)),
+            StepComponent("dma", spes),
+            StepComponent("spe_kernel", spes, span="spe_exec"),
+            StepComponent("mailbox", ("ppe",), span="mailbox_wait"),
+            StepComponent("ppe_host", ("ppe",)),
+            StepComponent("fault_recovery", ("ppe",)),
+        )
 
     def _step_faults(
         self, session, traffic, layout, kernel_seconds: float, step_index: int
@@ -411,13 +356,6 @@ class PPEOnlyDevice(Device):
     def __init__(self, force_path: str = "all-pairs") -> None:
         self.ppe = PPE()
         self.force_path = force_path
-        self._program_cache: dict[float, object] = {}
-
-    def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {
@@ -426,33 +364,17 @@ class PPEOnlyDevice(Device):
             )
         }
 
-    def _program(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._program_cache:
-            self._program_cache[key] = build_spe_kernel("original", box_length)
-        return self._program_cache[key]
+    def build_program(self, box_length: float):
+        return build_spe_kernel("original", box_length)
 
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
     ) -> dict[str, float]:
-        program = self._program(self._box_length)
         return {
-            "ppe_kernel": self.ppe.kernel_seconds(program, metrics.as_dict()),
+            "ppe_kernel": self.ppe.kernel_seconds(self.program(), metrics.as_dict()),
             "ppe_host": self.ppe.integration_seconds(metrics.n_atoms),
         }
 
-    def observe_step(
-        self,
-        obs: Observation,
-        metrics: KernelMetrics,
-        parts: dict[str, float],
-        step_index: int,
-    ) -> None:
-        # Everything happens on the one PPE: lay the parts end to end on
-        # a single "ppe" lane.
-        offset = 0.0
-        for name, seconds in parts.items():
-            if seconds > 0.0:
-                obs.span_at(name, "ppe", offset, seconds,
-                            args={"step": step_index})
-                offset += seconds
+    def timeline(self, parts):
+        # Everything happens on the one PPE.
+        return [StepComponent(name, ("ppe",)) for name in parts]

@@ -25,6 +25,7 @@ import enum
 
 import numpy as np
 
+from repro.arch import calibration as cal
 from repro.cell.spe import SPE_COST_TABLE
 from repro.tune.spec import TunableSpec, register_tunable
 from repro.vm.program import Program
@@ -97,7 +98,7 @@ def partitioned_kernel_seconds(
     n_spes: int,
     strategy: RowPartition,
     clock_hz: float,
-    reflect_take: float = 0.04,
+    reflect_take: float = cal.REFLECT_TAKE,
 ) -> PartitionTiming:
     """Per-SPE kernel times from measured per-row interacting counts.
 

@@ -14,20 +14,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch import calibration as cal
-from repro.arch.device import Device
+from repro.arch.device import Device, StepComponent
 from repro.arch.interconnect import PCIeBus, TransferModel
 from repro.arch.profilecounts import KernelMetrics
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.gpu.pipelines import GPU_ISSUE_SLOTS, PipelineArray
 from repro.md.box import PeriodicBox
-from repro.md.forces import ForceResult, compute_forces
+from repro.md.forces import compute_forces
 from repro.md.lj import LennardJones
-from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.tune.context import tuned_value
 from repro.tune.spec import TunableSpec, register_tunable
 from repro.vm.schedule import count_issues
-from repro.vm.sweep import PairSweep
 
 __all__ = ["GpuDevice", "gpu_row_block", "make_pcie_bus"]
 
@@ -80,53 +78,28 @@ class GpuDevice(Device):
         self.name = "gpu-7900gtx"
         self.pipelines = PipelineArray()
         self.pcie = make_pcie_bus()
-        self._shader_cache: dict[float, object] = {}
-        self._sweep_cache: dict[float, PairSweep] = {}
 
-    def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
-        self._potential = config.make_potential()
-
-    def _shader(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._shader_cache:
-            self._shader_cache[key] = build_md_shader(box_length)
-        return self._shader_cache[key]
+    def build_program(self, box_length: float):
+        return build_md_shader(box_length)
 
     def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         if self.mode == "fast":
             return self.functional_backend(sim_box, potential)
 
-        key = round(sim_box.length, 12)
-        sweep = self._sweep_cache.get(key)
-        if sweep is None:
-            if len(self._sweep_cache) > 4:
-                self._sweep_cache.clear()
-            sweep = PairSweep(self._shader(sim_box.length).program)
-            self._sweep_cache[key] = sweep
-        constants = shader_constants(potential, sim_box.length)
-        row_block = gpu_row_block()
-        # Cached machines carry state across runs: disarm any stale
-        # fault session before optionally arming this run's.
-        sweep.machine.install_fault_session(None)
-        if self.fault_session is not None:
-            # vm mode flips bits in the real render-target registers.
-            self.fault_session.adopt_machine(sweep.machine)
+        def interacting_pairs(positions, machine, before) -> int:
+            # host-side tally, only for bookkeeping: the shader itself
+            # is branchless
+            return compute_forces(
+                positions, sim_box, potential, dtype=np.float32
+            ).interacting_pairs
 
-        def vm_backend(positions: np.ndarray) -> ForceResult:
-            n = positions.shape[0]
-            acc, pe_rows = sweep.run(positions, constants, row_block=row_block)
-            # interacting count from the pair distances (host-side tally,
-            # only for bookkeeping — the shader itself is branchless)
-            reference = compute_forces(positions, sim_box, potential, dtype=np.float32)
-            return ForceResult(
-                accelerations=acc.astype(np.float64),
-                potential_energy=0.5 * float(pe_rows.sum(dtype=np.float64)),
-                interacting_pairs=reference.interacting_pairs,
-                pairs_examined=n * (n - 1) // 2,
-            )
-
-        return vm_backend
+        return self.vm_backend(
+            sim_box,
+            self.program(sim_box.length).program,
+            shader_constants(potential, sim_box.length),
+            interacting_pairs,
+            row_block=gpu_row_block(),
+        )
 
     def setup_breakdown(self) -> dict[str, float]:
         """One-time JIT compile + texture/FBO setup (excluded from totals)."""
@@ -135,7 +108,7 @@ class GpuDevice(Device):
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
     ) -> dict[str, float]:
-        shader = self._shader(self._box_length)
+        shader = self.program()
         # The shader runs once per output atom over all N inputs:
         # ordered-pair trips = N * N (the scan includes the masked
         # self-pair, unlike the host kernels' N * (N - 1)).
@@ -179,7 +152,6 @@ class GpuDevice(Device):
     ) -> None:
         n = metrics.n_atoms
         array_bytes = n * cal.VEC4_F32_BYTES
-        shader = self._shader(self._box_length)
         shader_metrics = dict(metrics.as_dict())
         shader_metrics["pairs"] = float(n) ** 2
         obs.charge_many({
@@ -191,37 +163,24 @@ class GpuDevice(Device):
             "gpu.shader.invocations": n,
             "gpu.shader.pair_trips": n * n,
             "gpu.shader.issues": count_issues(
-                shader.program, shader_metrics, issue_slots=GPU_ISSUE_SLOTS
+                self.program().program, shader_metrics, issue_slots=GPU_ISSUE_SLOTS
             ),
         })
-        # Timeline: upload, then all pipelines rasterize concurrently,
-        # then readback; driver overhead and host integration close out.
-        upload = parts.get("pcie_upload", 0.0)
-        shade = parts.get("shader", 0.0)
-        readback = parts.get("pcie_readback", 0.0)
-        driver = parts.get("driver", 0.0)
-        host = parts.get("host", 0.0)
-        recovery = parts.get("fault_recovery", 0.0)
-        if upload > 0.0:
-            obs.span_at("pcie", "pcie", 0.0, upload,
-                        args={"step": step_index, "dir": "upload"})
-        if shade > 0.0:
-            for pipe in range(self.pipelines.n_pipelines):
-                obs.span_at("shader_pass", f"pipe{pipe}", upload, shade,
-                            args={"step": step_index})
-        if readback > 0.0:
-            obs.span_at("pcie", "pcie", upload + shade, readback,
-                        args={"step": step_index, "dir": "readback"})
-        after = upload + shade + readback
-        if driver > 0.0:
-            obs.span_at("driver", "host", after, driver,
-                        args={"step": step_index})
-        if host > 0.0:
-            obs.span_at("host", "host", after + driver, host,
-                        args={"step": step_index})
-        if recovery > 0.0:
-            obs.span_at("fault_recovery", "host", after + driver + host,
-                        recovery, args={"step": step_index})
+
+    def timeline(self, parts):
+        # Upload, then all pipelines rasterize concurrently, then
+        # readback; driver overhead and host integration close out.
+        pipes = tuple(f"pipe{pipe}" for pipe in range(self.pipelines.n_pipelines))
+        return (
+            StepComponent("pcie_upload", ("pcie",), span="pcie",
+                          args={"dir": "upload"}),
+            StepComponent("shader", pipes, span="shader_pass"),
+            StepComponent("pcie_readback", ("pcie",), span="pcie",
+                          args={"dir": "readback"}),
+            StepComponent("driver", ("host",)),
+            StepComponent("host", ("host",)),
+            StepComponent("fault_recovery", ("host",)),
+        )
 
     @staticmethod
     def _host_seconds(n_atoms: int) -> float:

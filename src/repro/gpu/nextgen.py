@@ -30,13 +30,10 @@ import math
 
 from repro.arch import calibration as cal
 from repro.arch.clock import Clock
-from repro.arch.device import Device
+from repro.arch.device import Device, StepComponent
 from repro.arch.profilecounts import KernelMetrics
 from repro.gpu.device import make_pcie_bus
 from repro.gpu.kernels import build_md_shader
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
-from repro.md.simulation import MDConfig
 from repro.obs.observe import Observation
 from repro.vm.schedule import count_issues
 
@@ -123,19 +120,9 @@ class NextGenGpuDevice(Device):
         self.name = f"gpu-nextgen-{self.spec.n_processors}sp"
         self.clock = Clock(self.spec.shader_clock_hz, "g80")
         self.pcie = make_pcie_bus()
-        self._shader_cache: dict[float, object] = {}
 
-    def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
-
-    def _shader(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._shader_cache:
-            self._shader_cache[key] = build_md_shader(box_length)
-        return self._shader_cache[key]
+    def build_program(self, box_length: float):
+        return build_md_shader(box_length)
 
     @property
     def issue_rate(self) -> float:
@@ -143,7 +130,7 @@ class NextGenGpuDevice(Device):
 
     def kernel_seconds(self, metrics: KernelMetrics) -> float:
         """Compute time for one force evaluation."""
-        shader = self._shader(self._box_length)
+        shader = self.program()
         metric_map = dict(metrics.as_dict())
         pairs = float(metrics.n_atoms) ** 2
         metric_map["pairs"] = pairs
@@ -203,31 +190,18 @@ class NextGenGpuDevice(Device):
             # staging and shared-load surcharges included)
             "gpu.shader.issues": self.kernel_seconds(metrics) * self.issue_rate,
         })
+
+    def timeline(self, parts):
         # One "gpu" lane: the SP array is a single dispatch domain here
         # (per-SM lanes would imply a block schedule this model doesn't
         # simulate).
-        upload = parts.get("pcie_upload", 0.0)
-        kernel = parts.get("kernel", 0.0)
-        reduction = parts.get("reduction", 0.0)
-        readback = parts.get("pcie_readback", 0.0)
-        driver = parts.get("driver", 0.0)
-        host = parts.get("host", 0.0)
-        if upload > 0.0:
-            obs.span_at("pcie", "pcie", 0.0, upload,
-                        args={"step": step_index, "dir": "upload"})
-        if kernel > 0.0:
-            obs.span_at("kernel", "gpu", upload, kernel,
-                        args={"step": step_index})
-        if reduction > 0.0:
-            obs.span_at("reduction", "gpu", upload + kernel, reduction,
-                        args={"step": step_index})
-        after = upload + kernel + reduction
-        if readback > 0.0:
-            obs.span_at("pcie", "pcie", after, readback,
-                        args={"step": step_index, "dir": "readback"})
-        if driver > 0.0:
-            obs.span_at("driver", "host", after + readback, driver,
-                        args={"step": step_index})
-        if host > 0.0:
-            obs.span_at("host", "host", after + readback + driver, host,
-                        args={"step": step_index})
+        return (
+            StepComponent("pcie_upload", ("pcie",), span="pcie",
+                          args={"dir": "upload"}),
+            StepComponent("kernel", ("gpu",)),
+            StepComponent("reduction", ("gpu",)),
+            StepComponent("pcie_readback", ("pcie",), span="pcie",
+                          args={"dir": "readback"}),
+            StepComponent("driver", ("host",)),
+            StepComponent("host", ("host",)),
+        )

@@ -12,13 +12,12 @@ grows exactly with the instruction count.  That contrast is Figure 9.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.arch import calibration as cal
-from repro.arch.device import Device
+from repro.arch.clock import Clock
+from repro.arch.device import Device, StepComponent
 from repro.arch.profilecounts import KernelMetrics
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.mta.compiler import CompilationReport, compile_nest
 from repro.mta.fullempty import SynchronizedReduction
@@ -30,12 +29,10 @@ from repro.mta.kernels import (
 )
 from repro.mta.streams import StreamModel
 from repro.obs.observe import Observation
+from repro.tune.context import tuned_value
 from repro.vm.schedule import count_issues
 
 __all__ = ["MTADevice"]
-
-#: Same geometry-determined branch probability as the Opteron port.
-_DEFAULT_REFLECT_TAKE = 0.04
 
 
 class MTADevice(Device):
@@ -49,7 +46,7 @@ class MTADevice(Device):
         fully_multithreaded: bool = True,
         n_processors: int = 1,
         clock_hz: float = cal.MTA_CLOCK_HZ,
-        reflect_take: float = _DEFAULT_REFLECT_TAKE,
+        reflect_take: float = cal.REFLECT_TAKE,
         force_path: str = "all-pairs",
         n_streams: int | None = None,
     ) -> None:
@@ -58,44 +55,38 @@ class MTADevice(Device):
         self.fully_multithreaded = fully_multithreaded
         self.reflect_take = reflect_take
         self.force_path = force_path
-        from repro.arch.clock import Clock
-
-        if n_streams is None:
-            from repro.tune.context import tuned_value
-
-            tuned = tuned_value("mta.streams", self.tune_family)
-            n_streams = int(tuned) if tuned is not None else cal.MTA_N_STREAMS
+        #: explicit constructor choice; None defers to the tuned config
+        #: (resolved per run in :meth:`prepare`), falling back to the
+        #: calibrated count
+        self._explicit_streams = n_streams
         self.streams = StreamModel(
             n_processors=n_processors,
-            n_streams=n_streams,
+            n_streams=cal.MTA_N_STREAMS if n_streams is None else n_streams,
             clock=Clock(clock_hz, "mta"),
         )
         self.compilation: CompilationReport = compile_nest(
             *md_kernel_ir(fully_multithreaded)
         )
-        self._program_cache: dict[float, object] = {}
 
     def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
+        super().prepare(config)
+        n_streams = self._explicit_streams
+        if n_streams is None:
+            tuned = tuned_value("mta.streams", self.tune_family)
+            n_streams = int(tuned) if tuned is not None else cal.MTA_N_STREAMS
+        self.streams = dataclasses.replace(self.streams, n_streams=n_streams)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {"reflect_take": self.reflect_take}
 
-    def _pair_program(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._program_cache:
-            self._program_cache[key] = build_mta_pair_program(box_length)
-        return self._program_cache[key]
+    def build_program(self, box_length: float):
+        return build_mta_pair_program(box_length)
 
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
     ) -> dict[str, float]:
-        pair_program = self._pair_program(self._box_length)
         pair_issues = count_issues(
-            pair_program, metrics.as_dict(), issue_slots=MTA_ISSUE_SLOTS
+            self.program(), metrics.as_dict(), issue_slots=MTA_ISSUE_SLOTS
         )
         integ_issues = count_issues(
             build_mta_integration_program(),
@@ -157,7 +148,7 @@ class MTADevice(Device):
     ) -> None:
         metric_map = metrics.as_dict()
         pair_issues = count_issues(
-            self._pair_program(self._box_length),
+            self.program(),
             metric_map,
             issue_slots=MTA_ISSUE_SLOTS,
         )
@@ -187,25 +178,15 @@ class MTADevice(Device):
             "mta.stream.utilization",
             {"utilization": self.streams.utilization(float(metrics.n_atoms))},
         )
-        # Timeline: every processor works the force loop and the
-        # integration; the full/empty PE combination serializes between
-        # them on its own "sync" lane.
-        force = parts.get("force_loop", 0.0)
-        reduction = parts.get("pe_reduction", 0.0)
-        integ = parts.get("integration", 0.0)
-        recovery = parts.get("fault_recovery", 0.0)
-        for proc in range(self.streams.n_processors):
-            lane = f"proc{proc}"
-            if force > 0.0:
-                obs.span_at("force_loop", lane, 0.0, force,
-                            args={"step": step_index})
-            if integ > 0.0:
-                obs.span_at("integration", lane, force + reduction, integ,
-                            args={"step": step_index})
-        if reduction > 0.0:
-            obs.span_at("pe_reduction", "sync", force, reduction,
-                        args={"step": step_index})
-        if recovery > 0.0:
-            obs.span_at("fault_recovery", "sync",
-                        force + reduction + integ, recovery,
-                        args={"step": step_index})
+
+    def timeline(self, parts):
+        # Every processor works the force loop and the integration; the
+        # full/empty PE combination serializes between them on its own
+        # "sync" lane.
+        procs = tuple(f"proc{proc}" for proc in range(self.streams.n_processors))
+        return (
+            StepComponent("force_loop", procs),
+            StepComponent("pe_reduction", ("sync",)),
+            StepComponent("integration", procs),
+            StepComponent("fault_recovery", ("sync",)),
+        )

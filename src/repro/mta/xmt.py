@@ -24,14 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 from repro.arch import calibration as cal
 from repro.arch.clock import Clock
-from repro.arch.device import Device
+from repro.arch.device import Device, StepComponent
 from repro.arch.profilecounts import KernelMetrics
-from repro.md.box import PeriodicBox
-from repro.md.lj import LennardJones
 from repro.md.simulation import MDConfig
 from repro.mta.kernels import (
     MTA_ISSUE_SLOTS,
@@ -122,22 +118,12 @@ class XMTDevice(Device):
         self.clock = Clock(clock_hz, "xmt")
         self.streams = StreamModel(n_processors=n_processors, clock=self.clock)
         self.force_path = force_path
-        self._program_cache: dict[float, object] = {}
-
-    def prepare(self, config: MDConfig) -> None:
-        self._box_length = config.make_box().length
-
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        return self.functional_backend(sim_box, potential)
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
-        return {"reflect_take": 0.04}
+        return {"reflect_take": cal.REFLECT_TAKE}
 
-    def _pair_program(self, box_length: float):
-        key = round(box_length, 12)
-        if key not in self._program_cache:
-            self._program_cache[key] = build_mta_pair_program(box_length)
-        return self._program_cache[key]
+    def build_program(self, box_length: float):
+        return build_mta_pair_program(box_length)
 
     def memory_seconds(self, mem_refs: float) -> float:
         """Time for the network to deliver ``mem_refs`` remote words."""
@@ -165,15 +151,15 @@ class XMTDevice(Device):
             n_atoms=n_atoms,
             pairs_examined=float(n_atoms) * (n_atoms - 1),
             interacting_fraction=interacting_fraction,
-            branch_probabilities={"reflect_take": 0.04},
+            branch_probabilities={"reflect_take": cal.REFLECT_TAKE},
         )
-        self._box_length = box_length
+        self.set_box(box_length)
         return self.step_seconds(metrics, step_index=0)
 
     def step_seconds(
         self, metrics: KernelMetrics, step_index: int
     ) -> dict[str, float]:
-        program = self._pair_program(self._box_length)
+        program = self.program()
         metric_map = metrics.as_dict()
         issues = count_issues(program, metric_map, issue_slots=MTA_ISSUE_SLOTS)
         compute = self.streams.parallel_seconds(
@@ -211,7 +197,7 @@ class XMTDevice(Device):
     ) -> None:
         metric_map = metrics.as_dict()
         issues = count_issues(
-            self._pair_program(self._box_length),
+            self.program(),
             metric_map,
             issue_slots=MTA_ISSUE_SLOTS,
         )
@@ -230,18 +216,13 @@ class XMTDevice(Device):
             "mta.stream.utilization",
             {"utilization": self.streams.utilization(float(metrics.n_atoms))},
         )
+
+    def timeline(self, parts):
         # One aggregate "streams" lane (the XMT scales to thousands of
         # processors — per-processor lanes would be unreadable) plus a
         # "network" lane for the exposed torus wait.
-        force = parts.get("force_loop", 0.0)
-        network = parts.get("network_wait", 0.0)
-        integ = parts.get("integration", 0.0)
-        if force > 0.0:
-            obs.span_at("force_loop", "streams", 0.0, force,
-                        args={"step": step_index})
-        if network > 0.0:
-            obs.span_at("network_wait", "network", force, network,
-                        args={"step": step_index})
-        if integ > 0.0:
-            obs.span_at("integration", "streams", force + network, integ,
-                        args={"step": step_index})
+        return (
+            StepComponent("force_loop", ("streams",)),
+            StepComponent("network_wait", ("network",)),
+            StepComponent("integration", ("streams",)),
+        )

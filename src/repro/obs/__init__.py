@@ -11,10 +11,16 @@ artifacts instead of discarding them:
   dual-issue and branch statistics, PCIe bytes, shader passes, MTA
   issue slots and full/empty updates, cache hits), charged at the point
   of simulation and subject to conservation invariants.
-* :class:`~repro.obs.trace.Tracer` — simulated-time spans (``dma``,
-  ``spe_exec``, ``mailbox_wait``, ``pcie``, ``shader_pass``, ``step``)
-  on one lane per SPE/pipeline/stream, exportable as Chrome
-  trace-event JSON and renderable as an ASCII timeline.
+* :class:`~repro.obs.trace.Tracer` — simulated-time spans on one lane
+  per SPE/pipeline/processor, exportable as Chrome trace-event JSON and
+  renderable as an ASCII timeline.  Every run has a ``step`` span per
+  step; inside it each device model's ``timeline`` declaration lays
+  its components end to end: ``thread_launch``, ``dma``, ``spe_exec``,
+  ``mailbox_wait``, ``ppe_host`` (Cell), ``ppe_kernel`` (PPE only),
+  ``pcie``, ``shader_pass``, ``driver``, ``host`` (GPU), ``kernel``,
+  ``reduction`` (next-gen GPU), ``force_loop``, ``pe_reduction``,
+  ``integration`` (MTA-2), ``network_wait`` (XMT), ``kernel``,
+  ``memory_stall``, ``integration`` (Opteron) and ``fault_recovery``.
 * :class:`~repro.obs.observe.Observation` — the ``observe=`` argument
   of :meth:`repro.arch.device.Device.run`; pairs a counter set with a
   tracer and a simulated-time cursor.

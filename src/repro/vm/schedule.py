@@ -27,7 +27,7 @@ measures.
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.vm.isa import CostTable
 from repro.vm.program import IfBlock, Instr, Loop, Metrics, Node, Program
@@ -120,66 +120,105 @@ def straightline_cycles(instrs: list[Instr], table: CostTable) -> float:
     return float(state.completion)
 
 
-def _nodes_cycles(nodes: tuple[Node, ...], table: CostTable, metrics: Metrics) -> float:
-    """Cycles for a node sequence: schedule maximal straight-line runs,
-    compose loops and conditionals additively (pipeline flushed at
-    region boundaries — the conservative in-order assumption)."""
-    total = 0.0
+class _Tally(NamedTuple):
+    """Per-trip totals of one node sequence, from :func:`_walk`."""
+
+    cycles: float
+    issues: float
+    dual_issue_cycles: float
+    branch_evals: float
+    branch_taken: float
+    branch_flush_cycles: float
+
+
+def _walk(
+    nodes: tuple[Node, ...],
+    table: CostTable | None,
+    metrics: Metrics,
+    issue_slots: Mapping[str, float],
+) -> _Tally:
+    """The one schedule walk: every per-trip tally of a node sequence.
+
+    Maximal straight-line runs are scheduled on ``table`` (skipped when
+    it is ``None``); loops and conditionals compose additively, with the
+    pipeline flushed at region boundaries — the conservative in-order
+    assumption.  ``issues`` counts ``issue_slots`` per instruction
+    (one for unlisted opcodes) plus one compare-and-branch per IfBlock.
+    """
+    cycles = issues = dual = evals = taken = flushed = 0.0
     run: list[Instr] = []
-
-    def flush() -> None:
-        nonlocal total
-        if run:
-            total += straightline_cycles(run, table)
-            run.clear()
-
     for node in nodes:
         if isinstance(node, Instr):
-            run.append(node)
-        elif isinstance(node, Loop):
-            flush()
-            body = _nodes_cycles(node.body, table, metrics)
-            total += node.count * (body + float(node.overhead_instrs))
+            issues += float(issue_slots.get(node.op, 1.0))
+            if table is not None:
+                run.append(node)
+            continue
+        if run:
+            cycles, dual = _add_run(run, table, cycles, dual)
+            run = []
+        if isinstance(node, Loop):
+            body = _walk(node.body, table, metrics, issue_slots)
+            count = node.count
+            overhead = float(node.overhead_instrs)
+            cycles += count * (body.cycles + overhead)
+            issues += count * (body.issues + overhead)
+            dual += count * body.dual_issue_cycles
+            evals += count * body.branch_evals
+            taken += count * body.branch_taken
+            flushed += count * body.branch_flush_cycles
         elif isinstance(node, IfBlock):
-            flush()
             prob = float(metrics.get(node.prob_key, 0.0))
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(
                     f"branch probability {node.prob_key}={prob} outside [0, 1]"
                 )
-            body = _nodes_cycles(node.body, table, metrics)
+            body = _walk(node.body, table, metrics, issue_slots)
+            penalty = float(node.penalty)
             # one cycle for the branch, a fetch stall on every evaluation,
             # and body + flush penalty when taken
-            total += (
-                1.0
-                + float(node.fetch_stall)
-                + prob * (body + float(node.penalty))
-            )
+            cycles += 1.0 + float(node.fetch_stall) + prob * (body.cycles + penalty)
+            issues += 1.0 + prob * body.issues
+            dual += prob * body.dual_issue_cycles
+            evals = (evals + 1.0) + prob * body.branch_evals
+            taken = (taken + prob) + prob * body.branch_taken
+            flushed = (flushed + prob * penalty) + prob * body.branch_flush_cycles
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown node type {type(node)!r}")
-    flush()
-    return total
+    if run:
+        cycles, dual = _add_run(run, table, cycles, dual)
+    return _Tally(cycles, issues, dual, evals, taken, flushed)
 
 
-def _nodes_issues(
-    nodes: tuple[Node, ...],
+def _add_run(
+    run: list[Instr], table: CostTable, cycles: float, dual: float
+) -> tuple[float, float]:
+    """``(cycles, dual)`` plus one scheduled straight-line run's share."""
+    state = _PipelineState(table)
+    for instr in run:
+        state.issue(instr)
+    return cycles + float(state.completion), dual + float(state.dual_issue_cycles)
+
+
+def _segment_walks(
+    program: Program,
+    table: CostTable | None,
     metrics: Metrics,
-    issue_slots: Mapping[str, float],
-) -> float:
-    total = 0.0
-    for node in nodes:
-        if isinstance(node, Instr):
-            total += float(issue_slots.get(node.op, 1.0))
-        elif isinstance(node, Loop):
-            body = _nodes_issues(node.body, metrics, issue_slots)
-            total += node.count * (body + float(node.overhead_instrs))
-        elif isinstance(node, IfBlock):
-            prob = float(metrics.get(node.prob_key, 0.0))
-            body = _nodes_issues(node.body, metrics, issue_slots)
-            total += 1.0 + prob * body
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown node type {type(node)!r}")
-    return total
+    issue_slots: Mapping[str, float] | None = None,
+) -> list[tuple[str, float, _Tally]]:
+    """``(segment name, trips, per-trip tally)`` for every segment."""
+    slots = issue_slots or {}
+    walks = []
+    for seg in program.segments:
+        if seg.trips_key not in metrics:
+            raise KeyError(
+                f"metrics missing trip key {seg.trips_key!r} for segment "
+                f"{seg.name!r} of program {program.name!r}"
+            )
+        trips = float(metrics[seg.trips_key])
+        if trips < 0:
+            raise ValueError(f"trip count {seg.trips_key}={trips} negative")
+        walks.append((seg.name, trips, _walk(seg.body, table, metrics, slots)))
+    return walks
 
 
 def count_issues(
@@ -196,16 +235,9 @@ def count_issues(
     sequences (software divide/sqrt) to their slot counts; unlisted
     opcodes cost one slot.
     """
-    issue_slots = issue_slots or {}
     total = 0.0
-    for seg in program.segments:
-        if seg.trips_key not in metrics:
-            raise KeyError(
-                f"metrics missing trip key {seg.trips_key!r} for segment "
-                f"{seg.name!r} of program {program.name!r}"
-            )
-        trips = float(metrics[seg.trips_key])
-        total += trips * _nodes_issues(seg.body, metrics, issue_slots)
+    for _, trips, tally in _segment_walks(program, None, metrics, issue_slots):
+        total += trips * tally.issues
     return total
 
 
@@ -219,7 +251,8 @@ class IssueStats:
     uses, broken out for observability instead of summed into seconds.
     """
 
-    #: instructions issued (IfBlock compare-and-branch included)
+    #: instructions issued (IfBlock compare-and-branch included;
+    #: identical to ``count_issues()`` with one slot per instruction)
     instructions: float
     #: scheduled cycles (identical to ``estimate_cycles().total_cycles``)
     cycles: float
@@ -232,120 +265,31 @@ class IssueStats:
     #: expected pipeline-flush cycles from taken branches
     branch_flush_cycles: float
 
-    def scaled(self, factor: float) -> "IssueStats":
-        return IssueStats(
-            *(getattr(self, f.name) * factor for f in dataclasses.fields(self))
-        )
-
-    def __add__(self, other: "IssueStats") -> "IssueStats":
-        return IssueStats(
-            *(
-                getattr(self, f.name) + getattr(other, f.name)
-                for f in dataclasses.fields(self)
-            )
-        )
-
-
-_ZERO_STATS = None  # populated lazily below
-
-
-def _zero_stats() -> IssueStats:
-    global _ZERO_STATS
-    if _ZERO_STATS is None:
-        _ZERO_STATS = IssueStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    return _ZERO_STATS
-
-
-def _straightline_stats(instrs: list[Instr], table: CostTable) -> IssueStats:
-    if not instrs:
-        return _zero_stats()
-    state = _PipelineState(table)
-    for instr in instrs:
-        state.issue(instr)
-    return IssueStats(
-        instructions=float(len(instrs)),
-        cycles=float(state.completion),
-        dual_issue_cycles=float(state.dual_issue_cycles),
-        branch_evals=0.0,
-        branch_taken=0.0,
-        branch_flush_cycles=0.0,
-    )
-
-
-def _nodes_stats(
-    nodes: tuple[Node, ...], table: CostTable, metrics: Metrics
-) -> IssueStats:
-    """Mirror of :func:`_nodes_cycles` accumulating full issue statistics."""
-    total = _zero_stats()
-    run: list[Instr] = []
-
-    def flush() -> IssueStats:
-        nonlocal total
-        if run:
-            total = total + _straightline_stats(run, table)
-            run.clear()
-        return total
-
-    for node in nodes:
-        if isinstance(node, Instr):
-            run.append(node)
-        elif isinstance(node, Loop):
-            flush()
-            body = _nodes_stats(node.body, table, metrics)
-            overhead = IssueStats(
-                instructions=float(node.overhead_instrs),
-                cycles=float(node.overhead_instrs),
-                dual_issue_cycles=0.0,
-                branch_evals=0.0,
-                branch_taken=0.0,
-                branch_flush_cycles=0.0,
-            )
-            total = total + (body + overhead).scaled(float(node.count))
-        elif isinstance(node, IfBlock):
-            flush()
-            prob = float(metrics.get(node.prob_key, 0.0))
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(
-                    f"branch probability {node.prob_key}={prob} outside [0, 1]"
-                )
-            body = _nodes_stats(node.body, table, metrics)
-            branch = IssueStats(
-                instructions=1.0,
-                cycles=1.0 + float(node.fetch_stall) + prob * float(node.penalty),
-                dual_issue_cycles=0.0,
-                branch_evals=1.0,
-                branch_taken=prob,
-                branch_flush_cycles=prob * float(node.penalty),
-            )
-            total = total + branch + body.scaled(prob)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown node type {type(node)!r}")
-    flush()
-    return total
-
 
 def issue_stats(
     program: Program, table: CostTable, metrics: Metrics
 ) -> IssueStats:
     """Full issue statistics for ``program`` over the given workload.
 
-    ``.cycles`` agrees with :func:`estimate_cycles` by construction (the
-    same pipeline model runs underneath); the other fields expose what
-    that model knows but the seconds-only path discards — the dual-issue
-    rate and the branch-miss machinery of the paper's Figure 5 analysis.
+    One walk yields every field: ``.cycles`` is
+    :func:`estimate_cycles`' total and ``.instructions`` is
+    :func:`count_issues` with one slot per instruction, to the bit.  The
+    other fields expose what that model knows but the seconds-only path
+    discards — the dual-issue rate and the branch-miss machinery of the
+    paper's Figure 5 analysis.
     """
-    total = _zero_stats()
-    for seg in program.segments:
-        if seg.trips_key not in metrics:
-            raise KeyError(
-                f"metrics missing trip key {seg.trips_key!r} for segment "
-                f"{seg.name!r} of program {program.name!r}"
-            )
-        trips = float(metrics[seg.trips_key])
-        if trips < 0:
-            raise ValueError(f"trip count {seg.trips_key}={trips} negative")
-        total = total + _nodes_stats(seg.body, table, metrics).scaled(trips)
-    return total
+    totals = dict.fromkeys(_Tally._fields, 0.0)
+    for _, trips, tally in _segment_walks(program, table, metrics):
+        for name, value in tally._asdict().items():
+            totals[name] += value * trips
+    return IssueStats(
+        instructions=totals["issues"],
+        cycles=totals["cycles"],
+        dual_issue_cycles=totals["dual_issue_cycles"],
+        branch_evals=totals["branch_evals"],
+        branch_taken=totals["branch_taken"],
+        branch_flush_cycles=totals["branch_flush_cycles"],
+    )
 
 
 def estimate_cycles(
@@ -356,25 +300,13 @@ def estimate_cycles(
     ``metrics`` must contain every segment trip key and every IfBlock
     probability key the program references.
     """
-    segments = []
-    for seg in program.segments:
-        if seg.trips_key not in metrics:
-            raise KeyError(
-                f"metrics missing trip key {seg.trips_key!r} for segment "
-                f"{seg.name!r} of program {program.name!r}"
-            )
-        trips = float(metrics[seg.trips_key])
-        if trips < 0:
-            raise ValueError(f"trip count {seg.trips_key}={trips} negative")
-        per_trip = _nodes_cycles(seg.body, table, metrics)
-        segments.append(
-            SegmentCycles(
-                name=seg.name,
-                trips=trips,
-                cycles_per_trip=per_trip,
-                total=trips * per_trip,
-            )
+    segments = tuple(
+        SegmentCycles(
+            name=name,
+            trips=trips,
+            cycles_per_trip=tally.cycles,
+            total=trips * tally.cycles,
         )
-    return CycleReport(
-        program=program.name, machine=table.name, segments=tuple(segments)
+        for name, trips, tally in _segment_walks(program, table, metrics)
     )
+    return CycleReport(program=program.name, machine=table.name, segments=segments)

@@ -9,6 +9,7 @@ from repro.obs.invariants import (
     span_nesting_problems,
 )
 from repro.obs.observe import Observation
+from repro.obs.trace import validate_chrome_trace
 
 CONFIG = MDConfig(n_atoms=128)
 STEPS = 2
@@ -31,6 +32,35 @@ def test_every_device_timeline_is_structurally_sound(name):
     assert result.counters["sim.seconds"] == pytest.approx(
         result.total_seconds
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DEVICES))
+def test_component_spans_follow_the_declared_timeline(name):
+    device, obs, result = observed_run(name)
+    steps = {s.args["step"]: s for s in obs.tracer.spans if s.name == "step"}
+    expected = set()
+    for step, parts in enumerate(result.step_breakdowns):
+        components = device.timeline(parts)
+        # the declaration covers the whole breakdown
+        assert set(parts) <= {c.part for c in components}
+        for i, component in enumerate(components):
+            seconds = parts.get(component.part, 0.0)
+            if seconds <= 0.0:
+                continue
+            before = sum(parts.get(c.part, 0.0) for c in components[:i])
+            args = tuple(sorted({"step": step, **component.args}.items()))
+            for lane in component.lanes:
+                expected.add((
+                    component.span or component.part, lane,
+                    steps[step].start_s + before, seconds, args,
+                ))
+    emitted = {
+        (s.name, s.lane, s.start_s, s.duration_s, tuple(sorted(s.args.items())))
+        for s in obs.tracer.spans
+        if s.name != "step"
+    }
+    assert emitted == expected
+    assert validate_chrome_trace(obs.chrome_trace()) == []
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DEVICES))

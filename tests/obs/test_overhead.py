@@ -8,8 +8,12 @@ simulated timings.
 import numpy as np
 import pytest
 
-from repro.cell.device import CellDevice
+from repro.cell.device import CellDevice, PPEOnlyDevice
+from repro.gpu.device import GpuDevice
+from repro.gpu.nextgen import NextGenGpuDevice
 from repro.md.simulation import MDConfig
+from repro.mta.device import MTADevice
+from repro.mta.xmt import XMTDevice
 from repro.obs.observe import Observation
 from repro.opteron.device import OpteronDevice
 
@@ -52,8 +56,13 @@ class TestObservationChangesNothing:
     @pytest.mark.parametrize(
         "make",
         [OpteronDevice, lambda: CellDevice(n_spes=8),
-         lambda: CellDevice(n_spes=1, mode="vm")],
-        ids=["opteron", "cell-8spe", "cell-vm"],
+         lambda: CellDevice(n_spes=1, mode="vm"), PPEOnlyDevice, GpuDevice,
+         lambda: GpuDevice(mode="vm"), NextGenGpuDevice,
+         lambda: MTADevice(fully_multithreaded=True),
+         lambda: MTADevice(fully_multithreaded=False),
+         lambda: XMTDevice(n_processors=8)],
+        ids=["opteron", "cell-8spe", "cell-vm", "ppe-only", "gpu", "gpu-vm",
+             "gpu-nextgen", "mta-fully", "mta-partially", "xmt"],
     )
     def test_observed_run_is_byte_identical(self, make):
         plain = make().run(CONFIG, 2, observe=False)

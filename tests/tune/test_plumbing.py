@@ -143,8 +143,9 @@ class TestMtaStreams:
     def test_tuned_stream_request_reaches_the_model(self):
         from repro.mta.device import MTADevice
 
+        device = MTADevice()
         with applied({"mta/mta.streams": 32}):
-            device = MTADevice()
+            device.run(paper_config(256), 1)
         assert device.streams.n_streams == 32
 
     def test_explicit_argument_beats_tuned(self):

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cell.kernels import OPT_LEVELS, build_spe_kernel
+from repro.cell.spe import SPE_COST_TABLE
 from repro.vm.builder import Asm
 from repro.vm.isa import EVEN, ODD, CostTable, OpCost
-from repro.vm.schedule import straightline_cycles
+from repro.vm.schedule import (
+    count_issues,
+    estimate_cycles,
+    issue_stats,
+    straightline_cycles,
+)
 
 A = Asm()
 
@@ -113,3 +120,33 @@ class TestKnownSchedules:
         cycles = straightline_cycles(seq, table)
         # 4 issue cycles, last fa completes at 3 + 6
         assert cycles == pytest.approx(9.0)
+
+
+_FIG5_KERNELS = {level: build_spe_kernel(level, 10.0) for level in OPT_LEVELS}
+_PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestOneWalk:
+    """``issue_stats`` reports the very numbers that price a step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.sampled_from(OPT_LEVELS),
+        pairs=st.floats(min_value=0.0, max_value=1.0e7),
+        interacting=_PROBABILITY,
+        reflect=_PROBABILITY,
+    )
+    def test_stats_equal_the_pricing_walks(self, level, pairs, interacting, reflect):
+        program = _FIG5_KERNELS[level]
+        metrics = {
+            "atoms": 1.0,
+            "pairs": pairs,
+            "interacting": pairs * interacting,
+            "interacting_fraction": interacting,
+            "one": 1.0,
+            "reflect_take": reflect,
+        }
+        stats = issue_stats(program, SPE_COST_TABLE, metrics)
+        report = estimate_cycles(program, SPE_COST_TABLE, metrics)
+        assert stats.cycles == report.total_cycles
+        assert stats.instructions == count_issues(program, metrics)
