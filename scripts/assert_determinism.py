@@ -8,7 +8,7 @@ Usage::
     python scripts/assert_determinism.py --cluster [--plan cluster-storm]
     [--n-atoms N] [--n-steps N] [--nodes K ...] [--devices D ...]
 
-Runs every cell twice under the same fault plan, plus once clean.  A
+Runs every cell twice under the same fault plan, plus twice clean.  A
 cell is a device model (cell, gpu, mta) by default, or a (device, K)
 simulated-cluster cell with ``--cluster``.  Asserts:
 
@@ -22,6 +22,10 @@ simulated-cluster cell with ``--cluster``.  Asserts:
   simulated time only),
 * a zero-rate plan (``--plan none``) costs exactly nothing — timings
   equal the clean run to the bit (arming the fault plane is free),
+* memoised ≡ live: a clean device run prices the process-wide trajectory
+  memo, so the second clean run is a guaranteed memo hit and must be
+  byte-equal to the first; under ``--plan none`` both must also be
+  byte-equal to the zero-rate run, which steps the simulation live,
 * every decomposed cluster cell reproduces its device's smallest-K
   digest (the K = 1 equivalence contract, re-checked so the gate
   stands alone in CI).
@@ -70,6 +74,17 @@ def _cluster_cells(args):
     return cells
 
 
+def _outputs(result) -> tuple:
+    """A run's simulated outputs, floats as hex and arrays as bytes."""
+    return (
+        tuple(s.hex() for s in result.step_seconds),
+        tuple(sorted((k, v.hex()) for k, v in result.breakdown.items())),
+        repr(result.records),
+        result.final_positions.tobytes(),
+        result.final_velocities.tobytes(),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cluster", action="store_true",
@@ -110,8 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     reference: dict[str, tuple[str, str]] = {}
     for label, group, make in cells:
         clean = make().run(config, args.n_steps)
+        clean_again = make().run(config, args.n_steps)
         first = make().run(config, args.n_steps, faults=plan)
         second = make().run(config, args.n_steps, faults=plan)
+
+        if _outputs(clean_again) != _outputs(clean):
+            problems.append(f"{label}: repeated clean run differs from the first")
 
         log_a = json.dumps(first.fault_events, sort_keys=True)
         log_b = json.dumps(second.fault_events, sort_keys=True)
@@ -143,8 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         ):
             problems.append(f"{label}: faulted trajectory deviates from clean run")
         if plan.is_zero:
-            if first.step_seconds != clean.step_seconds:
-                problems.append(f"{label}: zero-rate plan changed the timings")
+            if _outputs(first) != _outputs(clean):
+                problems.append(
+                    f"{label}: zero-rate plan changed the clean run's outputs"
+                )
         elif summary.get("injected", 0) and first.total_seconds <= clean.total_seconds:
             problems.append(f"{label}: faults injected but nothing charged")
 

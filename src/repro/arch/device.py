@@ -9,12 +9,20 @@ lives here — the run's box, the per-box program and vm-sweep cache, the
 NumPy-level and instruction-level force paths, and the timeline layout —
 so a model defines only its pricing (:meth:`Device.step_seconds`), its
 counters, its fault sites and the order of its step components.
+
+Devices that share a precision and a force path integrate the same
+trajectory, so the physics of a plain fast-mode run is computed once
+per distinct (config, force path, resolved backend options, steps) by
+the process-wide memo :func:`_trajectory` and then priced per device.
+Fault sessions, vm-mode devices and models that override
+:meth:`Device.force_backend` keep running live.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +38,39 @@ from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
 
 __all__ = ["Device", "DeviceRunResult", "StepComponent", "merge_breakdowns"]
+
+
+@functools.lru_cache(maxsize=32)
+def _trajectory(
+    config: MDConfig,
+    force_path: str,
+    backend_options: tuple[tuple[str, Any], ...],
+    n_steps: int,
+) -> tuple[tuple[StepRecord, ...], np.ndarray, np.ndarray]:
+    """Integrate ``n_steps`` of ``config`` through the named force path.
+
+    ``config`` carries the device's dtype and ``backend_options`` the
+    resolved (tuned) factory options in sorted order, so every input
+    that can change the physics is in the key.  Returns the step
+    records and the final positions and velocities, both read-only:
+    the memo shares them with every later caller.
+    """
+    from repro.md.forcefield import make_force_backend
+
+    backend = make_force_backend(
+        force_path,
+        config.make_box(),
+        config.make_potential(),
+        dtype=config.np_dtype,
+        **dict(backend_options),
+    )
+    sim = MDSimulation(config, force_backend=backend)
+    sim.run(n_steps)
+    positions = np.array(sim.state.positions, copy=True)
+    velocities = np.array(sim.state.velocities, copy=True)
+    positions.flags.writeable = False
+    velocities.flags.writeable = False
+    return tuple(sim.records), positions, velocities
 
 
 def merge_breakdowns(*breakdowns: dict[str, float]) -> dict[str, float]:
@@ -117,16 +158,26 @@ class Device(abc.ABC):
     #: config key ``"<tune_family>/<knob>"`` applies only to devices of
     #: that family (see :mod:`repro.tune.context`)
     tune_family: str = "host"
+    #: "fast" runs the NumPy-level :meth:`functional_backend`; "vm" runs
+    #: the model's instruction-level :meth:`vm_force_backend`
+    mode: str = "fast"
 
     def force_backend(self, sim_box, potential):
         """Return the functional force callable for this device.
 
         The callable maps positions -> :class:`ForceResult` and must
-        perform arithmetic in the device's native precision.  The
-        default is :meth:`functional_backend`; models with an
-        instruction-level mode route it through :meth:`vm_backend`.
+        perform arithmetic in the device's native precision.  In
+        ``"fast"`` mode this is :meth:`functional_backend`; in ``"vm"``
+        mode it is the model's :meth:`vm_force_backend`.
         """
-        return self.functional_backend(sim_box, potential)
+        if self.mode == "fast":
+            return self.functional_backend(sim_box, potential)
+        return self.vm_force_backend(sim_box, potential)
+
+    def vm_force_backend(self, sim_box, potential):
+        """The model's instruction-level force path, built on
+        :meth:`vm_backend`; only models with a ``"vm"`` mode define it."""
+        raise NotImplementedError(f"{type(self).__name__} has no vm mode")
 
     def functional_backend(self, sim_box, potential):
         """Resolve :attr:`force_path` through the backend registry.
@@ -325,22 +376,107 @@ class Device(abc.ABC):
     def _run(
         self, config: MDConfig, n_steps: int, session: FaultSession | None
     ) -> DeviceRunResult:
+        """The run's physics, then its pricing.
+
+        A plain fast-mode run takes its physics from :func:`_trajectory`,
+        computed once per distinct (config, force path, resolved backend
+        options, steps) in the process, and prices each step from its
+        record's ``interacting_pairs``.  Three kinds of run step a live
+        :class:`MDSimulation` instead: a fault session (the watchdog
+        restores rewind the live simulation), ``mode="vm"`` (the
+        instruction-level path is the model's own physics and feeds its
+        counters) and a model that overrides :meth:`force_backend`.
+        Both paths price a step identically.
+        """
         self.prepare(config)
+        if (
+            session is None
+            and self.mode == "fast"
+            and type(self).force_backend is Device.force_backend
+        ):
+            return self._priced_run(config, n_steps)
+        return self._live_run(config, n_steps, session)
+
+    def _priced_run(self, config: MDConfig, n_steps: int) -> DeviceRunResult:
+        from repro.md.forcefield import tuned_backend_options
+
+        options = tuned_backend_options(self.force_path, self.tune_family)
+        records, positions, velocities = _trajectory(
+            config, self.force_path, tuple(sorted(options.items())), n_steps
+        )
+        branch_probs = self.branch_probabilities(config)
+        obs = self.observation
+        counter_baseline = obs.counters.as_dict() if obs is not None else {}
+        breakdowns: list[dict[str, float]] = []
+        for step_index, record in enumerate(records[1:]):
+            metrics, parts = self._price_step(
+                config, record.interacting_pairs, step_index, branch_probs
+            )
+            breakdowns.append(parts)
+            if obs is not None:
+                self._observe_step(obs, metrics, parts, step_index)
+        return self._result(
+            config, n_steps, breakdowns, records, positions, velocities,
+            None, counter_baseline,
+        )
+
+    def _price_step(
+        self,
+        config: MDConfig,
+        interacting_pairs: int,
+        step_index: int,
+        branch_probs: dict[str, float],
+    ) -> tuple[KernelMetrics, dict[str, float]]:
+        """One step's kernel metrics and its ``step_seconds`` breakdown."""
+        metrics = pair_trip_metrics(
+            n_atoms=config.n_atoms,
+            interacting_pairs=interacting_pairs,
+            workers=self.workers(),
+            branch_probabilities=branch_probs,
+        )
+        return metrics, self.step_seconds(metrics, step_index)
+
+    def _result(
+        self,
+        config: MDConfig,
+        n_steps: int,
+        breakdowns: list[dict[str, float]],
+        records: Sequence[StepRecord],
+        positions: np.ndarray,
+        velocities: np.ndarray,
+        session: FaultSession | None,
+        counter_baseline: dict[str, float],
+    ) -> DeviceRunResult:
+        setup = self.setup_breakdown()
+        obs = self.observation
+        return DeviceRunResult(
+            device=self.name,
+            config=config,
+            n_steps=n_steps,
+            setup_seconds=sum(setup.values()),
+            step_seconds=tuple(sum(parts.values()) for parts in breakdowns),
+            step_breakdowns=tuple(breakdowns),
+            breakdown=merge_breakdowns(*breakdowns),
+            records=tuple(records),
+            final_positions=np.array(positions, copy=True),
+            final_velocities=np.array(velocities, copy=True),
+            fault_events=tuple(session.log.to_dicts()) if session else (),
+            fault_summary=session.summary() if session else {},
+            counters=(
+                obs.counters.delta(counter_baseline) if obs is not None else {}
+            ),
+        )
+
+    def _live_run(
+        self, config: MDConfig, n_steps: int, session: FaultSession | None
+    ) -> DeviceRunResult:
         box = config.make_box()
         potential = config.make_potential()
         backend = self.force_backend(box, potential)
         if session is not None:
             session.enabled = False  # checkpoint 0 must be trustworthy
             backend = session.guard_backend(backend)
-
-        last_result: dict[str, ForceResult] = {}
-
-        def recording_backend(positions: np.ndarray) -> ForceResult:
-            result = backend(positions)
-            last_result["value"] = result
-            return result
-
-        sim = MDSimulation(config, force_backend=recording_backend)
+        sim = MDSimulation(config, force_backend=backend)
         watchdog: EnergyDriftWatchdog | None = None
         manager: CheckpointManager | None = None
         if session is not None:
@@ -359,21 +495,15 @@ class Device(abc.ABC):
         branch_probs = self.branch_probabilities(config)
         obs = self.observation
         counter_baseline = obs.counters.as_dict() if obs is not None else {}
-        step_seconds: list[float] = []
         breakdowns: list[dict[str, float]] = []
         while sim.step_count < n_steps:
-            step_index = len(step_seconds)
+            step_index = len(breakdowns)
             if session is not None:
                 session.begin_step(step_index + 1)
             record = sim.step()
-            result = last_result["value"]
-            metrics = pair_trip_metrics(
-                n_atoms=config.n_atoms,
-                interacting_pairs=result.interacting_pairs,
-                workers=self.workers(),
-                branch_probabilities=branch_probs,
+            metrics, parts = self._price_step(
+                config, record.interacting_pairs, step_index, branch_probs
             )
-            parts = self.step_seconds(metrics, step_index)
             if session is not None:
                 recovery = session.drain_pending()
                 retries = session.drain_retries()
@@ -387,9 +517,8 @@ class Device(abc.ABC):
                         parts.get("fault_recovery", 0.0) + recovery
                     )
             breakdowns.append(parts)
-            step_seconds.append(sum(parts.values()))
             if obs is not None:
-                # A watchdog restore rewinds step_seconds but not the
+                # A watchdog restore rewinds the breakdowns but not the
                 # observation: the trace keeps the wasted work visible
                 # (that is the point of a timeline) and the counters keep
                 # charging real executed work.
@@ -399,7 +528,9 @@ class Device(abc.ABC):
                 if watchdog.observe(record.total_energy):
                     checkpoint = manager.last
                     assert checkpoint is not None
-                    wasted = float(sum(step_seconds[checkpoint.step :]))
+                    wasted = float(sum(
+                        sum(lost.values()) for lost in breakdowns[checkpoint.step :]
+                    ))
                     try:
                         manager.note_restore()
                     except RestoreBudgetExceeded as exc:
@@ -416,28 +547,13 @@ class Device(abc.ABC):
                         watchdog.drift(record.total_energy),
                     )
                     sim.restore(checkpoint)
-                    del step_seconds[checkpoint.step :]
                     del breakdowns[checkpoint.step :]
                     continue
                 manager.maybe_take(sim)
 
-        setup = self.setup_breakdown()
-        return DeviceRunResult(
-            device=self.name,
-            config=config,
-            n_steps=n_steps,
-            setup_seconds=sum(setup.values()),
-            step_seconds=tuple(step_seconds),
-            step_breakdowns=tuple(breakdowns),
-            breakdown=merge_breakdowns(*breakdowns),
-            records=tuple(sim.records),
-            final_positions=np.array(sim.state.positions, copy=True),
-            final_velocities=np.array(sim.state.velocities, copy=True),
-            fault_events=tuple(session.log.to_dicts()) if session else (),
-            fault_summary=session.summary() if session else {},
-            counters=(
-                obs.counters.delta(counter_baseline) if obs is not None else {}
-            ),
+        return self._result(
+            config, n_steps, breakdowns, sim.records, sim.state.positions,
+            sim.state.velocities, session, counter_baseline,
         )
 
     # -- observability -------------------------------------------------

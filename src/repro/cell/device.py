@@ -119,9 +119,7 @@ class CellDevice(Device):
 
     # -- functional side ---------------------------------------------------
 
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        if self.mode == "fast":
-            return self.functional_backend(sim_box, potential)
+    def vm_force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         return self.vm_backend(
             sim_box,
             self.program(sim_box.length),

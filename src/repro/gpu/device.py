@@ -82,10 +82,7 @@ class GpuDevice(Device):
     def build_program(self, box_length: float):
         return build_md_shader(box_length)
 
-    def force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
-        if self.mode == "fast":
-            return self.functional_backend(sim_box, potential)
-
+    def vm_force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
         def interacting_pairs(positions, machine, before) -> int:
             # host-side tally, only for bookkeeping: the shader itself
             # is branchless

@@ -590,6 +590,7 @@ class Service:
         job.started_unix = None
         job.cancel_event = None
         job.preempt_reason = None
+        self._discard_heartbeat(job)  # the frozen attempt's beat is stale
         self.counters.add("service.supervisor.requeued", 1)
         self.counters.add("service.queue.enqueued", 1)
         self._journal_transition(job, detail=detail)

@@ -260,10 +260,12 @@ class Supervisor:
         """Seconds since the job's worker last proved it is alive."""
         path = self._service.heartbeat_path(job.job_id)
         try:
-            last = path.stat().st_mtime
+            beat = path.stat().st_mtime
         except OSError:
-            # no beat yet: measure from when the job started running
-            last = job.started_unix or now_unix
+            beat = None
+        # A beat older than this attempt's start is an earlier attempt's;
+        # with no beat yet, measure from when the job started running.
+        last = max(beat or 0.0, job.started_unix or 0.0) or now_unix
         return max(0.0, now_unix - last)
 
     def scan(self, now_unix: float | None = None) -> list[str]:

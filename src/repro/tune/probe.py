@@ -87,11 +87,18 @@ def _drift(records) -> float:
 
 
 def _best_wall(run: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """Best-of-``repeats`` wall seconds (after one warm-up call)."""
+    """Best-of-``repeats`` wall seconds (after one warm-up call).
+
+    Every timed call starts from an empty device trajectory memo, so a
+    device probe times the physics its knobs chunk, not a memo hit.
+    """
+    from repro.arch.device import _trajectory
+
     run()  # warm-up: program builds, closure compiles, pool allocation
     best = math.inf
     result = None
     for _ in range(max(1, repeats)):
+        _trajectory.cache_clear()
         start = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - start)

@@ -282,6 +282,75 @@ class TestWatchdog:
         # a pass over an already-preempting job is a no-op
         assert service.supervisor.scan() == []
 
+    def test_scan_ignores_a_beat_older_than_the_attempt(self, tmp_path):
+        # a requeued job's new attempt must not inherit the frozen
+        # attempt's stale heartbeat: ages count from the later of the
+        # beat and this attempt's start
+        import os
+        import threading
+
+        from repro.service.app import Service, ServiceConfig
+        from repro.service.models import ServiceJob
+
+        config = ServiceConfig(
+            runs_dir=str(tmp_path / "runs"), hang_seconds=5.0, journal=False
+        )
+        service = Service(config, specs={})
+        started = 1_000_000.0
+        job = ServiceJob(
+            job_id="job-requeued",
+            tenant="t",
+            priority=10,
+            experiment_id="x",
+            payload={"job_id": "job-requeued", "params": {}},
+            cache_key="k",
+            status="running",
+            started_unix=started,
+            cancel_event=threading.Event(),
+        )
+        service.jobs[job.job_id] = job
+        hb = service.heartbeat_path(job.job_id)
+        hb.parent.mkdir(parents=True, exist_ok=True)
+        hb.touch()
+        os.utime(hb, (started - 100.0, started - 100.0))
+
+        assert service.supervisor.scan(now_unix=started + 1.0) == []
+        assert job.preempt_reason is None
+        # the attempt itself still hangs once it outlives hang_seconds
+        assert service.supervisor.scan(now_unix=started + 6.0) == [
+            "job-requeued"
+        ]
+
+    def test_requeue_discards_the_stale_heartbeat(self, tmp_path):
+        import threading
+
+        from repro.service.app import Service, ServiceConfig
+        from repro.service.models import ServiceJob
+
+        config = ServiceConfig(
+            runs_dir=str(tmp_path / "runs"), hang_seconds=5.0, journal=False
+        )
+        service = Service(config, specs={})
+        job = ServiceJob(
+            job_id="job-frozen",
+            tenant="t",
+            priority=10,
+            experiment_id="x",
+            payload={"job_id": "job-frozen", "params": {}},
+            cache_key="k",
+            status="running",
+            started_unix=1_000_000.0,
+            cancel_event=threading.Event(),
+        )
+        service.jobs[job.job_id] = job
+        hb = service.heartbeat_path(job.job_id)
+        hb.parent.mkdir(parents=True, exist_ok=True)
+        hb.touch()
+
+        run(service.requeue_after_preempt(job, "stuck worker preempted"))
+        assert job.status == "queued"
+        assert not hb.exists()
+
     def test_scan_prefers_deadline_over_hang(self, tmp_path):
         import threading
 
