@@ -9,8 +9,10 @@ Usage::
     [--n-atoms N] [--n-steps N] [--nodes K ...] [--devices D ...]
 
 Runs every cell twice under the same fault plan, plus twice clean.  A
-cell is a device model (cell, gpu, mta) by default, or a (device, K)
-simulated-cluster cell with ``--cluster``.  Asserts:
+cell is a device model (cell, cell-vm, gpu, gpu-vm, mta) by default, or
+a (device, K) simulated-cluster cell with ``--cluster``.  ``cell-vm``
+and ``gpu-vm`` run the Cell and GPU models on the instruction-level VM,
+where ``vm.bitflip`` lands in real output registers.  Asserts:
 
 * the two runs produce **byte-identical** fault event logs, simulated
   step timings, final positions/velocities and, for cluster cells,
@@ -52,7 +54,9 @@ def _device_cells():
 
     devices = {
         "cell": lambda: CellDevice(n_spes=8),
+        "cell-vm": lambda: CellDevice(n_spes=8, mode="vm"),
         "gpu": lambda: GpuDevice(),
+        "gpu-vm": lambda: GpuDevice(mode="vm"),
         "mta": lambda: MTADevice(),
     }
     return [(name, None, make) for name, make in sorted(devices.items())]

@@ -6,6 +6,14 @@ curve-fitting the super-quadratic runtime growth of the paper's
 Figure 9.  The simulator is exact (true LRU per set); the cost model
 keeps traces short by exploiting the kernel's periodicity (the same
 position-array scan repeats for every atom), so exactness is affordable.
+
+Sets are independent, so a trace runs set-parallel: round k serves the
+k-th access of every set at once against ``(sets, ways)`` tag and age
+arrays — a hit where a valid way holds the tag, else a fill of the
+oldest way (an empty way first).  That is exactly per-set LRU in trace
+order.  A trace takes as many rounds as its busiest set has accesses,
+so the worst case, a trace that lands in one set, takes one round per
+access.
 """
 
 from __future__ import annotations
@@ -59,42 +67,55 @@ class Cache:
         self.ways = ways
         self.n_sets = n_sets
         self.stats = CacheStats()
-        # sets[s] is an LRU-ordered list of line tags, most recent last.
-        self._sets: list[list[int]] = [[] for _ in range(n_sets)]
+        self.flush()
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
 
     def flush(self) -> None:
         """Invalidate all lines (stats are kept)."""
-        self._sets = [[] for _ in range(self.n_sets)]
+        self._tags = np.zeros((self.n_sets, self.ways), dtype=np.int64)
+        #: last-use stamp per way; -1 marks an empty way
+        self._ages = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
+        self._clock = 0
 
     def access_line(self, line_address: int) -> bool:
         """Touch one line (already divided by line size); True on hit."""
-        set_index = line_address & (self.n_sets - 1)
-        tag = line_address >> 0  # full line address as tag; sets disjoint
-        lru = self._sets[set_index]
-        self.stats.accesses += 1
-        try:
-            lru.remove(tag)
-            hit = True
-        except ValueError:
-            hit = False
-            if len(lru) >= self.ways:
-                lru.pop(0)
-        lru.append(tag)
-        if hit:
-            self.stats.hits += 1
-        return hit
+        return bool(self.access(np.array([line_address * self.line_bytes]))[0])
 
     def access(self, byte_addresses: np.ndarray) -> np.ndarray:
         """Touch a sequence of byte addresses; returns a boolean hit mask."""
         lines = np.asarray(byte_addresses, dtype=np.int64) // self.line_bytes
-        return np.fromiter(
-            (self.access_line(int(line)) for line in lines),
-            dtype=bool,
-            count=lines.size,
-        )
+        count = lines.size
+        hits = np.zeros(count, dtype=bool)
+        if count == 0:
+            return hits
+        sets = lines & (self.n_sets - 1)
+        # Trace positions grouped by round (k-th access of its set), each
+        # round's positions in set order, so no set repeats in a round.
+        by_set = np.argsort(sets, kind="stable")
+        per_set = np.bincount(sets, minlength=self.n_sets)
+        first = np.cumsum(per_set) - per_set
+        rank = np.arange(count) - first[sets[by_set]]
+        order = by_set[np.argsort(rank, kind="stable")]
+        bounds = np.cumsum(np.bincount(rank))
+        tags, ages = self._tags, self._ages
+        lo = 0
+        for hi in bounds.tolist():
+            where = order[lo:hi]
+            lo = hi
+            s, tag = sets[where], lines[where]
+            row_tags, row_ages = tags[s], ages[s]
+            match = (row_tags == tag[:, None]) & (row_ages >= 0)
+            hit = match.any(axis=1)
+            way = np.where(hit, match.argmax(axis=1), row_ages.argmin(axis=1))
+            tags[s, way] = tag
+            ages[s, way] = self._clock + where
+            hits[where] = hit
+        self._clock += count
+        self.stats.accesses += count
+        self.stats.hits += int(np.count_nonzero(hits))
+        return hits
 
 
 class CacheHierarchy:

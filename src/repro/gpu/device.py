@@ -29,10 +29,12 @@ from repro.vm.schedule import count_issues
 
 __all__ = ["GpuDevice", "gpu_row_block", "make_pcie_bus"]
 
-# The pair-batch width of the functional rasterization: how many output
-# rows each driver dispatch materializes as an (rows x N) pair batch.
-# Purely a batching choice — every (i, j) pair still contributes exactly
-# once, so results are bit-identical across widths.
+# The sweep block of the functional rasterization: how many output rows
+# form one unit of observation (one fault draw per block; the shader has
+# no branch probes).  Every (i, j) pair still contributes exactly once,
+# so forces are bit-identical across widths; the sweep executes each
+# block in fixed cache-sized chunks, so the width no longer sets host
+# speed either.
 register_tunable(TunableSpec(
     name="gpu.row_block",
     backend="gpu",
@@ -41,9 +43,9 @@ register_tunable(TunableSpec(
     candidates=(32, 64, 128, 256, 512),
     low=1,
     high=4096,
-    description="output rows per GPU pair-batch dispatch",
-    effect="wider batches cut dispatch overhead until the pair batch "
-           "overflows cache; narrow batches waste closure setup",
+    description="output rows per GPU pair-sweep block",
+    effect="moves only the sweep block (the vm.bitflip draw granularity); "
+           "host speed follows the sweep's fixed chunk rule",
 ))
 
 
@@ -59,7 +61,7 @@ def make_pcie_bus() -> PCIeBus:
 
 
 def gpu_row_block() -> int:
-    """Output rows per GPU pair-batch dispatch: tuned ``gpu.row_block`` > 128."""
+    """Output rows per GPU pair-sweep block: tuned ``gpu.row_block`` > 128."""
     tuned = tuned_value("gpu.row_block", "gpu")
     return int(tuned) if tuned is not None else 128
 

@@ -17,8 +17,10 @@ run store or the result cache.
 Objectives:
 
 * ``wall`` — host wall-clock of the functional workload (best of
-  ``repeats``).  Knobs like ``md.block`` or ``gpu.row_block`` change
-  how the NumPy physics is chunked, so wall time is the honest metric.
+  ``repeats``).  Knobs like ``md.block`` change how the NumPy physics
+  is chunked, so wall time is the honest metric.  ``gpu.row_block`` no
+  longer does: the VM sweep executes every block in fixed cache-sized
+  chunks, so its wall probe now measures host noise.
 * ``sim`` — the device cost model's simulated seconds.  Deterministic;
   used where a knob changes the *modeled* hardware schedule (e.g.
   ``mta.streams`` matching the stream request to the workload's

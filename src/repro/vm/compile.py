@@ -154,17 +154,17 @@ class _Val:
 class _Op:
     """One lowered operation in the straight-line stream."""
 
-    __slots__ = ("kind", "opname", "dest", "srcs", "imm", "prob_key", "sample", "alias_pos")
+    __slots__ = ("kind", "opname", "dest", "srcs", "imm", "prob_key", "taken", "alias_pos")
 
     def __init__(self, kind, dest=None, srcs=(), opname=None, imm=None,
-                 prob_key=None, sample=None):
+                 prob_key=None, taken=None):
         self.kind = kind  # "compute" | "mask" | "select" | "probe"
         self.opname = opname
         self.dest = dest
         self.srcs = tuple(srcs)
         self.imm = imm
         self.prob_key = prob_key
-        self.sample = sample
+        self.taken = taken  # a constant probe's condition, else None
         self.alias_pos = None
 
     def alias_safe(self) -> tuple[int, ...]:
@@ -293,10 +293,8 @@ class _Flattener:
     def _flatten_if(self, node: IfBlock, loop_indices: list[int]) -> None:
         cond = self.read(node.cond)
         mask = self.mask_of(cond)
-        sample = None
-        if mask.kind == "const":
-            sample = 1.0 if bool(np.any(mask.const)) else 0.0
-        self.ops.append(_Op("probe", srcs=(mask,), prob_key=node.prob_key, sample=sample))
+        taken = bool(np.any(mask.const)) if mask.kind == "const" else None
+        self.ops.append(_Op("probe", srcs=(mask,), prob_key=node.prob_key, taken=taken))
         before = dict(self.env_vals)
         self.flatten(node.body, loop_indices)
         # Registers the body redefined get lane-selected against their
@@ -513,14 +511,13 @@ def _emit_op(op: _Op, expr, width: int) -> list[str]:
         lines.append(f"np.copyto({d}, {taken}, where={mask})")
         return lines
     if op.kind == "probe":
-        if op.sample is not None:  # constant condition, batch-independent
+        if op.taken is not None:  # constant condition, batch-independent
             return [
-                f"_probe_const(machine, {op.prob_key!r}, {op.sample!r}, "
+                f"machine._probe_const({op.prob_key!r}, {op.taken!r}, "
                 f"batch, replicas)"
             ]
         return [
-            f"_probe(machine, {op.prob_key!r}, "
-            f"{expr(op.srcs[0])}.any(axis=-1), replicas)",
+            f"machine._probe({op.prob_key!r}, {expr(op.srcs[0])}, replicas)",
         ]
     raise VMCompileError(f"no codegen for op kind {op.kind!r}")  # pragma: no cover
 
@@ -532,46 +529,6 @@ def _load(env: dict, name: str) -> np.ndarray:
         raise MachineError(
             f"compiled segment reads undefined register {name!r}"
         ) from None
-
-
-def _probe(machine, key: str, taken_rows: np.ndarray, replicas: int) -> None:
-    """Record branch P(taken) — one sample per replica, in replica order.
-
-    With ``replicas == 1`` this is exactly the interpreter's single
-    sample.  With R replicas stacked along the row axis, each replica's
-    row range contributes its own sample, so the per-key sample sequence
-    (and therefore the float accumulation order in ``BranchStat``) is
-    identical to R sequential single-replica runs.
-    """
-    if replicas == 1:
-        machine._record_branch(
-            key, float(taken_rows.mean()) if taken_rows.size else 0.0
-        )
-        return
-    rows = taken_rows.shape[0] // replicas
-    samples = []
-    for index in range(replicas):
-        sub = taken_rows[index * rows : (index + 1) * rows]
-        samples.append(float(sub.mean()) if sub.size else 0.0)
-    if machine._probe_buffer is not None:
-        machine._probe_buffer.append((key, samples))
-    else:
-        for sample in samples:
-            machine._record_branch(key, sample)
-
-
-def _probe_const(machine, key: str, sample: float, batch: int, replicas: int) -> None:
-    """Constant-condition probe: batch-independent sample, per replica."""
-    if replicas == 1:
-        machine._record_branch(key, sample if batch else 0.0)
-        return
-    rows = batch // replicas
-    samples = [sample if rows else 0.0] * replicas
-    if machine._probe_buffer is not None:
-        machine._probe_buffer.append((key, samples))
-    else:
-        for value in samples:
-            machine._record_branch(key, value)
 
 
 class CompiledSegment:
@@ -709,8 +666,6 @@ def _compile_unit(
     namespace: dict[str, object] = {
         "np": np,
         "_load": _load,
-        "_probe": _probe,
-        "_probe_const": _probe_const,
         "_one": dtype.type(1.0),
         "_zrow": np.zeros((width,), dtype=dtype),
     }
@@ -784,31 +739,57 @@ def _compiled_unit_cached(
     return _compile_unit(program, segment_names, width, np.dtype(dtype_str))
 
 
-#: id(program) -> (weakref, repr) — identity-keyed so equal-but-distinct
-#: programs each compute their own fingerprint exactly once.
-_fingerprints: dict[int, tuple] = {}
+#: id(program) -> (weakref, fingerprint, {(segment names, width, dtype):
+#: unit}), identity-keyed so a cache hit neither hashes nor reprs the
+#: program.
+_by_program: dict[int, tuple] = {}
 
 
-def _program_fingerprint(program: Program) -> str:
-    """A cache key component stricter than dataclass equality.
+def _program_entry(program: Program) -> tuple:
+    """This program object's fingerprint and the units compiled for it.
 
-    Frozen-dataclass ``==`` uses Python value equality, under which
-    ``0.0 == -0.0 == False`` and ``1 == 1.0 == True`` — so two programs
-    whose immediates differ only in zero sign (or int/float type) would
-    share one ``lru_cache`` entry while the interpreter, reading the
-    actual ``imm`` objects, distinguishes them (``np.full_like(t, -0.0)``
-    is not byte-identical to ``np.full_like(t, 0.0)``).  ``repr``
-    preserves those distinctions, and memoizing it per program *object*
-    keeps it off the per-call hot path.
+    The fingerprint is a cache key component stricter than dataclass
+    equality.  Frozen-dataclass ``==`` uses Python value equality, under
+    which ``0.0 == -0.0 == False`` and ``1 == 1.0 == True`` — so two
+    programs whose immediates differ only in zero sign (or int/float
+    type) would share one ``lru_cache`` entry while the interpreter,
+    reading the actual ``imm`` objects, distinguishes them
+    (``np.full_like(t, -0.0)`` is not byte-identical to
+    ``np.full_like(t, 0.0)``).  ``repr`` preserves those distinctions;
+    computing it once per program *object* keeps it off the hot path.
     """
     key = id(program)
-    entry = _fingerprints.get(key)
+    entry = _by_program.get(key)
     if entry is not None and entry[0]() is program:
-        return entry[1]
-    fingerprint = repr(program)
-    ref = weakref.ref(program, lambda _r, _k=key: _fingerprints.pop(_k, None))
-    _fingerprints[key] = (ref, fingerprint)
-    return fingerprint
+        return entry
+    ref = weakref.ref(program, lambda _r, _k=key: _by_program.pop(_k, None))
+    entry = _by_program[key] = (ref, repr(program), {})
+    return entry
+
+
+def _cached_unit(
+    program: Program, segment_names: tuple[str, ...], width: int, dtype: np.dtype
+) -> CompiledSegment:
+    """The compiled unit, looked up by program identity first.
+
+    A miss goes to the shared ``lru_cache`` (keyed by the program and its
+    fingerprint, so equal programs share a unit) and is remembered for
+    this program object.  Programs are frozen dataclasses, hence
+    hashable; an exotic unhashable immediate falls back to a one-off
+    compile that is not remembered.
+    """
+    _ref, fingerprint, units = _program_entry(program)
+    unit_key = (segment_names, width, dtype.str)
+    unit = units.get(unit_key)
+    if unit is None:
+        try:
+            unit = _compiled_unit_cached(
+                program, fingerprint, segment_names, width, dtype.str
+            )
+        except TypeError:
+            return _compile_unit(program, segment_names, width, dtype)
+        units[unit_key] = unit
+    return unit
 
 
 def compiled_segment(
@@ -817,19 +798,8 @@ def compiled_segment(
     width: int,
     dtype: np.dtype | type = np.float32,
 ) -> CompiledSegment:
-    """The cached entry point :class:`~repro.vm.machine.Machine` uses.
-
-    Programs are frozen dataclasses, hence hashable; an exotic
-    unhashable immediate falls back to a one-off compile.
-    """
-    dtype = np.dtype(dtype)
-    try:
-        return _compiled_unit_cached(
-            program, _program_fingerprint(program), (segment_name,),
-            width, dtype.str,
-        )
-    except TypeError:
-        return compile_segment(program, segment_name, width, dtype)
+    """The cached entry point :class:`~repro.vm.machine.Machine` uses."""
+    return _cached_unit(program, (segment_name,), width, np.dtype(dtype))
 
 
 def compiled_program(
@@ -838,11 +808,5 @@ def compiled_program(
     dtype: np.dtype | type = np.float32,
 ) -> CompiledSegment:
     """The cached whole-program entry point :meth:`Machine.run_program` uses."""
-    dtype = np.dtype(dtype)
     names = tuple(segment.name for segment in program.segments)
-    try:
-        return _compiled_unit_cached(
-            program, _program_fingerprint(program), names, width, dtype.str,
-        )
-    except TypeError:
-        return compile_program(program, width, dtype)
+    return _cached_unit(program, names, width, np.dtype(dtype))

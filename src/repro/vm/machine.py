@@ -35,9 +35,18 @@ nonzero and restores the old values elsewhere — the standard SPMD
 treatment of divergent branches.  While doing so the machine *measures*
 P(taken) into :attr:`Machine.branch_stats`, which is where the cost
 model's branch probabilities come from.
+
+Blocks: a caller may execute one logical batch as several smaller
+``run_segment`` calls inside :meth:`Machine.block`.  The block is the
+unit of observation — each probe records one sample over all of the
+block's rows, and the fault hook fires once, on the block's assembled
+outputs — so the chunk size is a host-side choice that moves no
+result.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -49,6 +58,7 @@ __all__ = [
     "EXEC_BACKENDS",
     "Machine",
     "MachineError",
+    "taken_rows",
 ]
 
 #: Recognized execution backends; ``fused`` is the default.
@@ -92,6 +102,50 @@ class BranchStat:
         return f"BranchStat(total={self.total!r}, count={self.count!r})"
 
 
+def taken_rows(mask: np.ndarray) -> np.ndarray:
+    """Per-row OR of a ``(batch, width)`` bool mask: the rows a branch takes.
+
+    A C-contiguous 4-lane mask is read as one ``uint32`` per row, which
+    is two orders of magnitude cheaper than ``any(axis=-1)`` over the
+    short lane axis; any other shape falls back to ``any``.
+    """
+    if mask.ndim == 2 and mask.shape[1] == 4 and mask.flags.c_contiguous:
+        return mask.view(np.uint32).reshape(-1) != 0
+    return mask.any(axis=-1)
+
+
+class _ProbeTally:
+    """Integer ``(taken, rows)`` per probe ordinal across a block's chunks.
+
+    Every chunk replays the same probe sequence, so the n-th probe of
+    each chunk adds to ordinal n; the block records ``taken / rows`` per
+    ordinal, which equals the bool mean over the whole block bit for bit.
+    """
+
+    __slots__ = ("keys", "taken", "rows", "cursor")
+
+    def __init__(self) -> None:
+        self.keys: list[str] = []
+        self.taken: list[int] = []
+        self.rows: list[int] = []
+        self.cursor = 0
+
+    def add(self, key: str, taken: int, rows: int) -> None:
+        index = self.cursor
+        if index == len(self.keys):
+            self.keys.append(key)
+            self.taken.append(0)
+            self.rows.append(0)
+        elif self.keys[index] != key:
+            raise MachineError(
+                f"probe {index} of a block chunk is {key!r}, "
+                f"expected {self.keys[index]!r}"
+            )
+        self.taken[index] += taken
+        self.rows[index] += rows
+        self.cursor = index + 1
+
+
 class Machine:
     """A batched SPMD executor with a ``(batch, width)`` register file."""
 
@@ -124,6 +178,8 @@ class Machine:
         #: ``(prob_key, per-replica samples)`` here instead of recording
         #: immediately; ``run_program`` replays the buffer replica-major
         self._probe_buffer: list[tuple[str, list[float]]] | None = None
+        #: inside :meth:`block`, probes tally here instead of recording
+        self._tally: _ProbeTally | None = None
 
     # -- register helpers ------------------------------------------------
 
@@ -166,9 +222,16 @@ class Machine:
         compiled closure and stores only the program's declared outputs
         (intermediates live in reused buffer slots).  Declared outputs
         and branch statistics are bit-identical between the two.
+
+        Inside :meth:`block` the call is one chunk of the block: its
+        probes tally into the block's samples and the fault hook waits
+        for the block's end.
         """
         segment = program.segment(segment_name)
         self._check_env(env)
+        tally = self._tally
+        if tally is not None:
+            tally.cursor = 0
         if self.exec_backend == "fused":
             from repro.vm.compile import compiled_segment
 
@@ -177,9 +240,33 @@ class Machine:
             )
         else:
             self._exec_nodes(segment.body, env, loop_indices=[])
-        if self._fault_session is not None:
+        if self._fault_session is not None and tally is None:
             self._fault_session.machine_bitflip(self, program.outputs, env)
         return env
+
+    @contextlib.contextmanager
+    def block(self, program: Program, outputs: dict[str, np.ndarray]):
+        """Run the enclosed :meth:`run_segment` calls as one logical batch.
+
+        The enclosed calls are chunks of the block: each probe ordinal
+        accumulates integer ``(taken, rows)`` over the chunks and records
+        one sample when the block ends.  Then the fault hook fires once
+        on ``outputs``, which the caller fills with the block-sized
+        declared output registers it assembled from the chunks.  Results,
+        branch samples and fault draws therefore match one
+        ``run_segment`` call over the whole block, whatever the chunks.
+        """
+        if self._tally is not None:
+            raise MachineError("machine blocks do not nest")
+        tally = self._tally = _ProbeTally()
+        try:
+            yield
+        finally:
+            self._tally = None
+        for key, taken, rows in zip(tally.keys, tally.taken, tally.rows):
+            self._record_branch(key, taken / rows if rows else 0.0)
+        if self._fault_session is not None:
+            self._fault_session.machine_bitflip(self, program.outputs, outputs)
 
     def run_program(
         self,
@@ -210,6 +297,8 @@ class Machine:
         self._check_env(env)
         if replicas < 1:
             raise MachineError(f"replicas must be >= 1, got {replicas}")
+        if self._tally is not None:
+            raise MachineError("run_program cannot run inside a machine block")
         batch = next(iter(env.values())).shape[0] if env else 0
         if env and batch % replicas:
             raise MachineError(
@@ -303,6 +392,53 @@ class Machine:
             stat = self.branch_stats[prob_key] = BranchStat()
         stat.add(sample)
 
+    def _probe(self, prob_key: str, mask: np.ndarray, replicas: int = 1) -> None:
+        """Record an IfBlock's P(taken) from its ``(batch, width)`` mask.
+
+        A row is taken when any lane is.  With ``replicas == 1`` this is
+        one sample, ``taken / rows`` (the bool mean, bit for bit), or a
+        tally inside :meth:`block`.  With R replicas stacked along the
+        row axis each replica's rows give their own sample, in replica
+        order, so the per-key sample sequence (and the float
+        accumulation order in ``BranchStat``) is that of R sequential
+        runs; a batched ``run_program`` buffers them for replica-major
+        replay.
+        """
+        taken = taken_rows(mask)
+        if replicas == 1:
+            self._probe_count(prob_key, int(np.count_nonzero(taken)), taken.size)
+            return
+        rows = taken.size // replicas
+        self._probe_samples(prob_key, [
+            int(np.count_nonzero(taken[index * rows : (index + 1) * rows])) / rows
+            if rows else 0.0
+            for index in range(replicas)
+        ])
+
+    def _probe_const(
+        self, prob_key: str, taken: bool, batch: int, replicas: int = 1
+    ) -> None:
+        """A constant-condition probe: every row taken, or none."""
+        if replicas == 1:
+            self._probe_count(prob_key, batch if taken else 0, batch)
+            return
+        rows = batch // replicas
+        sample = 1.0 if taken and rows else 0.0
+        self._probe_samples(prob_key, [sample] * replicas)
+
+    def _probe_count(self, prob_key: str, taken: int, rows: int) -> None:
+        if self._tally is not None:
+            self._tally.add(prob_key, taken, rows)
+        else:
+            self._record_branch(prob_key, taken / rows if rows else 0.0)
+
+    def _probe_samples(self, prob_key: str, samples: list[float]) -> None:
+        if self._probe_buffer is not None:
+            self._probe_buffer.append((prob_key, samples))
+        else:
+            for sample in samples:
+                self._record_branch(prob_key, sample)
+
     # -- internals -------------------------------------------------------
 
     def _check_env(self, env: dict[str, np.ndarray]) -> None:
@@ -389,11 +525,7 @@ class Machine:
         if node.cond not in env:
             raise MachineError(f"IfBlock condition {node.cond!r} undefined")
         mask = env[node.cond] != 0
-        taken_rows = mask.any(axis=-1)
-        self._record_branch(
-            node.prob_key,
-            float(taken_rows.mean()) if taken_rows.size else 0.0,
-        )
+        self._probe(node.prob_key, mask)
         written = self._written_registers(node.body)
         saved = {name: env[name].copy() for name in written if name in env}
         self._exec_nodes(node.body, env, loop_indices)

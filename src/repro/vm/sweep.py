@@ -3,9 +3,10 @@
 Both ports in the paper (sections 5.1 and 5.2) run one formulation:
 each output atom ``i`` scans *all* N partners ``j``, with x, y, z in
 the first three lanes of a 4-wide register.  :class:`PairSweep`
-materializes the (i, j) pair batch for a block of output rows, runs the
-program's ``pair`` segment over it, and sums each row's contributions
-(on the GPU, the sum the shader's single-output loop accumulates).
+materializes the (i, j) pairs of a block of output rows, chunk by
+cache-sized chunk, runs the program's ``pair`` segment over each chunk,
+and sums each row's contributions (on the GPU, the sum the shader's
+single-output loop accumulates).
 
 The register contract is read from the program:
 
@@ -27,10 +28,17 @@ import numpy as np
 from repro.vm.machine import Machine
 from repro.vm.program import Program
 
-__all__ = ["DRIVER_REGISTERS", "PairSweep", "input_registers"]
+__all__ = ["CHUNK_PAIRS", "DRIVER_REGISTERS", "PairSweep", "input_registers"]
 
 #: Inputs the sweep fills itself when a program declares them.
 DRIVER_REGISTERS = {"self_flag": 0.0, "zero": 0.0, "tiny": 1.0e-12}
+
+#: Pairs per executed chunk: ``max(1, CHUNK_PAIRS // n)`` rows of a
+#: block run per segment call.  A 16K-pair register is 256 KB — the
+#: size of an SPE's local store, the blocking the Cell port uses — so a
+#: kernel's live registers stay near the host's caches instead of
+#: streaming 2 MB registers (128 rows x 1024 atoms) through memory.
+CHUNK_PAIRS = 16384
 
 
 def input_registers(
@@ -64,8 +72,14 @@ class PairSweep:
 
     Arithmetic is float32 throughout, as on hardware.  Runs on the
     default ``fused`` VM backend; pass ``exec_backend="interp"`` for the
-    reference interpreter.  Input registers are built once per batch
-    size and reused across row blocks.
+    reference interpreter.
+
+    Each block of ``row_block`` output rows is the unit of observation:
+    one :meth:`Machine.block <repro.vm.machine.Machine.block>`, so one
+    branch sample per probe and one fault draw per block.  The block
+    executes in chunks of :data:`CHUNK_PAIRS` pairs, whose registers
+    stay cache-sized; the chunk size moves no result.  Chunk registers
+    are built once per chunk size and refilled in place.
     """
 
     def __init__(self, program: Program, exec_backend: str = "fused") -> None:
@@ -76,15 +90,16 @@ class PairSweep:
         )
         self._env_cache: dict[int, dict[str, np.ndarray]] = {}
         self._env_constants: tuple | None = None
+        self._block_cache: dict[int, dict[str, np.ndarray]] = {}
 
-    def _block_env(
+    def _chunk_env(
         self, batch: int, constants: Mapping[str, float]
     ) -> dict[str, np.ndarray]:
-        """Input registers for ``batch``, cached.
+        """Input registers for a ``batch``-pair chunk, cached.
 
         The returned dict is the cache entry itself — callers copy it
-        into a fresh env (cheap; the arrays are shared) and may mutate
-        only ``self_flag``, which is re-zeroed on every block.
+        into a fresh env (cheap; the arrays are shared) and refill only
+        ``xi``, ``xj`` and ``self_flag``, which every chunk rewrites.
         """
         key = tuple(sorted(constants.items()))
         if key != self._env_constants:
@@ -92,11 +107,29 @@ class PairSweep:
             self._env_constants = key
         cached = self._env_cache.get(batch)
         if cached is None:
-            cached = input_registers(self.machine, self.program, batch, constants)
+            machine = self.machine
+            cached = {
+                "xi": machine.make_register(batch),
+                "xj": machine.make_register(batch),
+            }
+            cached.update(input_registers(machine, self.program, batch, constants))
             if len(self._env_cache) > 8:
                 self._env_cache.clear()
             self._env_cache[batch] = cached
         return cached
+
+    def _block_registers(self, batch: int) -> dict[str, np.ndarray]:
+        """Block-sized declared output registers, cached by size and
+        rewritten by every block's chunks."""
+        registers = self._block_cache.get(batch)
+        if registers is None:
+            if len(self._block_cache) > 8:
+                self._block_cache.clear()
+            registers = self._block_cache[batch] = {
+                name: self.machine.make_register(batch)
+                for name in self.program.outputs
+            }
+        return registers
 
     def run(
         self,
@@ -107,9 +140,9 @@ class PairSweep:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Returns (accelerations[rows], pe_contribution[rows]).
 
-        ``rows`` defaults to every atom.  ``row_block`` output rows are
-        materialized per dispatch; every pair contributes exactly once,
-        so results are bit-identical across block sizes.
+        ``rows`` defaults to every atom.  ``row_block`` output rows form
+        one block; every pair contributes exactly once, so forces are
+        bit-identical across block sizes (branch samples are per block).
         """
         positions32 = np.asarray(positions, dtype=np.float32)
         n = positions32.shape[0]
@@ -117,33 +150,46 @@ class PairSweep:
         acc = np.zeros((rows.size, 3), dtype=np.float32)
         pe = np.zeros(rows.size, dtype=np.float32)
         machine = self.machine
+        width = machine.width
+        program = self.program
+        chunk_rows = max(1, CHUNK_PAIRS // max(n, 1))
 
         for start in range(0, rows.size, row_block):
             block = rows[start : start + row_block]
-            # batch = (block rows) x (all j): flatten to pairs
-            xi = np.repeat(positions32[block], n, axis=0)
-            xj = np.tile(positions32, (block.size, 1))
-            # Displace self-pairs far outside the cutoff so the rsqrt
-            # estimate never sees r2 == 0 (they are excluded by
-            # self_flag regardless; this only silences inf/nan lanes).
-            self_rows = np.repeat(block, n) == np.tile(np.arange(n), block.size)
-            xj[self_rows, 0] += 1.0e3
-            env: dict[str, np.ndarray] = {
-                "xi": machine.load_vec3(xi),
-                "xj": machine.load_vec3(xj),
-            }
-            env.update(self._block_env(xi.shape[0], constants))
-            self_flag = env.get("self_flag")
-            if self_flag is not None:
-                self_flag.fill(0.0)
-                self_flag[self_rows] = 1.0
+            block_registers = self._block_registers(block.size * n)
+            outputs: dict[str, np.ndarray] = {}
+            with machine.block(program, outputs):
+                for lo in range(0, block.size, chunk_rows):
+                    chunk = block[lo : lo + chunk_rows]
+                    env = dict(self._chunk_env(chunk.size * n, constants))
+                    # (chunk rows) x (all j), flattened to pairs
+                    env["xi"].reshape(chunk.size, n, width)[:, :, :3] = (
+                        positions32[chunk, None, :]
+                    )
+                    env["xj"].reshape(chunk.size, n, width)[:, :, :3] = positions32
+                    # Displace self-pairs far outside the cutoff so the
+                    # rsqrt estimate never sees r2 == 0 (they are excluded
+                    # by self_flag regardless; this only silences inf/nan
+                    # lanes).
+                    self_lanes = np.arange(chunk.size) * n + chunk
+                    env["xj"][self_lanes, 0] += 1.0e3
+                    self_flag = env.get("self_flag")
+                    if self_flag is not None:
+                        self_flag.fill(0.0)
+                        self_flag[self_lanes] = 1.0
 
-            machine.run_segment(self.program, "pair", env)
+                    machine.run_segment(program, "pair", env)
+
+                    for name in program.outputs:
+                        register = env.get(name)
+                        if register is not None:
+                            outputs[name] = block_registers[name]
+                            outputs[name][lo * n : (lo + chunk.size) * n] = register
 
             stop = start + block.size
-            fvec = env["acc_out"].reshape(block.size, n, machine.width)
+            fvec = outputs["acc_out"].reshape(block.size, n, width)
             acc[start:stop] = fvec[:, :, :3].sum(axis=1, dtype=np.float32)
-            pe_pair = env[self._pe_register].reshape(block.size, n, machine.width)
+            pe_pair = outputs[self._pe_register].reshape(block.size, n, width)
             pe[start:stop] = pe_pair[:, :, self._pe_lane].sum(
                 axis=1, dtype=np.float32
             )

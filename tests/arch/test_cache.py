@@ -1,4 +1,9 @@
-"""Tests for the set-associative LRU cache simulator."""
+"""Tests for the set-associative LRU cache simulator.
+
+The simulator steps every set at once; :class:`ListLRU` below is the
+per-line list walk it replaced, kept here as the oracle it must match
+hit for hit.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,30 @@ from repro.arch.cache import Cache, CacheHierarchy, CacheStats
 
 def _cache(size=1024, line=64, ways=2):
     return Cache(size_bytes=size, line_bytes=line, ways=ways)
+
+
+class ListLRU:
+    """The obviously-correct oracle: one MRU-last tag list per set."""
+
+    def __init__(self, n_sets: int, ways: int, line_bytes: int = 64) -> None:
+        self.n_sets, self.ways, self.line_bytes = n_sets, ways, line_bytes
+        self.flush()
+
+    def flush(self) -> None:
+        self.sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+
+    def access(self, byte_addresses) -> np.ndarray:
+        hits = []
+        for line in np.asarray(byte_addresses, dtype=np.int64) // self.line_bytes:
+            lru = self.sets[int(line) & (self.n_sets - 1)]
+            hit = int(line) in lru
+            if hit:
+                lru.remove(int(line))
+            elif len(lru) >= self.ways:
+                lru.pop(0)
+            lru.append(int(line))
+            hits.append(hit)
+        return np.array(hits, dtype=bool)
 
 
 class TestGeometry:
@@ -89,17 +118,9 @@ class TestLRUBehavior:
         """The simulator must agree with an obviously-correct reference."""
         ways, n_sets = 2, 4
         c = Cache(size_bytes=ways * n_sets * 64, line_bytes=64, ways=ways)
-        reference: dict[int, list[int]] = {s: [] for s in range(n_sets)}
+        reference = ListLRU(n_sets, ways)
         for line in trace:
-            set_index = line % n_sets
-            lru = reference[set_index]
-            expected_hit = line in lru
-            if expected_hit:
-                lru.remove(line)
-            elif len(lru) >= ways:
-                lru.pop(0)
-            lru.append(line)
-            assert c.access_line(line) == expected_hit
+            assert c.access_line(line) == reference.access([line * 64])[0]
 
     @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=200))
     @settings(max_examples=30, deadline=None)
@@ -112,6 +133,61 @@ class TestLRUBehavior:
             small.access_line(line)
             large.access_line(line)
         assert large.stats.hits >= small.stats.hits
+
+
+_traces = st.lists(
+    st.integers(min_value=-64, max_value=4096).map(lambda line: line * 64),
+    max_size=200,
+).map(lambda lines: np.array(lines, dtype=np.int64))
+
+
+class TestListOracle:
+    @pytest.mark.parametrize("n_sets, ways", [(1, 16), (4, 2), (512, 2)])
+    @given(warm=_traces, measure=_traces, after=_traces)
+    @settings(max_examples=40, deadline=None)
+    def test_access_matches_oracle_across_calls(
+        self, n_sets, ways, warm, measure, after
+    ):
+        cache = Cache(size_bytes=n_sets * ways * 64, line_bytes=64, ways=ways)
+        oracle = ListLRU(n_sets, ways)
+        np.testing.assert_array_equal(cache.access(warm), oracle.access(warm))
+        cache.reset_stats()
+        hits = cache.access(measure)
+        np.testing.assert_array_equal(hits, oracle.access(measure))
+        assert cache.stats.accesses == measure.size
+        assert cache.stats.hits == int(hits.sum())
+        cache.flush()
+        oracle.flush()
+        np.testing.assert_array_equal(cache.access(after), oracle.access(after))
+        assert cache.stats.accesses == measure.size + after.size
+
+    def test_abl_cache_random_gather_matches_oracle(self):
+        # The Figure-9 ablation's worst trace: a neighbor-list gather in
+        # random order at 8192 atoms, warm pass then measured pass.
+        from repro.arch import calibration as c
+        from repro.md import CellList, MDConfig
+        from repro.md.lattice import cubic_lattice
+        from repro.opteron.costmodel import make_opteron_hierarchy
+
+        config = MDConfig(n_atoms=8192)
+        box = config.make_box()
+        pair_list = CellList(box, config.make_potential(), skin=0.3)
+        pair_list.update(cubic_lattice(config.n_atoms, box))
+        targets = pair_list.pairs[:, 1]
+        order = np.random.default_rng(config.seed).permutation(len(targets))
+        trace = targets[order].astype(np.int64) * c.VEC3_F64_BYTES
+
+        hierarchy = make_opteron_hierarchy()
+        oracles = [
+            ListLRU(cache.n_sets, cache.ways, cache.line_bytes)
+            for cache, _penalty in hierarchy.levels
+        ]
+        for _ in range(2):  # warm, then measured
+            outstanding = trace
+            for (cache, _penalty), oracle in zip(hierarchy.levels, oracles):
+                hits = cache.access(outstanding)
+                assert np.array_equal(hits, oracle.access(outstanding))
+                outstanding = outstanding[~hits]
 
 
 class TestStats:

@@ -436,6 +436,22 @@ class TestCompilerMachinery:
         assert a is b
         assert isinstance(a, CompiledSegment)
 
+    def test_cache_hit_does_not_hash_the_program(self, monkeypatch):
+        # Hashing a frozen Program walks every instruction; a sweep runs
+        # one segment per chunk, so hits are keyed by program identity.
+        program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
+        first = compiled_segment(program, "pair", 4, np.float32)
+        hashes = []
+        unhashed = Program.__hash__
+
+        def counting(self):
+            hashes.append(self.name)
+            return unhashed(self)
+
+        monkeypatch.setattr(Program, "__hash__", counting)
+        assert compiled_segment(program, "pair", 4, np.float32) is first
+        assert hashes == []
+
     def test_cache_distinguishes_negative_zero_immediates(self):
         # 0.0 == -0.0 (and 1 == 1.0 == True), so two programs differing
         # only in an immediate's zero sign are equal as frozen

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.vm.builder import Asm
-from repro.vm.machine import Machine, MachineError
+from repro.vm.machine import EXEC_BACKENDS, Machine, MachineError, taken_rows
 from repro.vm.program import Program, Segment
 
 A = Asm()
@@ -151,6 +151,62 @@ class TestPredication:
         m = Machine(exec_backend="interp")
         with pytest.raises(KeyError):
             m.measured_probability("never")
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 8])
+    @pytest.mark.parametrize("rows", [0, 1, 37])
+    def test_taken_rows_matches_any(self, width, rows):
+        mask = np.random.default_rng(width * 100 + rows).random((rows, width)) < 0.2
+        np.testing.assert_array_equal(taken_rows(mask), mask.any(axis=-1))
+        # a strided 4-lane view takes the fallback
+        strided = np.repeat(mask, 2, axis=1)[:, ::2]
+        np.testing.assert_array_equal(taken_rows(strided), mask.any(axis=-1))
+
+
+class TestBlocks:
+    """Chunks run inside ``Machine.block`` observe like one call over the
+    whole batch: one branch sample per probe, not one per chunk."""
+
+    @staticmethod
+    def _env(m, batch):
+        env = {"x": m.make_register(batch, 1.0), "m": m.make_register(batch, 0.0)}
+        env["m"][::3, 1] = 1.0  # rows 0, 3, 6, ... taken
+        return env
+
+    @pytest.mark.parametrize("backend", EXEC_BACKENDS)
+    def test_chunks_record_the_block_sample(self, backend):
+        program = Program(
+            "blk",
+            (Segment("main", "t", (
+                A.if_("m", [A.fa("x", "x", "x")], prob_key="pk"),
+                A.if_("m", [A.fm("x", "x", "x")], prob_key="pk"),
+            )),),
+            inputs=("x", "m"), outputs=("x",),
+        )
+        whole = Machine(width=4, exec_backend=backend)
+        whole.run_segment(program, "main", self._env(whole, 10))
+        chunked = Machine(width=4, exec_backend=backend)
+        env = self._env(chunked, 10)
+        with chunked.block(program, {}):
+            for lo in (0, 4, 8):
+                chunked.run_segment(
+                    program, "main", {k: v[lo : lo + 4] for k, v in env.items()}
+                )
+            assert chunked.branch_stats == {}  # recorded when the block ends
+        assert chunked.branch_snapshot("pk") == whole.branch_snapshot("pk")
+        assert chunked.branch_snapshot("pk") == (0.8, 2)
+
+    def test_blocks_do_not_nest_or_run_programs(self):
+        m = Machine(width=4)
+        program = Program(
+            "p", (Segment("main", "t", (A.fa("y", "x", "x"),)),),
+            inputs=("x",), outputs=("y",),
+        )
+        with m.block(program, {}):
+            with pytest.raises(MachineError):
+                with m.block(program, {}):
+                    pass
+            with pytest.raises(MachineError):
+                m.run_program(program, {"x": m.make_register(2)})
 
 
 class TestComposites:

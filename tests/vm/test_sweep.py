@@ -7,7 +7,10 @@
 * a ``rows=`` subset equals those rows of a full sweep (the Cell
   calibration path sweeps 16 rows);
 * the register contract comes from the program: a declared input that
-  neither the sweep nor the constants fill raises.
+  neither the sweep nor the constants fill raises;
+* chunking is bitwise-neutral: a block executed in ``CHUNK_PAIRS``-sized
+  chunks equals the block executed as one chunk — forces, PE and branch
+  samples, on both VM backends, and through a whole vm-mode Cell run.
 """
 
 from __future__ import annotations
@@ -15,11 +18,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.vm.sweep as sweep_module
+from repro.cell.device import CellDevice
 from repro.cell.kernels import build_spe_kernel, kernel_constants
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.md.box import PeriodicBox
 from repro.md.lattice import cubic_lattice
 from repro.md.lj import LennardJones
+from repro.md.simulation import MDConfig
+from repro.obs.observe import Observation
 from repro.vm.builder import Asm
 from repro.vm.machine import EXEC_BACKENDS, Machine
 from repro.vm.program import Program, Segment
@@ -104,3 +111,74 @@ class TestRegisterContract:
         assert set(registers) == {"tiny", "rc"}
         assert registers["tiny"][0, 0] == np.float32(1.0e-12)
         assert registers["rc"][0, 0] == np.float32(2.5)
+
+
+def _one_chunk_per_block(monkeypatch) -> None:
+    monkeypatch.setattr(sweep_module, "CHUNK_PAIRS", 1 << 40)
+
+
+def _sweep_digest(program, constants, positions, rows, backend):
+    sweep = PairSweep(program, exec_backend=backend)
+    acc, pe = sweep.run(positions, constants, rows=rows)
+    stats = {
+        key: (stat.total.hex(), stat.count)
+        for key, stat in sweep.machine.branch_stats.items()
+    }
+    return acc.tobytes(), pe.tobytes(), stats
+
+
+_SWEEP_CASES = [
+    pytest.param(kernel, backend, id=f"spe:{kernel}-{backend}")
+    for kernel in ("original", "simd_acceleration")
+    for backend in EXEC_BACKENDS
+] + [pytest.param("shader", "fused", id="gpu:shader-fused")]
+
+
+class TestChunking:
+    """The sweep's last two blocks: at 1000 atoms 128 + 104 rows, the
+    second ending in a ragged chunk (104 = 6 x 16 + 8); at 1024 atoms
+    two blocks of 8 whole 16-row chunks each."""
+
+    @pytest.mark.parametrize("n", [1000, 1024])
+    @pytest.mark.parametrize("kernel, backend", _SWEEP_CASES)
+    def test_chunked_equals_one_chunk_per_block(
+        self, kernel, backend, n, monkeypatch
+    ):
+        box_length = 11.0
+        if kernel == "shader":
+            program = build_md_shader(box_length).program
+            constants = shader_constants(LennardJones(), box_length)
+        else:
+            program = build_spe_kernel(kernel, box_length)
+            constants = kernel_constants(LennardJones())
+        rng = np.random.default_rng(n)
+        positions = rng.uniform(0.0, box_length, size=(n, 3)).astype(np.float32)
+        rows = np.arange(128 * ((n - 1) // 128 - 1), n)
+
+        assert sweep_module.CHUNK_PAIRS // n == 16
+        chunked = _sweep_digest(program, constants, positions, rows, backend)
+        _one_chunk_per_block(monkeypatch)
+        whole = _sweep_digest(program, constants, positions, rows, backend)
+        assert chunked == whole
+        if kernel != "shader":  # one sample per block
+            assert chunked[2]["interacting_fraction"][1] == 2
+
+    @pytest.mark.parametrize("opt_level", ["original", "simd_acceleration"])
+    def test_vm_device_run_is_chunk_neutral(self, opt_level, monkeypatch):
+        config = MDConfig(n_atoms=1024)
+
+        def run():
+            device = CellDevice(n_spes=1, opt_level=opt_level, mode="vm")
+            result = device.run(config, 1, observe=Observation(device.name))
+            return (
+                [seconds.hex() for seconds in result.step_seconds],
+                [record.interacting_pairs for record in result.records],
+                result.counters,
+                result.final_positions.tobytes(),
+            )
+
+        chunked = run()
+        _one_chunk_per_block(monkeypatch)
+        assert run() == chunked
+        assert chunked[2]["vm.segments"] > 0
+        assert chunked[2]["vm.branch.interacting_fraction.samples"] > 0
