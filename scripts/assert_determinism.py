@@ -30,7 +30,10 @@ where ``vm.bitflip`` lands in real output registers.  Asserts:
   byte-equal to the zero-rate run, which steps the simulation live,
 * every decomposed cluster cell reproduces its device's smallest-K
   digest (the K = 1 equivalence contract, re-checked so the gate
-  stands alone in CI).
+  stands alone in CI),
+* each device's smallest-K clean cluster run is the plain device
+  model's run: equal per-step records and final positions/velocities
+  (the cluster integrates with its node device's own force path).
 
 Exit code 0 on success, 1 with a findings list otherwise.
 """
@@ -118,6 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     import numpy as np
 
+    from repro.cluster.machine import _device_factories
     from repro.faults import load_plan_arg
     from repro.md.simulation import MDConfig
 
@@ -173,6 +177,18 @@ def main(argv: list[str] | None = None) -> int:
         elif summary.get("injected", 0) and first.total_seconds <= clean.total_seconds:
             problems.append(f"{label}: faults injected but nothing charged")
 
+        if group is not None and group not in reference:
+            # The smallest-K cell of a device group comes first.
+            plain = _device_factories()[group]().run(config, args.n_steps)
+            if not (
+                repr(clean.records) == repr(plain.records)
+                and np.array_equal(clean.final_positions, plain.final_positions)
+                and np.array_equal(clean.final_velocities, plain.final_velocities)
+            ):
+                problems.append(
+                    f"{label}: records or final state differ from the plain "
+                    f"{group} device run"
+                )
         if group is not None:
             digest = clean.state_digest()
             first_label, first_digest = reference.setdefault(group, (label, digest))

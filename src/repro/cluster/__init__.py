@@ -7,9 +7,10 @@ through :class:`repro.arch.interconnect.ClusterFabric`, and overlaps
 the exchange with interior force computation — so the repo can ask
 "16 Cell blades vs 4 GPUs?", a question the paper could not.
 
-The physics contract is absolute: a K-way decomposed run is
-**bit-identical** to the K = 1 run of the same device model
-(``tests/cluster/test_equivalence.py`` proves it property-style), and
+The physics contract is absolute: every node count integrates with
+the node device's own force path (:mod:`repro.cluster.machine`), so a
+K-way run is **bit-identical** to the plain device model's run by
+construction (``tests/cluster/test_equivalence.py`` checks it), and
 the exchange ledger moves exactly the bytes the halo math demands
 (``repro.obs.invariants`` checks it on every traced run).
 """
@@ -19,7 +20,6 @@ from repro.cluster.decomposition import (
     NodeDomain,
     SlabDecomposition,
 )
-from repro.cluster.forces import cluster_force_backend, node_force_contribution
 from repro.cluster.machine import (
     CLUSTER_DEVICES,
     ClusterRunResult,
@@ -36,8 +36,6 @@ __all__ = [
     "NodeDomain",
     "SimulatedCluster",
     "SlabDecomposition",
-    "cluster_force_backend",
-    "node_force_contribution",
     "run_node_shard",
     "run_sharded",
 ]

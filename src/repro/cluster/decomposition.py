@@ -12,8 +12,9 @@ an owned atom i every partner j inside the cutoff satisfies
 ``|min-image dx| <= rcut < halo``, and the x-distance from j to the
 slab interval is bounded by ``|dx|``, so j is owned or a ghost.  Every
 within-cutoff pair of an owned row is therefore present in the node's
-local set, and the node kernel reproduces the global all-pairs kernel
-bit-for-bit (see :mod:`repro.cluster.forces`).
+local set, so the global per-row interacting tally over a node's owned
+rows is the count its owned × local scan would find — the count
+:mod:`repro.cluster.machine` prices the node from.
 
 Ownership and ghosts are recomputed from the wrapped positions **every
 step** — the simulated machines re-exchange each step rather than
@@ -45,10 +46,7 @@ DEFAULT_HALO_SKIN = 0.3
 class NodeDomain:
     """One node's view of the box for a single step.
 
-    All index arrays hold **global** atom indices, sorted ascending —
-    the sort order is load-bearing: the node force kernel iterates its
-    local columns in global-index order so its reductions match the
-    global kernel's accumulation order exactly.
+    All index arrays hold **global** atom indices, sorted ascending.
     """
 
     rank: int
@@ -56,7 +54,7 @@ class NodeDomain:
     owned: np.ndarray
     #: imported halo atoms (sorted global indices, disjoint from owned)
     ghosts: np.ndarray
-    #: owned ∪ ghosts, sorted — the node kernel's column set
+    #: owned ∪ ghosts, sorted — the column set a node's scan is priced on
     local: np.ndarray
     #: owned atoms farther than the halo width from both slab faces:
     #: all their partners are owned, so their rows can overlap the

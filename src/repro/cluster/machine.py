@@ -1,9 +1,12 @@
 """The simulated cluster: K device nodes, one slab each, priced per step.
 
-:class:`SimulatedCluster` runs the MD physics through the decomposed
-force backend (bit-identical to the single-node run — see
-:mod:`repro.cluster.forces`) and prices each step as a bulk-synchronous
-superstep:
+:class:`SimulatedCluster` integrates the MD physics with the node
+device's own fast force path, so every K runs the plain device's
+trajectory by construction.  Each evaluation also builds the step's
+slab plan, and a node's interacting-pair count is its owned rows' share
+of the global per-row tally — the halo holds every within-cutoff
+partner, so that is what the node's owned × local scan would count.
+Each step is priced as a bulk-synchronous superstep:
 
 1. **ghost exchange** — every node sends its boundary atoms to the
    neighbors whose halo demands them, plus the canonical records of
@@ -44,9 +47,9 @@ from repro.cluster.decomposition import (
     ExchangePlan,
     SlabDecomposition,
 )
-from repro.cluster.forces import NodeForces, cluster_force_backend
 from repro.faults.plan import FaultPlan
 from repro.faults.session import FaultSession
+from repro.md.forces import ForceResult
 from repro.md.simulation import MDConfig, MDSimulation, StepRecord
 from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
@@ -206,12 +209,12 @@ class SimulatedCluster:
         self,
         domain_owned: int,
         domain_local: int,
-        node_forces: NodeForces,
+        interacting: int,
         workers: int,
         branch_probs: dict[str, float],
     ) -> KernelMetrics:
         ordered = domain_owned * (domain_local - 1)
-        fraction = node_forces.interacting / ordered if ordered > 0 else 0.0
+        fraction = interacting / ordered if ordered > 0 else 0.0
         return KernelMetrics(
             # DMA/PCIe traffic and local-store layout follow the atoms
             # the node actually holds (owned + ghosts).
@@ -230,10 +233,10 @@ class SimulatedCluster:
     ) -> ClusterRunResult:
         """Run ``n_steps`` decomposed across the K nodes.
 
-        Physics first (bit-identical to K = 1), then pricing: per-node
-        device cost models fed with that node's measured pair counts,
-        one fabric exchange phase per step, overlap per the superstep
-        schedule in the module docstring.
+        Physics first (the plain device trajectory at every K), then
+        pricing: per-node device cost models fed with that node's pair
+        counts, one fabric exchange phase per step, overlap per the
+        superstep schedule in the module docstring.
         """
         if n_steps < 0:
             raise ValueError(f"n_steps must be non-negative, got {n_steps}")
@@ -257,16 +260,23 @@ class SimulatedCluster:
             obs = observe
         counter_baseline = obs.counters.as_dict() if obs is not None else {}
 
+        physics = devices[0].functional_backend(box, potential)
         holder: dict[str, Any] = {}
 
-        def collector(plan: ExchangePlan, per_node: tuple[NodeForces, ...]):
-            holder["plan"] = plan
-            holder["per_node"] = per_node
+        def backend(positions: np.ndarray) -> ForceResult:
+            result = physics(positions)
+            if result.row_interacting is None:
+                raise ValueError(
+                    f"force path {devices[0].force_path!r} reports no "
+                    "per-row interacting counts to price nodes from"
+                )
+            holder["plan"] = plan = decomposition.plan(positions)
+            holder["interacting"] = [
+                int(result.row_interacting[domain.owned].sum())
+                for domain in plan.domains
+            ]
+            return result
 
-        backend = cluster_force_backend(
-            decomposition, box, potential,
-            dtype=config.np_dtype, collector=collector,
-        )
         if session is not None:
             session.enabled = False  # no draws during the initial eval
         sim = MDSimulation(config, force_backend=backend)
@@ -289,7 +299,7 @@ class SimulatedCluster:
                 session.begin_step(step_index + 1)
             sim.step()
             plan: ExchangePlan = holder["plan"]
-            per_node: tuple[NodeForces, ...] = holder["per_node"]
+            interacting: list[int] = holder["interacting"]
 
             # -- exchange phase -------------------------------------------
             migration = decomposition.migration_messages(
@@ -313,12 +323,14 @@ class SimulatedCluster:
             node_compute = [0.0] * self.n_nodes
             node_interior = [0.0] * self.n_nodes
             parts_by_node: list[dict[str, float]] = []
-            for domain, forces, node in zip(plan.domains, per_node, devices):
+            for domain, node_interacting, node in zip(
+                plan.domains, interacting, devices
+            ):
                 if domain.n_owned == 0 or domain.n_local < 2:
                     parts_by_node.append({})
                     continue
                 metrics = self._node_metrics(
-                    domain.n_owned, domain.n_local, forces,
+                    domain.n_owned, domain.n_local, node_interacting,
                     node.workers(), branch_probs,
                 )
                 parts = node.step_seconds(metrics, step_index)
@@ -398,7 +410,7 @@ class SimulatedCluster:
 
             if obs is not None:
                 self._observe_step(
-                    obs, entry, plan, per_node, node_compute,
+                    obs, entry, plan, sum(interacting), node_compute,
                     node_interior, exchange_s, total, parts_total, step_index,
                 )
 
@@ -433,7 +445,7 @@ class SimulatedCluster:
         obs: Observation,
         entry: ClusterStepLedger,
         plan: ExchangePlan,
-        per_node: tuple[NodeForces, ...],
+        interacting: int,
         node_compute: list[float],
         node_interior: list[float],
         exchange_s: float,
@@ -443,12 +455,10 @@ class SimulatedCluster:
     ) -> None:
         obs.charge("step.count", 1)
         obs.charge("sim.seconds", total)
-        obs.charge(
-            "pairs.examined", sum(nf.pairs_examined for nf in per_node)
-        )
-        obs.charge(
-            "pairs.interacting", sum(nf.interacting for nf in per_node)
-        )
+        obs.charge("pairs.examined", sum(
+            domain.n_owned * (domain.n_local - 1) for domain in plan.domains
+        ))
+        obs.charge("pairs.interacting", interacting)
         obs.charge_many({
             "cluster.exchange.bytes_sent": entry.bytes_sent,
             "cluster.exchange.bytes_received": entry.bytes_received,

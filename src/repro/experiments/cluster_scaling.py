@@ -15,10 +15,10 @@ contracts are certified alongside the timing table:
 * **scaling shape** — decomposing helps: the largest node count beats
   one node, and exchange traffic appears exactly when K > 1.
 
-Speedups can exceed K: the decomposed kernel scans owned × local pairs,
-and the halo import is a shrinking fraction of the box as K grows, so
-each node prunes distance evaluations the monolithic all-pairs kernel
-pays for.  The bands below are therefore generous on the high side —
+Speedups can exceed K: the pricing charges each node owned × local
+pairs, and the halo import is a shrinking fraction of the box as K
+grows, so each node prunes distance evaluations the monolithic
+all-pairs kernel pays for.  The bands below are therefore generous on the high side —
 superlinearity is a property of the pruning, not an accounting bug
 (the conservation audit is the accounting check).
 """

@@ -21,9 +21,8 @@ cost models consume.
 One row-by-column kernel
 ------------------------
 Every vectorized kernel — :func:`compute_forces`, the pair-list and
-27-image kernels, and the cluster's per-node kernel
-(:mod:`repro.cluster.forces`) — evaluates the LJ terms in one private
-routine, :func:`_lj_terms`: a block of rows against columns in
+27-image kernels — evaluates the LJ terms in one private routine,
+:func:`_lj_terms`: a block of rows against columns in
 ascending global order, with one fixed expression sequence (cutoff
 mask, LJ terms, ``einsum`` reductions).  Two facts make the column set
 free to choose without changing a bit of the accelerations:
@@ -36,10 +35,9 @@ free to choose without changing a bit of the accelerations:
    and ``0.0`` energy — its LJ terms are never evaluated, so its
    entries stay exact zeros.
 
-So all columns, the 27-cell neighbourhood of a row's cell, a cluster
-node's owned ∪ ghost set, and a row's partners in a fresh pair list all
-give the same acceleration rows, interacting counts and per-row
-interacting tallies.  Energy needs one more step: pairwise ``.sum()``
+So all columns, the 27-cell neighbourhood of a row's cell and a row's
+partners in a fresh pair list all give the same acceleration rows,
+interacting counts and per-row interacting tallies.  Energy needs one more step: pairwise ``.sum()``
 is *not* invariant under dropping zero positions, while a strict
 left-to-right prefix sum is (:func:`_prefix_pe`).
 

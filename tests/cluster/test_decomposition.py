@@ -11,9 +11,11 @@ from repro.cluster.decomposition import (
     DEFAULT_HALO_SKIN,
     SlabDecomposition,
 )
+from repro.cluster.machine import SimulatedCluster
 from repro.md import MDConfig, cubic_lattice
 from repro.md.box import PeriodicBox
 from repro.obs.invariants import cluster_halo_problems
+from repro.obs.observe import Observation
 
 
 def _decomposition(config: MDConfig, n_nodes: int) -> SlabDecomposition:
@@ -92,6 +94,48 @@ class TestHalo:
         assert np.array_equal(domain.interior, domain.owned)
         assert plan.messages == ()
         assert plan.ghost_atoms == 0
+
+
+class TestRunPlans:
+    """The machine reads each node's pair count from the global per-row
+    tally, which equals the node's owned × local count only if the halo
+    holds every within-cutoff partner — so audit every plan a run builds,
+    not just one fixture's."""
+
+    @pytest.mark.parametrize("n_nodes", [2, 4, 8])
+    @pytest.mark.parametrize("n_atoms,rcut", [(128, 2.5), (64, 1.9)])
+    def test_every_plan_of_a_run_covers_the_cutoff(
+        self, monkeypatch, n_atoms, rcut, n_nodes
+    ):
+        plans = []
+        build = SlabDecomposition.plan
+
+        def recording_plan(self, positions):
+            plan = build(self, positions)
+            plans.append((np.array(positions, copy=True), plan))
+            return plan
+
+        monkeypatch.setattr(SlabDecomposition, "plan", recording_plan)
+        config = MDConfig(n_atoms=n_atoms, rcut=rcut)
+        cluster = SimulatedCluster(device="cell", n_nodes=n_nodes)
+        result = cluster.run(config, 3, observe=Observation(device=cluster.name))
+
+        assert len(plans) == 4  # the initial evaluation plus one per step
+        for positions, plan in plans:
+            assert (
+                cluster_halo_problems(
+                    config.make_box(),
+                    positions,
+                    n_nodes,
+                    result.halo_width,
+                    plan,
+                    rcut=rcut,
+                )
+                == []
+            )
+        assert result.counters["pairs.interacting"] == 2 * sum(
+            record.interacting_pairs for record in result.records[1:]
+        )
 
 
 class TestMessages:

@@ -113,6 +113,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="halo_skin"):
             SimulatedCluster(device="cell", halo_skin=0.0)
 
+    def test_force_path_without_row_tallies_rejected(self):
+        """Nodes are priced from the per-row interacting counts; the
+        nested-loop reference path reports none."""
+        from repro.opteron.device import OpteronDevice
+
+        cluster = SimulatedCluster(
+            device="opteron", n_nodes=2,
+            device_factory=lambda: OpteronDevice(force_path="reference"),
+        )
+        with pytest.raises(ValueError, match="per-row interacting counts"):
+            cluster.run(MDConfig(n_atoms=64, rcut=1.9), 1)
+
     def test_zero_step_run_is_empty(self):
         result = SimulatedCluster(device="opteron", n_nodes=2).run(
             CONFIG, 0, observe=False
