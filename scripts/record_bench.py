@@ -29,10 +29,13 @@ R >= ``ENSEMBLE_GATE_REPLICAS``.
 ``tune`` (``BENCH_tune.json``): the closed-loop autotuner over every
 scenario in :data:`repro.tune.probe.SCENARIOS` (winners persist under
 ``runs/tuned/`` for later runs to auto-load), with the tuned-vs-default
-speedup and accuracy x speed Pareto front per scenario.  Gate: tuned >=
-default on every (experiment, device) cell — true by construction, a
-candidate that does not measurably beat the defaults is never adopted —
-and a per-device geomean >= :data:`MIN_TUNE_GEOMEAN` on some device.
+speedup on the simulated clock and the accuracy x speed Pareto front
+per scenario.  The probes price simulated seconds, so the table is
+deterministic: a run at the stored table's config must reproduce every
+row and speedup of it.  Gate: tuned >= default on every (experiment,
+device) cell — true by construction, a candidate that does not beat
+the defaults by the search's margin is never adopted — and a
+per-device geomean >= :data:`MIN_TUNE_GEOMEAN` on some device.
 
 ``cluster`` (``BENCH_cluster.json``): the fixed-size strong-scaling
 sweep over the simulated cluster (:mod:`repro.cluster`), one
@@ -213,14 +216,12 @@ def _measure_tune(quick: bool) -> Measurement:
     from repro.tune.artifact import TunedStore
     from repro.tune.search import tune_scenarios
 
-    repeats = 2 if quick else 3
     # force=True: the bench always re-measures — a stale cached artifact
     # must never masquerade as today's numbers.  The persisted artifacts
     # still land under runs/tuned/ for subsequent runs to auto-load.
     outcomes = tune_scenarios(
         quick=quick,
         budget=TUNE_BUDGET,
-        repeats=repeats,
         store=TunedStore(REPO_ROOT / "runs"),
         force=True,
     )
@@ -235,7 +236,6 @@ def _measure_tune(quick: bool) -> Measurement:
                 "device": art.device,
                 "n": art.n,
                 "metric": art.metric,
-                "objective": art.objective,
                 "default_per_second": art.default_metric,
                 "tuned_per_second": art.best_metric,
                 "speedup": art.speedup,
@@ -253,7 +253,7 @@ def _measure_tune(quick: bool) -> Measurement:
             }
         )
         ratios[sid] = art.speedup
-    config = {"budget": TUNE_BUDGET, "repeats": repeats, "quick": quick}
+    config = {"budget": TUNE_BUDGET, "quick": quick}
     return config, rows, ratios
 
 
@@ -403,10 +403,11 @@ SPECS: dict[str, BenchSpec] = {
     "tune": BenchSpec(
         "BENCH_tune.json", "repro.bench_tune/1", "speedup_tuned_over_default",
         {"scenario": str, "experiment": str, "device": str, "n": int,
-         "metric": str, "objective": str, "default_per_second": float,
+         "metric": str, "default_per_second": float,
          "tuned_per_second": float, "speedup": float, "winner": dict,
          "source": str, "probes": int, "pareto": list},
         _measure_tune, _gate_tune, _show_tune,
+        deterministic=True,
     ),
     "cluster": BenchSpec(
         "BENCH_cluster.json", "repro.bench_cluster/1", "speedup_over_one_node",

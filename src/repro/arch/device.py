@@ -12,8 +12,8 @@ counters, its fault sites and the order of its step components.
 
 Devices that share a precision and a force path integrate the same
 trajectory, so the physics of a plain fast-mode run is computed once
-per distinct (config, force path, resolved backend options, steps) by
-the process-wide memo :func:`_trajectory` and then priced per device.
+per distinct (config, force path, steps) by the process-wide memo
+:func:`_trajectory` and then priced per device.
 Fault sessions, vm-mode devices and models that override
 :meth:`Device.force_backend` keep running live.
 """
@@ -42,18 +42,15 @@ __all__ = ["Device", "DeviceRunResult", "StepComponent", "merge_breakdowns"]
 
 @functools.lru_cache(maxsize=32)
 def _trajectory(
-    config: MDConfig,
-    force_path: str,
-    backend_options: tuple[tuple[str, Any], ...],
-    n_steps: int,
+    config: MDConfig, force_path: str, n_steps: int
 ) -> tuple[tuple[StepRecord, ...], np.ndarray, np.ndarray]:
     """Integrate ``n_steps`` of ``config`` through the named force path.
 
-    ``config`` carries the device's dtype and ``backend_options`` the
-    resolved (tuned) factory options in sorted order, so every input
-    that can change the physics is in the key.  Returns the step
-    records and the final positions and velocities, both read-only:
-    the memo shares them with every later caller.
+    ``config`` carries the device's dtype, and the force path runs with
+    its factory defaults, so every input that can change the physics is
+    in the key.  Returns the step records and the final positions and
+    velocities, both read-only: the memo shares them with every later
+    caller.
     """
     from repro.md.forcefield import make_force_backend
 
@@ -62,7 +59,6 @@ def _trajectory(
         config.make_box(),
         config.make_potential(),
         dtype=config.np_dtype,
-        **dict(backend_options),
     )
     sim = MDSimulation(config, force_backend=backend)
     sim.run(n_steps)
@@ -184,19 +180,13 @@ class Device(abc.ABC):
 
         Every device's NumPy-level ("fast") force path is this, so every
         device honors a ``force_path`` override; instruction-level VM
-        paths ignore it by design.  Active tuned knob values for this
-        device's :attr:`tune_family` become factory options; with no
-        tuning in effect the factory defaults apply unchanged.
+        paths ignore it by design.  The factory defaults always apply:
+        no tuned knob reaches the physics.
         """
-        from repro.md.forcefield import make_force_backend, tuned_backend_options
+        from repro.md.forcefield import make_force_backend
 
-        options = tuned_backend_options(self.force_path, self.tune_family)
         return make_force_backend(
-            self.force_path,
-            sim_box,
-            potential,
-            dtype=np.dtype(self.precision),
-            **options,
+            self.force_path, sim_box, potential, dtype=np.dtype(self.precision)
         )
 
     def vm_backend(
@@ -205,7 +195,6 @@ class Device(abc.ABC):
         program,
         constants: Mapping[str, float],
         interacting_pairs: Callable[[np.ndarray, Any, dict], int],
-        **run_options: Any,
     ):
         """The instruction-level force path: ``program`` run on the VM.
 
@@ -216,8 +205,7 @@ class Device(abc.ABC):
         output registers instead of post hoc.  ``interacting_pairs(
         positions, machine, before)`` is the model's own tally for one
         evaluation; ``before`` holds the machine's branch snapshots taken
-        just before the sweep ran.  ``run_options`` go to
-        :meth:`PairSweep.run`.
+        just before the sweep ran.
         """
         from repro.vm.sweep import PairSweep
 
@@ -232,7 +220,7 @@ class Device(abc.ABC):
             before = {
                 key: stat.snapshot() for key, stat in machine.branch_stats.items()
             }
-            acc, pe_rows = sweep.run(positions, constants, **run_options)
+            acc, pe_rows = sweep.run(positions, constants)
             return ForceResult(
                 accelerations=acc.astype(np.float64),
                 potential_energy=0.5 * float(pe_rows.sum(dtype=np.float64)),
@@ -379,9 +367,9 @@ class Device(abc.ABC):
         """The run's physics, then its pricing.
 
         A plain fast-mode run takes its physics from :func:`_trajectory`,
-        computed once per distinct (config, force path, resolved backend
-        options, steps) in the process, and prices each step from its
-        record's ``interacting_pairs``.  Three kinds of run step a live
+        computed once per distinct (config, force path, steps) in the
+        process, and prices each step from its record's
+        ``interacting_pairs``.  Three kinds of run step a live
         :class:`MDSimulation` instead: a fault session (the watchdog
         restores rewind the live simulation), ``mode="vm"`` (the
         instruction-level path is the model's own physics and feeds its
@@ -398,12 +386,7 @@ class Device(abc.ABC):
         return self._live_run(config, n_steps, session)
 
     def _priced_run(self, config: MDConfig, n_steps: int) -> DeviceRunResult:
-        from repro.md.forcefield import tuned_backend_options
-
-        options = tuned_backend_options(self.force_path, self.tune_family)
-        records, positions, velocities = _trajectory(
-            config, self.force_path, tuple(sorted(options.items())), n_steps
-        )
+        records, positions, velocities = _trajectory(config, self.force_path, n_steps)
         branch_probs = self.branch_probabilities(config)
         obs = self.observation
         counter_baseline = obs.counters.as_dict() if obs is not None else {}

@@ -1,6 +1,6 @@
 """The streaming GPU model: shader contract, pipelines, PCIe, device."""
 
-from repro.gpu.device import GpuDevice, gpu_row_block, make_pcie_bus
+from repro.gpu.device import GpuDevice, make_pcie_bus
 from repro.gpu.kernels import (
     build_md_shader,
     build_reduction_shader,
@@ -21,7 +21,6 @@ __all__ = [
     "build_md_shader",
     "build_reduction_shader",
     "gpu_reduce",
-    "gpu_row_block",
     "make_pcie_bus",
     "reduction_pass_count",
     "shader_constants",

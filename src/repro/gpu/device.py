@@ -23,30 +23,9 @@ from repro.md.box import PeriodicBox
 from repro.md.forces import compute_forces
 from repro.md.lj import LennardJones
 from repro.obs.observe import Observation
-from repro.tune.context import tuned_value
-from repro.tune.spec import TunableSpec, register_tunable
 from repro.vm.schedule import count_issues
 
-__all__ = ["GpuDevice", "gpu_row_block", "make_pcie_bus"]
-
-# The sweep block of the functional rasterization: how many output rows
-# form one unit of observation (one fault draw per block; the shader has
-# no branch probes).  Every (i, j) pair still contributes exactly once,
-# so forces are bit-identical across widths; the sweep executes each
-# block in fixed cache-sized chunks, so the width no longer sets host
-# speed either.
-register_tunable(TunableSpec(
-    name="gpu.row_block",
-    backend="gpu",
-    kind="int",
-    default=128,
-    candidates=(32, 64, 128, 256, 512),
-    low=1,
-    high=4096,
-    description="output rows per GPU pair-sweep block",
-    effect="moves only the sweep block (the vm.bitflip draw granularity); "
-           "host speed follows the sweep's fixed chunk rule",
-))
+__all__ = ["GpuDevice", "make_pcie_bus"]
 
 
 def make_pcie_bus() -> PCIeBus:
@@ -60,17 +39,10 @@ def make_pcie_bus() -> PCIeBus:
     )
 
 
-def gpu_row_block() -> int:
-    """Output rows per GPU pair-sweep block: tuned ``gpu.row_block`` > 128."""
-    tuned = tuned_value("gpu.row_block", "gpu")
-    return int(tuned) if tuned is not None else 128
-
-
 class GpuDevice(Device):
     """GeForce 7900GTX-class streaming GPU + host CPU."""
 
     precision = "float32"
-    tune_family = "gpu"
 
     def __init__(self, mode: str = "fast", force_path: str = "all-pairs") -> None:
         if mode not in ("fast", "vm"):
@@ -97,7 +69,6 @@ class GpuDevice(Device):
             self.program(sim_box.length).program,
             shader_constants(potential, sim_box.length),
             interacting_pairs,
-            row_block=gpu_row_block(),
         )
 
     def setup_breakdown(self) -> dict[str, float]:

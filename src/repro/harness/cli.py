@@ -6,8 +6,8 @@ Subcommands::
           [--force-path NAME] [--fault-plan PLAN] [--timeout S]
           [--retries N] [--no-cache] [--invalidate ID ...]
           [--trace] [--counters] [--no-tuned] [--runs-dir DIR] [--list]
-    tune  [--quick] [--only SCENARIO ...] [--budget N] [--repeats N]
-          [--force-tune] [--counters] [--runs-dir DIR] [--list]
+    tune  [--quick] [--only SCENARIO ...] [--budget N] [--force-tune]
+          [--counters] [--runs-dir DIR] [--list]
     list  [--runs-dir DIR]            # stored runs, oldest first
     show  RUN_ID [--render] [--runs-dir DIR]
     diff  RUN_A RUN_B [--runs-dir DIR]   # shape-band regressions
@@ -17,9 +17,10 @@ Subcommands::
 
 ``run`` exits non-zero when any job failed to finish or finished
 outside its paper-shape bands; ``diff`` exits non-zero on regressions.
-``tune`` searches each scenario's knob space with short measured
-probes and persists the winning config under ``runs/tuned/``; later
-``run``s auto-load matching configs (``--no-tuned`` opts out).
+``tune`` searches each scenario's knob space with short device probes
+priced on the simulated clock and persists the winning config under
+``runs/tuned/``; later ``run``s auto-load matching configs
+(``--no-tuned`` opts out).
 ``gc`` keeps the newest K runs (default 20) and sweeps orphaned
 traces, stale ``*.tmp`` files, and satisfied checkpoints; with
 ``--prune-cache`` it also drops cache entries no kept run references,
@@ -109,16 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "tune", help="search the knob space and persist tuned configs")
     tune.add_argument("--quick", action="store_true",
-                      help="small probe systems, single-repeat timing")
+                      help="small probe systems, one probe step")
     tune.add_argument("--only", action="append", default=[],
                       metavar="SCENARIO",
                       help="tune only this scenario id (repeatable)")
     tune.add_argument("--budget", type=int, default=16, metavar="N",
                       help="max probes per scenario, defaults baseline "
                       "included (default 16)")
-    tune.add_argument("--repeats", type=int, default=2, metavar="N",
-                      help="timed repetitions per wall-clock probe; best "
-                      "is kept (default 2)")
     tune.add_argument("--force-tune", action="store_true",
                       help="re-search even when an artifact already "
                       "satisfies the scenario key")
@@ -295,7 +293,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         for s in SCENARIOS:
             print(
                 f"{s.scenario_id:<{width}}  {s.experiment_id} on {s.device} "
-                f"(n={s.n}, objective={s.objective}): {', '.join(s.knobs)}"
+                f"(n={s.n}): {', '.join(s.knobs)}"
             )
         return 0
     known = {s.scenario_id for s in SCENARIOS}
@@ -326,7 +324,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             args.only or None,
             quick=args.quick,
             budget=args.budget,
-            repeats=args.repeats,
             store=store,
             force=args.force_tune,
             on_outcome=report,

@@ -30,16 +30,12 @@ from repro.md.forces import (
     compute_forces_reference,
 )
 from repro.md.lj import LennardJones
-from repro.tune.context import tuned_value
-from repro.tune.spec import TunableSpec, register_tunable
 
 __all__ = [
     "BackendFactory",
-    "TUNED_OPTION_MAP",
     "available_backends",
     "make_force_backend",
     "register_backend",
-    "tuned_backend_options",
 ]
 
 
@@ -140,66 +136,3 @@ def _pair_list(box, potential, dtype, **options):
     if options:
         raise TypeError(f"the pair list got unknown options {sorted(options)}")
     return CellListForceBackend(box, potential, skin=skin, dtype=dtype)
-
-
-# -- tunable knobs -----------------------------------------------------
-#
-# Declared here, consumed by Device.functional_backend: each backend's
-# scheduling options map to a dotted knob name the tuner may search.
-# None of these change the physics — block sizes only re-chunk the dense
-# pair scans (reordering float energy reductions within shape-band
-# tolerance; accelerations are blocked by row and do not move), and
-# the skin only trades list rebuilds against extra candidate pairs;
-# every neighbor inside the cutoff is still found.
-
-register_tunable(TunableSpec(
-    name="md.block",
-    backend="md",
-    kind="int",
-    default=256,
-    candidates=(64, 128, 256, 512, 1024),
-    low=16,
-    high=8192,
-    description="row-block size of the dense all-pairs branch and the "
-                "27image scan; the all-pairs kernel's cell-column branch "
-                "(>= 4 cutoff-wide cells per side) blocks by cell instead",
-    effect="re-chunks only the dense scans: larger blocks amortize Python "
-           "loop overhead until the (block x N) distance matrix falls out "
-           "of cache; no effect where the all-pairs kernel scans cells",
-))
-register_tunable(TunableSpec(
-    name="md.skin",
-    backend="md",
-    kind="float",
-    default=0.3,
-    candidates=(0.1, 0.2, 0.3, 0.45, 0.6),
-    low=0.01,
-    high=2.0,
-    description="pair-list skin beyond the cutoff (sigma units)",
-    effect="thicker skin -> fewer rebuilds but more candidate pairs "
-           "per force evaluation",
-))
-
-#: force-backend name -> {factory option: knob name}; the hook
-#: :func:`tuned_backend_options` uses to translate active tuned values
-#: into factory keyword options.
-TUNED_OPTION_MAP: dict[str, dict[str, str]] = {
-    "all-pairs": {"block": "md.block"},
-    "27image": {"block": "md.block"},
-    "verlet": {"skin": "md.skin"},
-    "cell": {"skin": "md.skin"},
-}
-
-
-def tuned_backend_options(name: str, device: str | None = None) -> dict[str, object]:
-    """Factory options for ``name`` from the active tuned config.
-
-    Only knobs with an active tuned value appear; with no tuning in
-    effect this is ``{}`` and every factory keeps its own defaults.
-    """
-    options: dict[str, object] = {}
-    for option, knob in TUNED_OPTION_MAP.get(name, {}).items():
-        value = tuned_value(knob, device)
-        if value is not None:
-            options[option] = value
-    return options

@@ -24,7 +24,6 @@ class OpteronDevice(Device):
 
     precision = "float64"
     name = "opteron-2.2GHz"
-    tune_family = "opteron"
 
     def __init__(
         self,

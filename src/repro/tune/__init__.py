@@ -1,20 +1,19 @@
-"""Closed-loop autotuning over the harness and the counter stream.
+"""Closed-loop autotuning of the simulated clock.
 
-The paper's per-device throughput hinges on hand-picked parameters —
-SPE row partition, GPU batch width, neighbor-list skin and cell sizes —
-and the related Cell/GPU MD ports show such knobs swing throughput by
-integer factors.  This package closes the loop the observability layer
-opened: each backend *declares* its tunable knobs in a typed
-:class:`~repro.tune.spec.TunableSpec` registry, the tuner runs short
-measured probes per (experiment, N, device) scenario, and the winning
-configuration is persisted as a content-addressed artifact under
-``runs/tuned/`` that the runner, the harness CLI, and the service
-worker auto-load on subsequent runs (``--no-tuned`` opts out).
+The paper's per-device throughput hinges on hand-picked parameters such
+as the SPE row partition and the MTA stream request.  Each device model
+*declares* the knobs its pricing reads in a typed
+:class:`~repro.tune.spec.TunableSpec` registry, the tuner prices every
+candidate with a short device probe per (experiment, N, device)
+scenario, and the winning configuration is persisted as a
+content-addressed artifact under ``runs/tuned/`` that the runner, the
+harness CLI, and the service worker auto-load on subsequent runs
+(``--no-tuned`` opts out).
 
-Only knobs that cannot change trajectories are registrable: a
-``TunableSpec`` with ``affects_physics=True`` (dtype, cutoff, ...) is
-rejected at registration, so a tuned run always passes the shape-band
-diff gate against its untuned twin.
+No knob reaches the force path, so tuned ≡ untuned physics holds by
+construction: a tuned run integrates the untuned trajectory (the same
+entry of the device trajectory memo) and differs only in its simulated
+seconds.
 """
 
 from repro.tune.artifact import (

@@ -98,8 +98,6 @@ class TunedArtifact:
     values: dict[str, Any]
     #: content fingerprint of ``values`` (joins the run record)
     fingerprint: str
-    #: what was optimized: ``wall`` (host seconds) or ``sim`` (modeled)
-    objective: str
     #: metric name the numbers below are in (e.g. ``steps_per_second``)
     metric: str
     default_metric: float
@@ -238,7 +236,6 @@ def make_artifact(
     quick: bool,
     knobs: Iterable[str],
     values: Mapping[str, Any],
-    objective: str,
     metric: str,
     default_metric: float,
     best_metric: float,
@@ -261,7 +258,6 @@ def make_artifact(
         knobs=tuple(sorted(knobs)),
         values=values,
         fingerprint=config_fingerprint(values),
-        objective=objective,
         metric=metric,
         default_metric=default_metric,
         best_metric=best_metric,

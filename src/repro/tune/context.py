@@ -3,16 +3,14 @@
 Mirrors :mod:`repro.obs.context`: :func:`applied` pushes a tuned-value
 mapping onto a module-level stack, and every knob consumer asks
 :func:`tuned_value` for its knob once per run, when the run starts: the
-force backend factory (``md.block``, ``md.skin``) and the GPU driver
-(``gpu.row_block``) when a device builds its force backend, the Cell
-row partition and the MTA stream model in the device's ``prepare``.
-A device built outside an :func:`applied` block and run inside it
-therefore runs tuned.  With no config active — the default — every
-lookup returns ``None`` and the consumer keeps its own hard-coded
+Cell row partition and the MTA stream model in the device's
+``prepare``.  A device built outside an :func:`applied` block and run
+inside it therefore runs tuned.  With no config active — the default —
+every lookup returns ``None`` and the consumer keeps its own hard-coded
 default, so inactive tuning is byte-for-byte the pre-tuner behavior.
 
-Values are scoped ``"<device>/<knob>"`` (e.g. ``"cell/md.block"``) so
-one experiment that runs several device models can tune each
+Values are scoped ``"<device>/<knob>"`` (e.g. ``"cell/cell.partition"``)
+so one experiment that runs several device models can tune each
 independently; a bare ``"<knob>"`` key applies to every device.  Inner
 :func:`applied` blocks shadow outer ones key-by-key.
 

@@ -9,12 +9,13 @@ For each :class:`~repro.tune.probe.TuneScenario` the tuner
    baseline (empty assignment) always first, then the cartesian product
    of the declared candidate grids, deterministically subsampled to the
    probe budget when the grid is larger,
-3. measures each candidate by running the scenario's probe workload
-   through :func:`repro.harness.jobs.execute_job` with
-   ``cache_key=None`` (worker machinery, no store/cache pollution),
-4. adopts the best non-default candidate only if it beats the measured
-   defaults by :data:`MIN_GAIN` (wall-clock probes are noisy; a tie
-   must never flip to a non-default config), and
+3. prices each candidate on the simulated clock by running the
+   scenario's device probe through
+   :func:`repro.harness.jobs.execute_job` with ``cache_key=None``
+   (worker machinery, no store/cache pollution),
+4. adopts the best non-default candidate only if it beats the priced
+   defaults by :data:`MIN_GAIN` (a tie never flips to a non-default
+   config), and
 5. persists the outcome — including the full trial table — as a
    :class:`~repro.tune.artifact.TunedArtifact` under ``runs/tuned/``.
 
@@ -22,9 +23,10 @@ A zero/exhausted budget or an all-probes-failed scenario degrades to a
 defaults artifact (``source="budget-exhausted"``/``"probe-failed"``),
 so tuning can never leave a workload worse than untuned.
 
-The search is deterministic given deterministic measurements: candidate
-order is fixed, subsampling is seeded by the scenario key, and winner
-selection breaks ties toward the earlier candidate (defaults first).
+The search is deterministic: probes price the simulated clock,
+candidate order is fixed, subsampling is seeded by the scenario key,
+and winner selection breaks ties toward the earlier candidate
+(defaults first).
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ __all__ = [
     "tune_scenarios",
 ]
 
-#: minimum relative throughput gain over the measured defaults before a
-#: non-default candidate is adopted — wall probes jitter, and a tuned
-#: config that is not measurably better than the defaults is pure risk
+#: minimum relative simulated-throughput gain over the defaults before a
+#: non-default candidate is adopted: a config that buys less than this
+#: is not worth the tuned cache key and run record it brings, so the
+#: defaults every untuned run shares stand
 MIN_GAIN = 0.02
 
 #: Measurement signature: scoped values -> (per_second, seconds, accuracy).
@@ -108,9 +111,7 @@ def candidates_for(
     return [{}] + combos
 
 
-def _measure_via_worker(
-    scenario: TuneScenario, quick: bool, repeats: int
-) -> Measure:
+def _measure_via_worker(scenario: TuneScenario, quick: bool) -> Measure:
     """The default measurement: a probe payload through execute_job.
 
     ``cache_key=None`` keeps probes out of the result cache, and no
@@ -127,11 +128,7 @@ def _measure_via_worker(
             "experiment_id": PROBE_EXPERIMENT_ID,
             "module": "repro.tune.probe",
             "func": "probe_job",
-            "params": {
-                "scenario_id": scenario.scenario_id,
-                "quick": quick,
-                "repeats": repeats,
-            },
+            "params": {"scenario_id": scenario.scenario_id, "quick": quick},
             "cache_key": None,
             "observe": False,
             "tuned": {
@@ -145,7 +142,7 @@ def _measure_via_worker(
                 f"probe {payload['job_id']} failed:\n{record['traceback']}"
             )
         row = record["result"]["rows"][0]
-        # headers: scenario, device, n, metric, per_second, best_seconds, accuracy
+        # headers: scenario, device, n, metric, per_second, seconds, accuracy
         return float(row[4]), float(row[5]), float(row[6])
 
     return measure
@@ -168,7 +165,6 @@ def tune_scenario(
     *,
     quick: bool = False,
     budget: int = 16,
-    repeats: int = 2,
     store: TunedStore | None = None,
     force: bool = False,
     code_fingerprint: str | None = None,
@@ -209,7 +205,7 @@ def tune_scenario(
             return TuneOutcome(artifact=existing, cached=True, probes_run=0)
 
     if measure is None:
-        measure = _measure_via_worker(scenario, quick, repeats)
+        measure = _measure_via_worker(scenario, quick)
 
     candidates = candidates_for(scenario, budget, key)
     trials: list[dict[str, Any]] = []
@@ -226,7 +222,7 @@ def tune_scenario(
             trial.update(
                 ok=True,
                 per_second=float(per_second),
-                best_seconds=float(seconds),
+                seconds=float(seconds),
                 accuracy=float(accuracy),
             )
         probes_run += 1
@@ -249,7 +245,6 @@ def tune_scenario(
             quick=quick,
             knobs=scenario.knobs,
             values={},
-            objective=scenario.objective,
             metric=scenario.metric,
             default_metric=0.0,
             best_metric=0.0,
@@ -281,7 +276,6 @@ def tune_scenario(
         quick=quick,
         knobs=scenario.knobs,
         values=best["values"],
-        objective=scenario.objective,
         metric=scenario.metric,
         default_metric=default_metric,
         best_metric=best["per_second"],
@@ -299,7 +293,6 @@ def tune_scenarios(
     *,
     quick: bool = False,
     budget: int = 16,
-    repeats: int = 2,
     store: TunedStore | None = None,
     force: bool = False,
     code_fingerprint: str | None = None,
@@ -318,7 +311,6 @@ def tune_scenarios(
             scenario,
             quick=quick,
             budget=budget,
-            repeats=repeats,
             store=store,
             force=force,
             code_fingerprint=code_fingerprint,

@@ -1,17 +1,16 @@
 """Typed declaration of every tunable knob in the system.
 
-Each backend declares its knobs *where they live* — the MD force
-registry declares ``md.*``, the Cell partitioner declares
-``cell.partition``, the GPU driver ``gpu.row_block``, the MTA stream
-model ``mta.streams`` — by calling
-:func:`register_tunable` at import time.  The tuner then has one place
-to ask "what can I turn, between which bounds, and what should it do?".
+Each backend declares its knobs *where they live* — the Cell
+partitioner declares ``cell.partition``, the MTA stream model
+``mta.streams`` — by calling :func:`register_tunable` at import time.
+The tuner then has one place to ask "what can I turn, between which
+bounds, and what should it do?".
 
-The registry enforces the bit-identity contract: a knob that can change
-trajectories (``affects_physics=True`` — dtype, cutoff radius, dt, ...)
-is **rejected at registration**.  Every registrable knob only reorders
-or re-buckets work, so a tuned run must produce byte-identical physics
-and pass the shape-band diff gate against its untuned twin.
+Every knob moves only the simulated clock: it is read by a device
+model's pricing, never by the force path, so a tuned run integrates the
+untuned trajectory and differs only in its modeled seconds.  The
+registry also rejects a knob declared ``affects_physics=True`` (dtype,
+cutoff radius, dt, ...) at registration.
 """
 
 from __future__ import annotations
@@ -33,22 +32,16 @@ _KINDS = ("int", "float", "choice")
 
 #: modules that declare knobs at import time (lazy — no import cycles:
 #: this module imports nothing from the rest of repro)
-_DECLARING_MODULES = (
-    "repro.md.forcefield",
-    "repro.cell.partition",
-    "repro.gpu.device",
-    "repro.mta.streams",
-    "repro.vm.machine",
-)
+_DECLARING_MODULES = ("repro.cell.partition", "repro.mta.streams")
 
 
 @dataclasses.dataclass(frozen=True)
 class TunableSpec:
     """One knob: name, home backend, bounds, and the probe grid."""
 
-    #: dotted name, ``<family>.<knob>`` (e.g. ``md.skin``, ``gpu.row_block``)
+    #: dotted name, ``<family>.<knob>`` (e.g. ``cell.partition``)
     name: str
-    #: backend family that consumes it (md/cell/gpu/mta/vm)
+    #: backend family that consumes it (cell/mta)
     backend: str
     #: value kind: ``int``, ``float``, or ``choice``
     kind: str
@@ -99,7 +92,7 @@ def register_tunable(spec: TunableSpec) -> TunableSpec:
     if spec.affects_physics:
         raise ValueError(
             f"tunable {spec.name!r} affects physics (trajectories would "
-            "change); only scheduling/layout knobs are tunable"
+            "change); only knobs of the simulated clock are tunable"
         )
     if spec.kind not in _KINDS:
         raise ValueError(f"tunable {spec.name!r}: unknown kind {spec.kind!r}")

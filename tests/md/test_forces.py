@@ -150,3 +150,34 @@ class TestPropertyBased:
         assert moved.potential_energy == pytest.approx(
             base.potential_energy, abs=1e-8
         )
+
+
+class TestBlockSize:
+    def test_block_rechunk_preserves_forces(self):
+        # the block size only re-chunks rows, and each row is reduced in one
+        # ordered pass: forces and tallies are bitwise block-invariant;
+        # only the dense branch's pairwise per-block PE sum may move
+        from repro.experiments.common import paper_config
+        from repro.md.forcefield import make_force_backend
+
+        for n_atoms in (256, 1024):  # dense scan, cell branch
+            config = paper_config(n_atoms)  # box must exceed twice the cutoff
+            box = config.make_box()
+            rng = np.random.default_rng(7)
+            positions = rng.uniform(0.0, box.length, size=(n_atoms, 3))
+            for dtype, pe_rel in ((np.float32, 1e-5), (np.float64, 1e-12)):
+                first, *others = (
+                    make_force_backend(
+                        "all-pairs", box, LennardJones(), dtype=dtype, block=block
+                    )(positions)
+                    for block in (16, 64, 256, 1024)
+                )
+                for other in others:
+                    assert np.array_equal(other.accelerations, first.accelerations)
+                    assert np.array_equal(
+                        other.row_interacting, first.row_interacting
+                    )
+                    assert other.interacting_pairs == first.interacting_pairs
+                    assert other.potential_energy == pytest.approx(
+                        first.potential_energy, rel=pe_rel
+                    )

@@ -238,3 +238,18 @@ class TestSpecs:
         assert record_bench.main(argv) == 1
         err = capsys.readouterr().err
         assert "results[5].state_digest" in err
+
+    def test_tune_replay_catches_an_altered_speedup(self, record_bench,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+        committed = replay_committed(record_bench, monkeypatch, "tune")
+        out = tmp_path / "BENCH_tune.json"
+        argv = ["--tune", "--check", "--force", "--out", str(out)]
+        out.write_text(json.dumps(committed))
+        assert record_bench.main(argv) == 0
+
+        altered = json.loads(json.dumps(committed))
+        altered["results"][1]["tuned_per_second"] *= 1.01
+        out.write_text(json.dumps(altered))
+        assert record_bench.main(argv) == 1
+        assert "results[1].tuned_per_second" in capsys.readouterr().err

@@ -48,7 +48,6 @@ def _artifact(key=None, **overrides):
         quick=True,
         knobs=("mta.streams",),
         values={"mta/mta.streams": 64},
-        objective="wall",
         metric="rows_per_second",
         default_metric=100.0,
         best_metric=900.0,
@@ -144,12 +143,12 @@ class TestMerge:
         store.save(_artifact())
         store.save(
             _artifact(
-                key=_key(scenario_id="tunesweep-gpu", device="gpu",
-                         knob_grids={"gpu.row_block": (64, 128)}),
-                scenario_id="tunesweep-gpu",
-                device="gpu",
-                knobs=("gpu.row_block",),
-                values={"gpu/gpu.row_block": 512},
+                key=_key(scenario_id="tunesweep-cell", device="cell",
+                         knob_grids={"cell.partition": ("block", "cyclic")}),
+                scenario_id="tunesweep-cell",
+                device="cell",
+                knobs=("cell.partition",),
+                values={"cell/cell.partition": "cyclic"},
             )
         )
         merged = merge_for_experiment(
@@ -158,7 +157,7 @@ class TestMerge:
         assert merged is not None
         assert merged.values == {
             "mta/mta.streams": 64,
-            "gpu/gpu.row_block": 512,
+            "cell/cell.partition": "cyclic",
         }
         assert len(merged.keys) == 2
 

@@ -32,29 +32,28 @@ def _tunesweep_job() -> Job:
 def _seed_artifact(
     store: TunedStore,
     *,
-    values={"gpu/gpu.row_block": 256},
+    values={"mta/mta.streams": 32},
     code_fp=CODE_FP,
     experiment_id="tunesweep",
 ):
     art = make_artifact(
         key=tuned_key(
-            scenario_id="tunesweep-gpu",
+            scenario_id="tunesweep-mta",
             experiment_id=experiment_id,
-            device="gpu",
-            n=256,
+            device="mta",
+            n=128,
             quick=True,
-            knob_grids={"gpu.row_block": (32, 64, 128, 256, 512)},
+            knob_grids={"mta.streams": (16, 32, 64, 128, 256)},
             code_fingerprint=code_fp,
         ),
-        scenario_id="tunesweep-gpu",
+        scenario_id="tunesweep-mta",
         experiment_id=experiment_id,
-        device="gpu",
-        n=256,
+        device="mta",
+        n=128,
         quick=True,
-        knobs=("gpu.row_block",),
+        knobs=("mta.streams",),
         values=values,
-        objective="wall",
-        metric="sweeps",
+        metric="steps",
         default_metric=100.0,
         best_metric=900.0,
         source="search",
@@ -74,7 +73,7 @@ class TestAttachTuned:
         (tuned_job,) = attach_tuned(
             [job], tuned_store=tuned_store, quick=True, fingerprint=CODE_FP
         )
-        assert tuned_job.tuned["values"] == {"gpu/gpu.row_block": 256}
+        assert tuned_job.tuned["values"] == {"mta/mta.streams": 32}
         assert tuned_job.tuned["fingerprint"] == art.fingerprint
         assert art.key in tuned_job.tuned["keys"]
         assert job_cache_key(tuned_job, "f") != job_cache_key(job, "f")
@@ -129,7 +128,8 @@ class TestTunedRoster:
     def test_diff_gate_tuned_vs_untuned_shows_no_regression(self, tmp_path):
         # The bit-identity satellite: a tuned run must pass the
         # shape-band diff gate against its untuned twin — knobs only
-        # reorder work, so every check that passed still passes.
+        # move the simulated clock, so every check that passed still
+        # passes.
         store = RunStore(tmp_path)
         tuned_store = TunedStore(tmp_path)
         _seed_artifact(tuned_store)
@@ -204,10 +204,27 @@ class TestHandEditedArtifactNeverRuns:
         art = _seed_artifact(tuned_store)
         path = tuned_store.path(art.key)
         data = json.loads(path.read_text())
-        data["values"] = {"gpu/gpu.row_block": "telepathy"}
+        data["values"] = {"mta/mta.streams": "telepathy"}
         path.write_text(json.dumps(data))
         job = _tunesweep_job()
         (out,) = attach_tuned(
             [job], tuned_store=tuned_store, quick=True, fingerprint=CODE_FP
         )
         assert out == job  # loader rejected it -> defaults
+
+    def test_retired_knob_is_invisible_to_attach(self, tmp_path):
+        # an artifact tuned before a knob was retired names a knob the
+        # registry no longer declares: the loader's KeyError path
+        current_fp = code_fingerprint()
+        tuned_store = TunedStore(tmp_path)
+        art = _seed_artifact(tuned_store, code_fp=current_fp)
+        path = tuned_store.path(art.key)
+        data = json.loads(path.read_text())
+        data["values"] = {"opteron/md.block": 64}
+        path.write_text(json.dumps(data))
+        assert tuned_store.load(art.key) is None
+        job = _tunesweep_job()
+        (out,) = attach_tuned(
+            [job], tuned_store=tuned_store, quick=True, fingerprint=current_fp
+        )
+        assert out == job

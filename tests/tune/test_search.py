@@ -8,6 +8,8 @@ single real probe.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.obs.context import collect
@@ -27,55 +29,55 @@ from repro.tune.search import (
 )
 
 CODE_FP = "feedc0de" * 8
-GPU = scenario_for("tunesweep-gpu")
+MTA = scenario_for("tunesweep-mta")
 
 
 def exec_speed_measure(values):
-    """Deterministic: row_block 512 9x, 256 3x, the rest/defaults 1x."""
-    speed = {512: 900.0, 256: 300.0}.get(
-        values.get("gpu/gpu.row_block"), 100.0
-    )
+    """Deterministic: 16 streams 9x, 32 streams 3x, the rest/defaults 1x."""
+    speed = {16: 900.0, 32: 300.0}.get(values.get("mta/mta.streams"), 100.0)
     return speed, 1.0 / speed, 0.0
 
 
 class TestCandidates:
     def test_defaults_first_then_full_grid(self):
-        cands = candidates_for(GPU, budget=16, key="ab" * 32)
+        cands = candidates_for(MTA, budget=16, key="ab" * 32)
         assert cands[0] == {}
-        for row_block in (32, 64, 128, 256, 512):
-            assert {"gpu/gpu.row_block": row_block} in cands
+        for streams in (16, 32, 64, 128, 256):
+            assert {"mta/mta.streams": streams} in cands
         assert len(cands) == 6
 
     def test_deterministic_subsample_under_budget(self):
         key = "cd" * 32
-        a = candidates_for(GPU, budget=2, key=key)
-        b = candidates_for(GPU, budget=2, key=key)
+        a = candidates_for(MTA, budget=2, key=key)
+        b = candidates_for(MTA, budget=2, key=key)
         assert a == b  # same key + budget => same candidate list
         assert a[0] == {} and len(a) == 2
 
     def test_zero_budget_admits_nothing(self):
-        assert candidates_for(GPU, budget=0, key="ef" * 32) == []
+        assert candidates_for(MTA, budget=0, key="ef" * 32) == []
 
     def test_multi_knob_scenario_takes_the_cartesian_product(self):
-        cell = scenario_for("table1-cell")
-        cands = candidates_for(cell, budget=64, key="01" * 32)
-        blocks = {c.get("cell/md.block") for c in cands[1:]}
+        both = dataclasses.replace(
+            scenario_for("table1-cell"), knobs=("cell.partition", "mta.streams")
+        )
+        cands = candidates_for(both, budget=64, key="01" * 32)
+        streams = {c.get("cell/mta.streams") for c in cands[1:]}
         parts = {c.get("cell/cell.partition") for c in cands[1:]}
-        assert len(cands) == 1 + len(blocks) * len(parts)
+        assert len(cands) == 1 + len(streams) * len(parts)
         assert "cyclic" in parts and "block" in parts
 
 
 class TestSearch:
     def test_adopts_the_fastest_candidate(self, tmp_path):
         outcome = tune_scenario(
-            "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
+            "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP, measure=exec_speed_measure,
         )
         art = outcome.artifact
         assert not outcome.cached
         assert outcome.probes_run == 6
         assert art.source == SOURCE_SEARCH
-        assert art.values == {"gpu/gpu.row_block": 512}
+        assert art.values == {"mta/mta.streams": 16}
         assert art.speedup == pytest.approx(9.0)
         assert len(art.trials) == 6
 
@@ -84,10 +86,10 @@ class TestSearch:
             quick=True, code_fingerprint=CODE_FP, measure=exec_speed_measure,
         )
         a = tune_scenario(
-            "tunesweep-gpu", store=TunedStore(tmp_path / "a"), **kwargs
+            "tunesweep-mta", store=TunedStore(tmp_path / "a"), **kwargs
         ).artifact
         b = tune_scenario(
-            "tunesweep-gpu", store=TunedStore(tmp_path / "b"), **kwargs
+            "tunesweep-mta", store=TunedStore(tmp_path / "b"), **kwargs
         ).artifact
         assert a.key == b.key
         assert a.values == b.values
@@ -95,13 +97,13 @@ class TestSearch:
 
     def test_sub_threshold_gain_keeps_the_defaults(self, tmp_path):
         def barely_faster(values):
-            # 1% gain: under MIN_GAIN, so pure probe-noise risk
+            # 1% gain: under MIN_GAIN, so the defaults stand
             speed = 101.0 if values else 100.0
             return speed, 1.0 / speed, 0.0
 
         assert MIN_GAIN > 0.01
         art = tune_scenario(
-            "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
+            "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
             code_fingerprint=CODE_FP, measure=barely_faster,
         ).artifact
         assert art.source == SOURCE_SEARCH
@@ -114,13 +116,13 @@ class TestSearch:
             quick=True, store=store, code_fingerprint=CODE_FP,
         )
         first = tune_scenario(
-            "tunesweep-gpu", measure=exec_speed_measure, **kwargs
+            "tunesweep-mta", measure=exec_speed_measure, **kwargs
         )
 
         def exploding(values):
             raise AssertionError("cached search must run zero probes")
 
-        second = tune_scenario("tunesweep-gpu", measure=exploding, **kwargs)
+        second = tune_scenario("tunesweep-mta", measure=exploding, **kwargs)
         assert second.cached and second.probes_run == 0
         assert second.artifact == first.artifact
 
@@ -130,15 +132,15 @@ class TestSearch:
             quick=True, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-gpu", **kwargs)
-        again = tune_scenario("tunesweep-gpu", force=True, **kwargs)
+        tune_scenario("tunesweep-mta", **kwargs)
+        again = tune_scenario("tunesweep-mta", force=True, **kwargs)
         assert not again.cached and again.probes_run == 6
 
 
 class TestFallbacks:
     def test_zero_budget_degrades_to_defaults(self, tmp_path):
         art = tune_scenario(
-            "tunesweep-gpu", quick=True, budget=0,
+            "tunesweep-mta", quick=True, budget=0,
             store=TunedStore(tmp_path), code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         ).artifact
@@ -152,7 +154,7 @@ class TestFallbacks:
 
         store = TunedStore(tmp_path)
         outcome = tune_scenario(
-            "tunesweep-gpu", quick=True, store=store,
+            "tunesweep-mta", quick=True, store=store,
             code_fingerprint=CODE_FP, measure=always_fails,
         )
         art = outcome.artifact
@@ -169,8 +171,8 @@ class TestFallbacks:
             quick=True, budget=0, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-gpu", **kwargs)
-        assert tune_scenario("tunesweep-gpu", **kwargs).cached
+        tune_scenario("tunesweep-mta", **kwargs)
+        assert tune_scenario("tunesweep-mta", **kwargs).cached
 
 
 class TestTuneScenarios:
@@ -198,7 +200,7 @@ class TestCounters:
     def test_search_charges_tune_counters(self, tmp_path):
         with collect() as session:
             tune_scenario(
-                "tunesweep-gpu", quick=True, store=TunedStore(tmp_path),
+                "tunesweep-mta", quick=True, store=TunedStore(tmp_path),
                 code_fingerprint=CODE_FP, measure=exec_speed_measure,
             )
         counters = session.merged_counters()
@@ -213,9 +215,9 @@ class TestCounters:
             quick=True, store=store, code_fingerprint=CODE_FP,
             measure=exec_speed_measure,
         )
-        tune_scenario("tunesweep-gpu", **kwargs)
+        tune_scenario("tunesweep-mta", **kwargs)
         with collect() as session:
-            tune_scenario("tunesweep-gpu", **kwargs)
+            tune_scenario("tunesweep-mta", **kwargs)
         counters = session.merged_counters()
         assert counters["tune/tune.cache_hits"] == 1
         assert "tune/tune.probes" not in counters

@@ -13,14 +13,8 @@ from repro.tune.spec import (
     validate_values,
 )
 
-#: every knob the shipped backends must declare
-EXPECTED_KNOBS = {
-    "md.block",
-    "md.skin",
-    "cell.partition",
-    "gpu.row_block",
-    "mta.streams",
-}
+#: every knob the shipped backends declare: both move only the simulated clock
+EXPECTED_KNOBS = {"cell.partition", "mta.streams"}
 
 
 def _spec(**overrides) -> TunableSpec:
@@ -39,7 +33,7 @@ def _spec(**overrides) -> TunableSpec:
 
 class TestRegistration:
     def test_every_backend_knob_is_declared(self):
-        assert EXPECTED_KNOBS <= {spec.name for spec in all_tunables()}
+        assert {spec.name for spec in all_tunables()} == EXPECTED_KNOBS
 
     def test_physics_affecting_knob_is_rejected(self):
         # The bit-identity contract: dtype (or cutoff, dt, ...) changes
@@ -74,11 +68,11 @@ class TestRegistration:
             register_tunable(_spec(candidates=(1, 2, 16)))
 
     def test_duplicate_identical_registration_is_idempotent(self):
-        spec = tunable("md.block")
+        spec = tunable("mta.streams")
         assert register_tunable(spec) is spec
 
     def test_duplicate_conflicting_registration_rejected(self):
-        existing = tunable("md.block")
+        existing = tunable("mta.streams")
         import dataclasses
 
         conflicting = dataclasses.replace(existing, default=existing.candidates[0])
@@ -95,14 +89,14 @@ class TestValueValidation:
 
     def test_int_rejects_bool(self):
         with pytest.raises(ValueError):
-            tunable("md.block").validate(True)
+            tunable("mta.streams").validate(True)
 
     def test_bounds_enforced(self):
         with pytest.raises(ValueError, match="low bound"):
-            tunable("md.skin").validate(0.0)
+            tunable("mta.streams").validate(0)
 
     def test_validate_values_accepts_scoped_and_bare_keys(self):
-        validate_values({"md.block": 128, "cell/cell.partition": "cyclic"})
+        validate_values({"mta.streams": 32, "cell/cell.partition": "cyclic"})
 
     def test_validate_values_rejects_unknown_knob(self):
         with pytest.raises(KeyError):
@@ -110,4 +104,4 @@ class TestValueValidation:
 
     def test_validate_values_rejects_illegal_value(self):
         with pytest.raises(ValueError):
-            validate_values({"gpu/gpu.row_block": 0})
+            validate_values({"mta/mta.streams": 0})

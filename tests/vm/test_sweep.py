@@ -182,3 +182,27 @@ class TestChunking:
         assert run() == chunked
         assert chunked[2]["vm.segments"] > 0
         assert chunked[2]["vm.branch.interacting_fraction.samples"] > 0
+
+
+class TestRowBlock:
+    @pytest.mark.parametrize("kernel", ["gpu:md_shader", "spe:original"])
+    def test_widths_are_bit_identical(self, kernel):
+        from repro.experiments.common import paper_config
+
+        n = 96
+        config = paper_config(n)
+        box_length = config.make_box().length
+        family, name = kernel.split(":")
+        if family == "gpu":
+            program = build_md_shader(box_length).program
+            constants = shader_constants(LennardJones(), box_length)
+        else:
+            program = build_spe_kernel(name, box_length)
+            constants = kernel_constants(LennardJones())
+        sweep = PairSweep(program)
+        rng = np.random.default_rng(3)
+        positions = rng.uniform(0.0, box_length, size=(n, 3)).astype(np.float32)
+        acc_a, pe_a = sweep.run(positions, constants, row_block=32)
+        acc_b, pe_b = sweep.run(positions, constants, row_block=128)
+        assert np.array_equal(acc_a, acc_b)
+        assert np.array_equal(pe_a, pe_b)
