@@ -18,6 +18,7 @@ from repro.vm.bench import (
     BOX_LENGTH,
     ENSEMBLE_GATE_REPLICAS,
     ENSEMBLE_MIN_SPEEDUP,
+    SAMPLE_SECONDS,
     bench_ensemble,
     ensemble_speedups,
     timestep_env,
@@ -28,7 +29,8 @@ from repro.vm.machine import Machine
 def test_fused_batched_speedup_at_gate_replicas():
     """Acceptance gate: >= 2x replicas/sec for fused-batched at R >= 8."""
     results = bench_ensemble(
-        replica_counts=(ENSEMBLE_GATE_REPLICAS,), rows_per_replica=256, repeats=5
+        replica_counts=(ENSEMBLE_GATE_REPLICAS,), rows_per_replica=256, repeats=5,
+        sample_seconds=SAMPLE_SECONDS,
     )
     ratios = ensemble_speedups(results)
     assert set(ratios) == {ENSEMBLE_GATE_REPLICAS}

@@ -161,7 +161,11 @@ def _show_vm(record: dict) -> None:
 
 
 def _measure_ensemble(quick: bool) -> Measurement:
-    from repro.vm.bench import bench_ensemble, ensemble_speedups
+    from repro.vm.bench import (
+        SAMPLE_SECONDS,
+        bench_ensemble,
+        ensemble_speedups,
+    )
 
     config = {
         "replica_counts": [1, 2, 4, 8] if quick else [1, 2, 4, 8, 16],
@@ -173,6 +177,7 @@ def _measure_ensemble(quick: bool) -> Measurement:
         replica_counts=tuple(config["replica_counts"]),
         rows_per_replica=config["rows_per_replica"],
         repeats=config["repeats"],
+        sample_seconds=SAMPLE_SECONDS,
     )
     # JSON object keys are strings; keep replica counts readable.
     ratios = {str(r): v for r, v in sorted(ensemble_speedups(results).items())}

@@ -20,6 +20,7 @@ difference is pure executor speed.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from typing import Iterable
 
@@ -112,13 +113,48 @@ def _make_runner(kernel: str, backend: str, batch: int):
     return run
 
 
+#: Shortest timed sample of a recorded table (``BENCH_vm.json``,
+#: ``BENCH_vm2.json``).  One call takes 0.1-1.4 ms, where timer and
+#: scheduler noise alone moves a single-call time by tens of percent, so
+#: a sample times enough back-to-back calls to fill this.
+SAMPLE_SECONDS = 0.01
+
+
+def _best_seconds_per_call(runs, repeats: int, sample_seconds: float) -> list[float]:
+    """Best of ``repeats`` samples of each run's per-call wall time.
+
+    A sample is one call, or as many back-to-back calls as last at least
+    ``sample_seconds``; the runs' samples alternate, so a slow stretch of
+    the host hits every run rather than one of them.
+    """
+    calls = []
+    for run in runs:
+        run()  # warm-up: compile + pool allocation untimed
+        count = 1
+        if sample_seconds > 0.0:
+            start = time.perf_counter()
+            run()
+            single = time.perf_counter() - start
+            count = max(1, math.ceil(sample_seconds / max(single, 1e-9)))
+        calls.append(count)
+    best = [float("inf")] * len(runs)
+    for _ in range(repeats):
+        for index, (run, count) in enumerate(zip(runs, calls)):
+            start = time.perf_counter()
+            for _ in range(count):
+                run()
+            best[index] = min(best[index], (time.perf_counter() - start) / count)
+    return best
+
+
 def bench_kernels(
     kernels: Iterable[str] | None = None,
     backends: Iterable[str] = ("interp", "fused"),
     batch: int = 1024,
     repeats: int = 3,
 ) -> list[KernelBench]:
-    """Best-of-``repeats`` wall time per (kernel, backend), same inputs.
+    """Best-of-``repeats`` per-call wall time per (kernel, backend), same
+    inputs, each sample :data:`SAMPLE_SECONDS` of back-to-back calls.
 
     The first (untimed) call absorbs one-time costs — segment
     compilation, buffer-pool population — so the steady state is what
@@ -126,15 +162,12 @@ def bench_kernels(
     a sweep.
     """
     results = []
+    backends = tuple(backends)
     for kernel in kernels if kernels is not None else default_kernels():
-        for backend in backends:
-            run = _make_runner(kernel, backend, batch)
-            run()  # warm-up: compile + allocate outside the timed region
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                run()
-                best = min(best, time.perf_counter() - start)
+        runs = [_make_runner(kernel, backend, batch) for backend in backends]
+        for backend, best in zip(backends, _best_seconds_per_call(
+            runs, repeats, SAMPLE_SECONDS
+        )):
             results.append(KernelBench(
                 kernel=kernel,
                 backend=backend,
@@ -147,7 +180,10 @@ def bench_kernels(
 
 @dataclasses.dataclass(frozen=True)
 class EnsembleBench:
-    """One (replica count, execution mode) whole-timestep measurement."""
+    """One (replica count, execution mode) whole-timestep measurement.
+
+    ``best_seconds`` is per call of the mode's ``run`` (all R replicas),
+    the best of ``repeats`` samples."""
 
     mode: str  # "fused-sequential" | "fused-batched"
     replicas: int
@@ -203,11 +239,11 @@ ENSEMBLE_MODES = ("fused-sequential", "fused-batched")
 ENSEMBLE_GATE_REPLICAS = 8
 ENSEMBLE_MIN_SPEEDUP = 2.0
 
-
 def bench_ensemble(
     replica_counts: Iterable[int] = (1, 2, 4, 8, 16),
     rows_per_replica: int = 256,
     repeats: int = 3,
+    sample_seconds: float = 0.0,
 ) -> list[EnsembleBench]:
     """Replicas/sec through one whole SPE timestep, per execution mode.
 
@@ -217,19 +253,25 @@ def bench_ensemble(
     per replica's row slice; ``fused-batched`` runs the whole batch
     through one call.  Outputs are bit-identical
     (``tests/vm/test_fused.py``), so the ratio is pure batching win.
+
+    Each timed sample is one call, or with ``sample_seconds`` enough
+    back-to-back calls to last that long: the recorded table passes
+    :data:`SAMPLE_SECONDS` for stable ratios, while the
+    ``ensemble`` experiment's roster run keeps single calls cheap.
     """
     program = build_spe_timestep_kernel("simd_acceleration", BOX_LENGTH)
     constants = timestep_constants(LennardJones(), dt=0.005)
     results = []
     for replicas in replica_counts:
         batch = replicas * rows_per_replica
+        runs = []
         for mode in ENSEMBLE_MODES:
             machine = Machine(width=4, dtype=np.float32)
             env = timestep_env(machine, batch, constants)
             # Fresh dicts per call: outputs rebind names; the input
             # arrays themselves are never mutated.
             if mode == "fused-batched":
-                def run():
+                def run(machine=machine, env=env):
                     machine.run_program(program, dict(env), replicas=replicas)
             else:
                 rows = rows_per_replica
@@ -238,16 +280,14 @@ def bench_ensemble(
                     for i in range(replicas)
                 ]
 
-                def run():
+                def run(machine=machine, slices=slices):
                     for sub in slices:
                         machine.run_program(program, dict(sub))
 
-            run()  # warm-up: compile + pool allocation untimed
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                run()
-                best = min(best, time.perf_counter() - start)
+            runs.append(run)
+        for mode, best in zip(ENSEMBLE_MODES, _best_seconds_per_call(
+            runs, repeats, sample_seconds
+        )):
             results.append(EnsembleBench(
                 mode=mode,
                 replicas=replicas,

@@ -12,8 +12,13 @@ module removes all of it by *compiling* a segment once:
    ``stqd``, ``texfetch``, ``fi``) become pure renames that emit no
    code at all.
 2. **Hoist constants** — ``il``/``ilv`` results (and anything computed
-   only from them) fold to ``(width,)`` broadcast constants instead of
-   per-call ``np.full`` materializations.
+   only from them) fold at compile time instead of per-call ``np.full``
+   materializations.  A ufunc or ``copyto`` never reads a ``(width,)``
+   row (broadcasting one runs a ``width``-element inner loop): a
+   constant whose lanes are byte-identical and not NaN is passed as a
+   ``dtype`` scalar, any other one as a ``(batch, width)`` array built
+   once per batch size with the slot pool.  Lane ops (``splat``,
+   ``shufb``, ``rotqbyi``) and constant writebacks index the row.
 3. **Lower predication** — an ``IfBlock`` becomes one boolean mask, a
    branch-probability probe feeding ``Machine.branch_stats`` exactly as
    the interpreter does, and per-register masked selects over only the
@@ -25,7 +30,10 @@ module removes all of it by *compiling* a segment once:
    here while still being charged by :mod:`repro.vm.schedule`).
 5. **Assign buffer slots by liveness** — a linear scan reuses a small
    pool of ``(batch, width)`` scratch buffers via in-place ``out=``
-   ufunc kernels; steady-state execution allocates nothing.
+   ufunc kernels; steady-state execution allocates nothing.  A compare
+   whose float 0/1 result only feeds an ``IfBlock``/``selb`` mask writes
+   that bool mask directly, and a ``splat`` is ``width`` strided lane
+   copies rather than a broadcast ``[..., k:k+1]`` assignment.
 6. **Emit Python source** for the whole segment body and ``exec`` it
    once; the closure is cached per ``(program, segment names, width,
    dtype)``.
@@ -64,6 +72,7 @@ untouched — it reads the instruction stream, not the executor.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import weakref
@@ -103,10 +112,16 @@ _BINARY_UFUNCS = {
     "cpsgn": "np.copysign",
     "and_": "np.multiply",  # mask conjunction, as in the ISA
     "or_": "np.maximum",  # mask disjunction
-    "fcgt": "np.greater",  # bool result cast into the float out= buffer
+    "fcgt": "np.greater",  # bool result cast into the out= buffer
     "fclt": "np.less",
     "fceq": "np.equal",
 }
+
+#: Compare opcodes: their 1.0/0.0 result may be written as a bool mask.
+_COMPARES = frozenset(("fcgt", "fclt", "fceq"))
+
+#: Opcodes that index source lanes instead of broadcasting them.
+_LANE_OPS = frozenset(("splat", "shufb", "rotqbyi"))
 
 #: Unary elementwise opcodes -> ufunc (dest may alias the source).
 _UNARY_UFUNCS = {"fsqrt": "np.sqrt", "fabs": "np.abs", "fneg": "np.negative"}
@@ -395,6 +410,51 @@ def _eliminate_dead(ops: list[_Op], live_out: set[int]) -> list[_Op]:
     return [op for i, op in enumerate(ops) if keep[i]]
 
 
+def _fuse_compare_masks(ops: list[_Op], writeback_vals: list[_Val]) -> list[_Op]:
+    """Drop each ``cond != 0`` op whose ``cond`` is a compare read nowhere else.
+
+    The compare then writes the bool mask itself (``np.less(a, b,
+    out=mask)``): the same truth values as the float 1.0/0.0 it would
+    have written, NaN operands included, without the float buffer or
+    the second pass.  A compare whose float result is also read or
+    written back keeps both ops.
+    """
+    uses = collections.Counter(src.uid for op in ops for src in op.srcs)
+    uses.update(val.uid for val in writeback_vals)
+    compares = {
+        op.dest.uid: op
+        for op in ops
+        if op.kind == "compute" and op.opname in _COMPARES
+    }
+    fused = []
+    for op in ops:
+        if op.kind == "mask":
+            cond = op.srcs[0]
+            producer = compares.get(cond.uid)
+            if producer is not None and uses[cond.uid] == 1:
+                producer.dest = op.dest
+                continue
+        fused.append(op)
+    return fused
+
+
+def _scalar_const(row: np.ndarray):
+    """The lanes' common value as a ``dtype`` scalar, or ``None``.
+
+    Lanes must match byte for byte, so a ``0.0``/``-0.0`` mix stays
+    wide, and must not be NaN: ``np.add``/``np.multiply`` with a NaN
+    scalar can return the other operand's NaN payload where a full array
+    returns its own.  A non-NaN scalar gives every ufunc here the same
+    bytes as the full array the interpreter reads.
+    """
+    first = row[:1]
+    if row.tobytes() != first.tobytes() * row.size:
+        return None
+    if row.dtype.kind == "f" and np.isnan(first[0]):
+        return None
+    return first[0]
+
+
 def _assign_slots(ops: list[_Op], writeback_vals: list[_Val]) -> tuple[dict[int, tuple[str, int]], dict[str, int]]:
     """Linear-scan slot allocation with alias-aware ``out=`` reuse."""
     last_use: dict[int, int] = {}
@@ -456,10 +516,10 @@ def _assign_slots(ops: list[_Op], writeback_vals: list[_Val]) -> tuple[dict[int,
 # ---------------------------------------------------------------------------
 
 
-def _emit_compute(op: _Op, expr, width: int) -> list[str]:
+def _emit_compute(op: _Op, expr, row, width: int) -> list[str]:
     d = expr(op.dest)
-    s = [expr(v) for v in op.srcs]
     name = op.opname
+    s = [(row if name in _LANE_OPS else expr)(v) for v in op.srcs]
     if name in _BINARY_UFUNCS:
         return [f"{_BINARY_UFUNCS[name]}({s[0]}, {s[1]}, out={d})"]
     if name in _UNARY_UFUNCS:
@@ -482,7 +542,7 @@ def _emit_compute(op: _Op, expr, width: int) -> list[str]:
         return [f"np.round({s[0]}, 0, {d})"]
     if name == "splat":
         lane = int(op.imm)
-        return [f"{d}[...] = {s[0]}[..., {lane}:{lane + 1}]"]
+        return [f"{d}[..., {k}] = {s[0]}[..., {lane}]" for k in range(width)]
     if name == "shufb":
         lines = []
         for k, index in enumerate(op.imm):
@@ -499,9 +559,9 @@ def _emit_compute(op: _Op, expr, width: int) -> list[str]:
     raise VMCompileError(f"no codegen for opcode {name!r}")  # pragma: no cover
 
 
-def _emit_op(op: _Op, expr, width: int) -> list[str]:
+def _emit_op(op: _Op, expr, row, width: int) -> list[str]:
     if op.kind == "compute":
-        return _emit_compute(op, expr, width)
+        return _emit_compute(op, expr, row, width)
     if op.kind == "mask":
         return [f"np.not_equal({expr(op.srcs[0])}, 0, out={expr(op.dest)})"]
     if op.kind == "select":
@@ -531,6 +591,11 @@ def _load(env: dict, name: str) -> np.ndarray:
         ) from None
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 class CompiledSegment:
     """One compilation unit lowered to a fused closure plus its buffers.
 
@@ -553,6 +618,7 @@ class CompiledSegment:
         input_names: tuple[str, ...],
         n_kernel_calls: int,
         segment_names: tuple[str, ...] | None = None,
+        wide_consts: tuple[np.ndarray, ...] = (),
     ) -> None:
         self.program_name = program_name
         self.segment_name = segment_name
@@ -564,8 +630,10 @@ class CompiledSegment:
         self.n_bool_slots = n_bool_slots
         self.input_names = input_names
         self.n_kernel_calls = n_kernel_calls
+        #: ``(width,)`` rows of the constants ufuncs read as full arrays
+        self.wide_consts = wide_consts
         self._fn = fn
-        self._pools: dict[int, tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]] = {}
+        self._pools: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
     def _pool(self, batch: int):
         pool = self._pools.get(batch)
@@ -581,6 +649,7 @@ class CompiledSegment:
                     np.empty((batch, self.width), dtype=bool)
                     for _ in range(self.n_bool_slots)
                 ),
+                tuple(_read_only(np.tile(row, (batch, 1))) for row in self.wide_consts),
             )
             self._pools[batch] = pool
         return pool
@@ -592,8 +661,8 @@ class CompiledSegment:
         replicas: int = 1,
     ) -> dict[str, np.ndarray]:
         batch = next(iter(env.values())).shape[0] if env else 0
-        fpool, bpool = self._pool(batch)
-        self._fn(env, machine, fpool, bpool, batch, replicas)
+        fpool, bpool, wpool = self._pool(batch)
+        self._fn(env, machine, fpool, bpool, wpool, batch, replicas)
         return env
 
 
@@ -644,6 +713,7 @@ def _compile_unit(
         writebacks.append((name, val))
 
     ops = _eliminate_dead(flat.ops, {val.uid for _n, val in writebacks})
+    ops = _fuse_compare_masks(ops, [val for _n, val in writebacks])
     slots, counts = _assign_slots(ops, [val for _n, val in writebacks])
 
     # -- name every value ------------------------------------------------
@@ -662,12 +732,18 @@ def _compile_unit(
             if val.kind == "maybe" and val.uid not in maybe_vars:
                 maybe_vars[val.uid] = (f"_m{len(maybe_vars)}", val.name)
 
+    # A constant is named up to twice: as an operand (``_cN``, a scalar
+    # in the namespace, or ``_wN``, a full array from the per-batch
+    # pool) and as a lane row (``_rN``, the folded ``(width,)`` row).
     const_vars: dict[int, str] = {}
+    row_vars: dict[int, str] = {}
+    wide_consts: list[np.ndarray] = []
+    n_scalars = itertools.count()
     namespace: dict[str, object] = {
         "np": np,
         "_load": _load,
         "_one": dtype.type(1.0),
-        "_zrow": np.zeros((width,), dtype=dtype),
+        "_zero": dtype.type(0.0),
     }
 
     def expr(val: _Val) -> str:
@@ -678,38 +754,55 @@ def _compile_unit(
         if val.kind == "const":
             var = const_vars.get(val.uid)
             if var is None:
-                var = f"_c{len(const_vars)}"
+                scalar = _scalar_const(val.const)
+                if scalar is None:
+                    var = f"_w{len(wide_consts)}"
+                    wide_consts.append(val.const)
+                else:
+                    var = f"_c{next(n_scalars)}"
+                    namespace[var] = scalar
                 const_vars[val.uid] = var
-                namespace[var] = val.const
             return var
         pool, index = slots[val.uid]
         return f"_{pool}{index}"
 
+    def row(val: _Val) -> str:
+        if val.kind != "const":
+            return expr(val)
+        var = row_vars.get(val.uid)
+        if var is None:
+            var = row_vars[val.uid] = f"_r{len(row_vars)}"
+            namespace[var] = val.const
+        return var
+
     # -- assemble source -------------------------------------------------
-    lines = ["def _kernel(env, machine, _fpool, _bpool, batch, replicas):"]
-    for index in range(counts["f"]):
-        lines.append(f"    _f{index} = _fpool[{index}]")
-    for index in range(counts["b"]):
-        lines.append(f"    _b{index} = _bpool[{index}]")
-    for val_uid, var in input_vars.items():
-        name = next(n for n, v in flat.inputs.items() if v.uid == val_uid)
-        lines.append(f"    {var} = _load(env, {name!r})")
-    for var, name in maybe_vars.values():
-        lines.append(f"    {var} = env.get({name!r}, _zrow)")
-    lines.append("    with np.errstate(all='ignore'):")
     body: list[str] = []
     n_kernel_calls = 0
     for op in ops:
-        emitted = _emit_op(op, expr, width)
+        emitted = _emit_op(op, expr, row, width)
         n_kernel_calls += len(emitted)
         body.extend(emitted)
     for name, val in writebacks:
         if val.kind == "const":
-            body.append(f"env[{name!r}] = np.tile({expr(val)}, (batch, 1))")
+            body.append(f"env[{name!r}] = np.tile({row(val)}, (batch, 1))")
         else:
             body.append(f"env[{name!r}] = {expr(val)}.copy()")
     if not body:
         body.append("pass")
+
+    lines = ["def _kernel(env, machine, _fpool, _bpool, _wpool, batch, replicas):"]
+    for index in range(counts["f"]):
+        lines.append(f"    _f{index} = _fpool[{index}]")
+    for index in range(counts["b"]):
+        lines.append(f"    _b{index} = _bpool[{index}]")
+    for index in range(len(wide_consts)):
+        lines.append(f"    _w{index} = _wpool[{index}]")
+    for val_uid, var in input_vars.items():
+        name = next(n for n, v in flat.inputs.items() if v.uid == val_uid)
+        lines.append(f"    {var} = _load(env, {name!r})")
+    for var, name in maybe_vars.values():
+        lines.append(f"    {var} = env.get({name!r}, _zero)")
+    lines.append("    with np.errstate(all='ignore'):")
     lines.extend("        " + line for line in body)
     source = "\n".join(lines) + "\n"
 
@@ -728,6 +821,7 @@ def _compile_unit(
         input_names=tuple(input_names),
         n_kernel_calls=n_kernel_calls,
         segment_names=tuple(segment_names),
+        wide_consts=tuple(wide_consts),
     )
 
 

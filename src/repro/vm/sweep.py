@@ -187,8 +187,23 @@ class PairSweep:
                             outputs[name][lo * n : (lo + chunk.size) * n] = register
 
             stop = start + block.size
+            # Sum over j with j outermost: each (row, lane) accumulates
+            # j = 0, 1, ... in order, as the strided ``sum(axis=1)`` does,
+            # but over contiguous rows of chunk * width floats instead of
+            # a 3-float inner loop.  The transposed copy of each chunk
+            # goes into that chunk's ``xi`` register, which every chunk
+            # rewrites before use, so the reduction allocates nothing.
+            # ``pe`` stays on its strided sum, which is pairwise over j:
+            # a sequential sum changes its bits.
             fvec = outputs["acc_out"].reshape(block.size, n, width)
-            acc[start:stop] = fvec[:, :, :3].sum(axis=1, dtype=np.float32)
+            for lo in range(0, block.size, chunk_rows):
+                part = fvec[lo : lo + chunk_rows]
+                size = part.shape[0]
+                by_j = self._chunk_env(size * n, constants)["xi"]
+                np.copyto(by_j.reshape(n, size, width), part.transpose(1, 0, 2))
+                acc[start + lo : start + lo + size] = np.add.reduce(
+                    by_j.reshape(n, -1), axis=0
+                ).reshape(size, width)[:, :3]
             pe_pair = outputs[self._pe_register].reshape(block.size, n, width)
             pe[start:stop] = pe_pair[:, :, self._pe_lane].sum(
                 axis=1, dtype=np.float32

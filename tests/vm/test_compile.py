@@ -17,6 +17,8 @@ same order) as the ``interp`` reference backend.  Coverage:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,3 +605,177 @@ class TestCompilerMachinery:
             env = {"pad": machine.make_register(2, 0.0)}
             machine.run_segment(program, "main", env)
             assert env["acc"][0, 0] == 111.0
+
+
+# ---------------------------------------------------------------------------
+# codegen fast paths: scalar / pre-broadcast constants, lane-wise splat,
+# compares written straight into masks
+# ---------------------------------------------------------------------------
+
+#: float32 NaNs with distinct sign and payload bits
+_NAN_BITS = np.array([0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7FA00005],
+                     dtype=np.uint32)
+
+
+def _special_env(machine, names=("x", "y"), batch=7, seed=0):
+    """Registers mixing signed zeros, infinities and NaN payloads."""
+    rng = np.random.default_rng(seed)
+    pool = np.concatenate([
+        np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.0], dtype=np.float32),
+        _NAN_BITS.view(np.float32),
+        rng.uniform(-4.0, 4.0, size=6).astype(np.float32),
+    ])
+    return {
+        name: rng.choice(pool, size=(batch, machine.width)).astype(np.float32)
+        for name in names
+    }
+
+
+def _const_program(*const_instrs):
+    """Every operand position a constant ``c`` can take, against ``x``."""
+    body = const_instrs + (
+        Instr("fa", "y", ("x", "c")),
+        Instr("fm", "z", ("c", "x")),
+        Instr("fmin", "w", ("x", "c")),
+        Instr("cpsgn", "v", ("x", "c")),
+        Instr("fma", "u", ("c", "x", "c")),
+        Instr("fs", "u", ("u", "c")),
+        Instr("fmax", "u", ("c", "u")),
+        Instr("selb", "w", ("w", "c", "x")),
+        Instr("selb", "v", ("c", "v", "y")),
+        Instr("shufb", "z", ("z", "c"), imm=(4, 1, 6, 3)),
+    )
+    return Program(
+        name="consts",
+        segments=(Segment("main", "t", body),),
+        inputs=("x",),
+        outputs=("y", "z", "w", "v", "u"),
+    )
+
+
+class TestConstantFastPathsDifferential:
+    """A constant reaches ufuncs as a scalar only when that is bit-exact."""
+
+    @pytest.mark.parametrize("instr,wide", [
+        # uniform: a dtype scalar
+        (Instr("il", "c", ("x",), imm=-0.0), False),
+        (Instr("il", "c", ("x",), imm=2.5), False),
+        # 0.0 == -0.0 by value but not by bytes: stays a full array
+        (Instr("ilv", "c", ("x",), imm=(0.0, -0.0, 0.0, 0.0)), True),
+        # non-uniform lanes, and a short vector (lane 3 zero-filled)
+        (Instr("ilv", "c", ("x",), imm=(1.0, -2.0, 3.0, 0.5)), True),
+        (Instr("ilv", "c", ("x",), imm=(1.0, -1.0)), True),
+        # NaN lanes stay full arrays: a NaN scalar can let the other
+        # operand's NaN payload through where the interpreter's array
+        # does not
+        (Instr("il", "c", ("x",), imm=float("nan")), True),
+        (Instr("ilv", "c", ("x",), imm=(float("nan"), 1.0, float("nan"), 2.0)), True),
+    ])
+    def test_constant_operands_bit_identical(self, instr, wide):
+        program = _const_program(instr)
+        for batch in (1, 7, 33):
+            interp, fused = _run_both(
+                program, "main", lambda m: _special_env(m, ("x",), batch)
+            )
+            _assert_outputs_identical(program, interp, fused)
+        seg = compiled_segment(program, "main", 4, np.float32)
+        assert bool(seg.wide_consts) == wide
+
+    def test_folded_nan_constant_bit_identical(self):
+        # sqrt(-1) folds at compile time to a NaN with the sign bit set;
+        # inputs carry NaNs with other payloads.
+        program = _const_program(
+            Instr("il", "m1", ("x",), imm=-1.0),
+            Instr("fsqrt", "c", ("m1",)),
+        )
+        interp, fused = _run_both(
+            program, "main", lambda m: _special_env(m, ("x",), 16)
+        )
+        _assert_outputs_identical(program, interp, fused)
+        assert compiled_segment(program, "main", 4, np.float32).wide_consts
+
+    def test_constant_writeback_and_select_mask(self):
+        # A constant output is tiled from its row; a constant condition
+        # is a bool scalar or a full bool array as a copyto where=.
+        body = (
+            Instr("ilv", "c", ("x",), imm=(1.0, 0.0, 1.0, 0.0)),
+            Instr("il", "k", ("x",), imm=1.0),
+            Instr("selb", "y", ("x", "c", "c")),
+            Instr("selb", "z", ("x", "c", "k")),
+            IfBlock("c", (Instr("fa", "w", ("x", "x")),), "const_mask"),
+        )
+        program = Program(
+            "constsel", (Segment("main", "t", body),),
+            inputs=("x",), outputs=("c", "k", "y", "z", "w"),
+        )
+        interp, fused = _run_both(
+            program, "main", lambda m: _special_env(m, ("x",), 5)
+        )
+        _assert_outputs_identical(program, interp, fused)
+
+
+class TestCompareMaskFusionDifferential:
+    """A compare feeding only a mask writes the mask; otherwise both ops stay."""
+
+    def _program(self, extra=(), outputs=("y",)):
+        body = (
+            Instr("fcgt", "m", ("x", "y")),
+            IfBlock("m", (Instr("fa", "y", ("y", "x")),), "gt"),
+            Instr("fceq", "e", ("x", "x")),  # False on NaN lanes
+            Instr("selb", "y", ("x", "y", "e")),
+            Instr("fclt", "l", ("y", "x")),
+            IfBlock("l", (Instr("fm", "x", ("x", "y")),), "lt"),
+        ) + tuple(extra)
+        return Program(
+            name="cmpmask",
+            segments=(Segment("main", "t", body),),
+            inputs=("x", "y"),
+            outputs=outputs,
+        )
+
+    @pytest.mark.parametrize("case", ["mask-only", "also-read", "written-back"])
+    def test_nan_operands_bit_identical(self, case):
+        if case == "mask-only":
+            program = self._program(outputs=("x", "y"))
+        elif case == "also-read":
+            program = self._program(
+                extra=(Instr("fa", "z", ("m", "l")),), outputs=("x", "y", "z")
+            )
+        else:
+            program = self._program(outputs=("x", "y", "m", "e", "l"))
+        for seed, batch in ((0, 9), (1, 40)):
+            interp, fused = _run_both(
+                program, "main", lambda m: _special_env(m, ("x", "y"), batch, seed)
+            )
+            _assert_outputs_identical(program, interp, fused)
+        source = compiled_segment(program, "main", 4, np.float32).source
+        not_equal = source.count("np.not_equal(")
+        if case == "mask-only":
+            assert not_equal == 0
+            assert source.count(", out=_b") == 3
+        elif case == "also-read":
+            assert not_equal == 2  # m and l stay floats; e does not
+        else:
+            assert not_equal == 3
+
+
+class TestSplatDifferential:
+    @pytest.mark.parametrize("lane", range(4))
+    def test_splat_dest_reuses_source_register(self, lane):
+        body = (
+            Instr("fa", "t", ("x", "x")),
+            Instr("splat", "t", ("t",), imm=lane),  # t's last use
+            Instr("splat", "x", ("x",), imm=3 - lane),
+            Instr("fm", "t", ("t", "x")),
+            Instr("splat", "u", ("t",), imm=lane),
+        )
+        program = Program(
+            "splat", (Segment("main", "t", body),),
+            inputs=("x",), outputs=("t", "u", "x"),
+        )
+        interp, fused = _run_both(
+            program, "main", lambda m: _special_env(m, ("x",), 11)
+        )
+        _assert_outputs_identical(program, interp, fused)
+        seg = compiled_segment(program, "main", 4, np.float32)
+        assert re.search(r"\[\.\.\., \d+:\d+\]", seg.source) is None

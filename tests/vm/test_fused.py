@@ -365,6 +365,63 @@ class TestRandomProgramsFusedDifferential:
         assert _stats(sequential) == stats_fused
 
 
+class TestReplicaChunksWithWideConstants:
+    """Per-batch constant arrays under replica batching and ragged chunks."""
+
+    def _program(self) -> Program:
+        pair = (
+            Instr("ilv", "off", ("xi",), imm=(1.0, -0.0, 2.0, 0.0)),
+            Instr("il", "half", ("xi",), imm=0.5),
+            Instr("fa", "d", ("xi", "off")),
+            Instr("splat", "d", ("d",), imm=2),
+            Instr("fclt", "near", ("d", "xj")),
+            IfBlock("near", (Instr("fm", "acc_out", ("d", "half")),), "near"),
+            Instr("fcgt", "far", ("xj", "off")),
+            Instr("selb", "acc_out", ("acc_out", "off", "far")),
+        )
+        integrate = (
+            Instr("fma", "xi_out", ("acc_out", "off", "xi")),
+        )
+        return Program(
+            name="wide_consts",
+            segments=(
+                Segment("pair", "trips", pair),
+                Segment("integrate", "trips", integrate),
+            ),
+            inputs=("xi", "xj"),
+            outputs=("acc_out", "xi_out"),
+        )
+
+    def test_ragged_last_chunk_bit_identical(self):
+        # Replica-stacked chunks of 3 x 5 rows, then a ragged 2 x 3-row
+        # last chunk: the fused unit builds its constant arrays once per
+        # batch size and must match interp on every chunk.
+        program = self._program()
+        rng = np.random.default_rng(9)
+        chunks = [(3, 5), (3, 5), (2, 3)]
+        machines = {
+            backend: Machine(width=4, exec_backend=backend)
+            for backend in EXEC_BACKENDS
+        }
+        for replicas, rows in chunks:
+            batch = replicas * rows
+            draws = {
+                name: rng.uniform(-3.0, 3.0, size=(batch, 4)).astype(np.float32)
+                for name in ("xi", "xj")
+            }
+            draws["xj"][0, :2] = np.nan
+            outs = {}
+            for backend, machine in machines.items():
+                env = {name: value.copy() for name, value in draws.items()}
+                machine.run_program(program, env, replicas=replicas)
+                outs[backend] = {name: env[name].tobytes() for name in program.outputs}
+            assert outs["interp"] == outs["fused"]
+        assert _stats(machines["interp"]) == _stats(machines["fused"])
+        unit = compiled_program(program, 4, np.float32)
+        assert len(unit.wide_consts) == 1
+        assert {15, 6} <= set(unit._pools)
+
+
 # ---------------------------------------------------------------------------
 # cache keying: one entry per (program, segment names, width, dtype)
 # ---------------------------------------------------------------------------
