@@ -10,9 +10,10 @@ NumPy-level and instruction-level force paths, and the timeline layout —
 so a model defines only its pricing (:meth:`Device.step_seconds`), its
 counters, its fault sites and the order of its step components.
 
-Devices that share a precision and a force path integrate the same
-trajectory, so the physics of a plain fast-mode run is computed once
-per distinct (config, force path, steps) by the process-wide memo
+Every fast-mode device runs the same functional force path
+(:meth:`Device.functional_backend`), so devices that share a precision
+integrate the same trajectory: the physics of a plain fast-mode run is
+computed once per distinct (config, steps) by the process-wide memo
 :func:`_trajectory` and then priced per device.
 Fault sessions, vm-mode devices and models that override
 :meth:`Device.force_backend` keep running live.
@@ -42,9 +43,9 @@ __all__ = ["Device", "DeviceRunResult", "StepComponent", "merge_breakdowns"]
 
 @functools.lru_cache(maxsize=32)
 def _trajectory(
-    config: MDConfig, force_path: str, n_steps: int
+    config: MDConfig, n_steps: int
 ) -> tuple[tuple[StepRecord, ...], np.ndarray, np.ndarray]:
-    """Integrate ``n_steps`` of ``config`` through the named force path.
+    """Integrate ``n_steps`` of ``config`` through the functional force path.
 
     ``config`` carries the device's dtype, and the force path runs with
     its factory defaults, so every input that can change the physics is
@@ -52,13 +53,8 @@ def _trajectory(
     velocities, both read-only: the memo shares them with every later
     caller.
     """
-    from repro.md.forcefield import make_force_backend
-
-    backend = make_force_backend(
-        force_path,
-        config.make_box(),
-        config.make_potential(),
-        dtype=config.np_dtype,
+    backend = _functional_backend(
+        config.make_box(), config.make_potential(), config.np_dtype
     )
     sim = MDSimulation(config, force_backend=backend)
     sim.run(n_steps)
@@ -67,6 +63,14 @@ def _trajectory(
     positions.flags.writeable = False
     velocities.flags.writeable = False
     return tuple(sim.records), positions, velocities
+
+
+def _functional_backend(sim_box, potential, dtype: np.dtype):
+    """The NumPy-level force path every fast-mode device runs: the
+    paper's all-pairs formulation, at the backend's factory defaults."""
+    from repro.md.forcefield import make_force_backend
+
+    return make_force_backend("all-pairs", sim_box, potential, dtype=dtype)
 
 
 def merge_breakdowns(*breakdowns: dict[str, float]) -> dict[str, float]:
@@ -144,12 +148,6 @@ class Device(abc.ABC):
     #: native arithmetic precision ("float32" on Cell/GPU, "float64"
     #: on Opteron/MTA-2 — section 3.5 of the paper)
     precision: str = "float64"
-    #: functional force path, a :mod:`repro.md.forcefield` registry name.
-    #: "all-pairs" reproduces the paper's deliberate O(N^2) formulation;
-    #: "cell" swaps in the linked-cell engine so large-N sweeps stay
-    #: feasible (the *simulated* cost model is unchanged — it prices the
-    #: paper's kernel from the step's measured metrics either way).
-    force_path: str = "all-pairs"
     #: scope under which this device reads tuned knob values — a tuned
     #: config key ``"<tune_family>/<knob>"`` applies only to devices of
     #: that family (see :mod:`repro.tune.context`)
@@ -176,17 +174,15 @@ class Device(abc.ABC):
         raise NotImplementedError(f"{type(self).__name__} has no vm mode")
 
     def functional_backend(self, sim_box, potential):
-        """Resolve :attr:`force_path` through the backend registry.
+        """The NumPy-level ("fast") force path, in the device's precision.
 
-        Every device's NumPy-level ("fast") force path is this, so every
-        device honors a ``force_path`` override; instruction-level VM
-        paths ignore it by design.  The factory defaults always apply:
-        no tuned knob reaches the physics.
+        Every device runs the paper's all-pairs formulation here; the
+        cost model prices that O(N^2) scan from each step's
+        ``interacting_pairs`` whatever engine produced them.  The
+        factory defaults always apply: no tuned knob reaches the physics.
         """
-        from repro.md.forcefield import make_force_backend
-
-        return make_force_backend(
-            self.force_path, sim_box, potential, dtype=np.dtype(self.precision)
+        return _functional_backend(
+            sim_box, potential, np.dtype(self.precision)
         )
 
     def vm_backend(
@@ -367,14 +363,13 @@ class Device(abc.ABC):
         """The run's physics, then its pricing.
 
         A plain fast-mode run takes its physics from :func:`_trajectory`,
-        computed once per distinct (config, force path, steps) in the
-        process, and prices each step from its record's
-        ``interacting_pairs``.  Three kinds of run step a live
-        :class:`MDSimulation` instead: a fault session (the watchdog
-        restores rewind the live simulation), ``mode="vm"`` (the
-        instruction-level path is the model's own physics and feeds its
-        counters) and a model that overrides :meth:`force_backend`.
-        Both paths price a step identically.
+        computed once per distinct (config, steps) in the process, and
+        prices each step from its record's ``interacting_pairs``.  Three
+        kinds of run step a live :class:`MDSimulation` instead: a fault
+        session (the watchdog restores rewind the live simulation),
+        ``mode="vm"`` (the instruction-level path is the model's own
+        physics and feeds its counters) and a model that overrides
+        :meth:`force_backend`.  Both paths price a step identically.
         """
         self.prepare(config)
         if (
@@ -386,7 +381,7 @@ class Device(abc.ABC):
         return self._live_run(config, n_steps, session)
 
     def _priced_run(self, config: MDConfig, n_steps: int) -> DeviceRunResult:
-        records, positions, velocities = _trajectory(config, self.force_path, n_steps)
+        records, positions, velocities = _trajectory(config, n_steps)
         branch_probs = self.branch_probabilities(config)
         obs = self.observation
         counter_baseline = obs.counters.as_dict() if obs is not None else {}

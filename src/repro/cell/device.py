@@ -85,7 +85,6 @@ class CellDevice(Device):
         opt_level: str = "simd_acceleration",
         strategy: LaunchStrategy = LaunchStrategy.LAUNCH_ONCE,
         mode: str = "fast",
-        force_path: str = "all-pairs",
         partition: RowPartition | str | None = None,
     ) -> None:
         if not 1 <= n_spes <= cal.CELL_N_SPES:
@@ -106,7 +105,6 @@ class CellDevice(Device):
         self.opt_level = opt_level
         self.strategy = strategy
         self.mode = mode
-        self.force_path = force_path
         self.name = f"cell-{n_spes}spe-{opt_level}"
         self.ppe = PPE()
         self.spes = [SPE(index=i) for i in range(n_spes)]
@@ -351,9 +349,8 @@ class PPEOnlyDevice(Device):
     name = "cell-ppe-only"
     tune_family = "cell"
 
-    def __init__(self, force_path: str = "all-pairs") -> None:
+    def __init__(self) -> None:
         self.ppe = PPE()
-        self.force_path = force_path
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {

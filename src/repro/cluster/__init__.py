@@ -26,7 +26,6 @@ from repro.cluster.machine import (
     ClusterStepLedger,
     SimulatedCluster,
 )
-from repro.cluster.sharding import run_node_shard, run_sharded
 
 __all__ = [
     "CLUSTER_DEVICES",
@@ -36,6 +35,4 @@ __all__ = [
     "NodeDomain",
     "SimulatedCluster",
     "SlabDecomposition",
-    "run_node_shard",
-    "run_sharded",
 ]

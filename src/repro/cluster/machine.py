@@ -265,11 +265,6 @@ class SimulatedCluster:
 
         def backend(positions: np.ndarray) -> ForceResult:
             result = physics(positions)
-            if result.row_interacting is None:
-                raise ValueError(
-                    f"force path {devices[0].force_path!r} reports no "
-                    "per-row interacting counts to price nodes from"
-                )
             holder["plan"] = plan = decomposition.plan(positions)
             holder["interacting"] = [
                 int(result.row_interacting[domain.owned].sum())

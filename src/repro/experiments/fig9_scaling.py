@@ -42,25 +42,32 @@ def run(
     n_steps: int = 2,
     force_path: str = "all-pairs",
 ) -> ExperimentResult:
-    """The fig9 sweep; ``force_path`` picks the functional force engine.
+    """The fig9 sweep over ``atom_counts``, starting at 256 atoms.
 
-    The simulated MTA/Opteron timings price the paper's O(N^2) kernel
-    either way — ``force_path="cell"`` only swaps the *functional*
-    engine so the sweep's host wall-clock stays O(N) at large N.
+    Every device runs the one functional force path, and the simulated
+    MTA/Opteron timings price the paper's O(N^2) kernel from each
+    step's interacting pairs.  ``force_path`` accepts only
+    ``"all-pairs"`` and raises ``ValueError`` on anything else: pinned
+    job lists (the e2e benchmark's quick roster) still pass it, and
+    dropping the parameter would turn those calls into ``TypeError``.
     """
+    if force_path != "all-pairs":
+        raise ValueError(
+            f"fig9 runs the all-pairs force path only, got {force_path!r}"
+        )
     if atom_counts[0] != _BASE_ATOMS:
         raise ValueError(f"the sweep must start at {_BASE_ATOMS} atoms")
     mta_seconds: list[float] = []
     opt_seconds: list[float] = []
     for n in atom_counts:
         _mres, msec = run_device(
-            MTADevice(fully_multithreaded=True, force_path=force_path),
+            MTADevice(fully_multithreaded=True),
             n,
             n_steps,
             normalize_steps=PAPER_STEPS,
         )
         _ores, osec = run_device(
-            OpteronDevice(force_path=force_path), n, n_steps, normalize_steps=PAPER_STEPS
+            OpteronDevice(), n, n_steps, normalize_steps=PAPER_STEPS
         )
         mta_seconds.append(msec)
         opt_seconds.append(osec)

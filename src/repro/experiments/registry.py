@@ -52,8 +52,6 @@ class ExperimentSpec:
     description: str
     full_params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     quick_params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    #: fig9 threads the functional force engine through to its sweep.
-    accepts_force_path: bool = False
     #: the chaos experiment threads a serialized FaultPlan through.
     accepts_fault_plan: bool = False
     #: the ensemble experiment threads a replica count through.
@@ -68,7 +66,6 @@ class ExperimentSpec:
         self,
         *,
         quick: bool = False,
-        force_path: str | None = None,
         fault_plan: Mapping[str, Any] | None = None,
         replicas: int | None = None,
     ) -> dict[str, Any]:
@@ -82,8 +79,6 @@ class ExperimentSpec:
         R'-replica run never share a cache entry.
         """
         resolved = dict(self.quick_params if quick else self.full_params)
-        if self.accepts_force_path and force_path is not None:
-            resolved["force_path"] = force_path
         if self.accepts_fault_plan and fault_plan is not None:
             resolved["fault_plan"] = dict(fault_plan)
         if self.accepts_replicas and replicas is not None:
@@ -102,7 +97,6 @@ def _spec(
     description: str,
     quick_params: Mapping[str, Any],
     full_params: Mapping[str, Any] | None = None,
-    accepts_force_path: bool = False,
     accepts_fault_plan: bool = False,
     accepts_replicas: bool = False,
     accepts_checkpoint: bool = False,
@@ -114,7 +108,6 @@ def _spec(
         description=description,
         full_params=dict(full_params or {}),
         quick_params=dict(quick_params),
-        accepts_force_path=accepts_force_path,
         accepts_fault_plan=accepts_fault_plan,
         accepts_replicas=accepts_replicas,
         accepts_checkpoint=accepts_checkpoint,
@@ -167,7 +160,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         "run",
         fig9_scaling.DESCRIPTION,
         quick_params={"atom_counts": _QUICK_SWEEP, "n_steps": 2},
-        accepts_force_path=True,
     ),
     _spec(
         "abl-nlist",

@@ -20,37 +20,14 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.experiments.common import ExperimentResult
 
-__all__ = ["all_experiments", "main"]
+__all__ = ["main"]
 
 #: Where ``--trace`` drops its Chrome trace-event artifacts.
 DEFAULT_TRACE_DIR = Path("runs") / "traces"
-
-
-def all_experiments(
-    quick: bool = False,
-    force_path: str = "all-pairs",
-) -> list[tuple[str, Callable[[], ExperimentResult]]]:
-    """(experiment id, factory) roster; ``quick`` shrinks the sweeps.
-
-    Back-compat view of :data:`repro.experiments.registry.EXPERIMENTS`;
-    ``force_path`` selects the functional force engine (a
-    :mod:`repro.md.forcefield` registry name) for the fig9 scaling
-    sweep — the experiment whose host wall-clock the O(N) cell list
-    actually unlocks at large N.
-    """
-    from repro.experiments.registry import EXPERIMENTS
-
-    return [
-        (
-            spec.experiment_id,
-            partial(spec.resolve(), **spec.params(quick=quick, force_path=force_path)),
-        )
-        for spec in EXPERIMENTS
-    ]
 
 
 def _print_record(
@@ -103,14 +80,6 @@ def main(argv: list[str] | None = None) -> int:
         "--list",
         action="store_true",
         help="list experiment ids and descriptions, then exit",
-    )
-    from repro.md.forcefield import available_backends
-
-    parser.add_argument(
-        "--force-path",
-        default="all-pairs",
-        choices=available_backends(),
-        help="functional force engine for the fig9 sweep",
     )
     parser.add_argument(
         "--fault-plan",
@@ -177,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         jobs = api.jobs_from_registry(
             quick=args.quick,
-            force_path=args.force_path,
             fault_plan=fault_plan,
             replicas=args.replicas,
             only=[args.only] if args.only else None,

@@ -44,11 +44,10 @@ class GpuDevice(Device):
 
     precision = "float32"
 
-    def __init__(self, mode: str = "fast", force_path: str = "all-pairs") -> None:
+    def __init__(self, mode: str = "fast") -> None:
         if mode not in ("fast", "vm"):
             raise ValueError(f"mode must be 'fast' or 'vm', got {mode!r}")
         self.mode = mode
-        self.force_path = force_path
         self.name = "gpu-7900gtx"
         self.pipelines = PipelineArray()
         self.pcie = make_pcie_bus()

@@ -112,11 +112,8 @@ class NextGenGpuDevice(Device):
 
     precision = "float32"
 
-    def __init__(
-        self, spec: NextGenGpuSpec | None = None, force_path: str = "all-pairs"
-    ) -> None:
+    def __init__(self, spec: NextGenGpuSpec | None = None) -> None:
         self.spec = spec or NextGenGpuSpec()
-        self.force_path = force_path
         self.name = f"gpu-nextgen-{self.spec.n_processors}sp"
         self.clock = Clock(self.spec.shader_clock_hz, "g80")
         self.pcie = make_pcie_bus()

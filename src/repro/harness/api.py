@@ -54,7 +54,6 @@ class RunOutcome:
 def jobs_from_registry(
     *,
     quick: bool = False,
-    force_path: str | None = None,
     fault_plan: Mapping[str, Any] | None = None,
     replicas: int | None = None,
     only: Iterable[str] | None = None,
@@ -92,7 +91,6 @@ def jobs_from_registry(
                 func=spec.func,
                 params=spec.params(
                     quick=quick,
-                    force_path=force_path,
                     fault_plan=fault_plan,
                     replicas=replicas,
                 ),

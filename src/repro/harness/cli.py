@@ -3,7 +3,7 @@
 Subcommands::
 
     run   [--quick] [--jobs N] [--only ID ...] [--skip ID ...]
-          [--force-path NAME] [--fault-plan PLAN] [--timeout S]
+          [--fault-plan PLAN] [--timeout S]
           [--retries N] [--no-cache] [--invalidate ID ...]
           [--trace] [--counters] [--no-tuned] [--runs-dir DIR] [--list]
     tune  [--quick] [--only SCENARIO ...] [--budget N] [--force-tune]
@@ -88,11 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "summary (implied by --trace for collection)")
     run.add_argument("--list", action="store_true",
                      help="list experiment ids and descriptions, then exit")
-    from repro.md.forcefield import available_backends
-
-    run.add_argument("--force-path", default="all-pairs",
-                     choices=available_backends(),
-                     help="functional force engine for the fig9 sweep")
     run.add_argument("--fault-plan", default=None, metavar="PLAN",
                      help="fault plan for the chaos experiment: 'storm', "
                      "'none', or a path to a JSON plan file; ships through "
@@ -214,7 +209,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         jobs = api.jobs_from_registry(
             quick=args.quick,
-            force_path=args.force_path,
             fault_plan=fault_plan,
             replicas=args.replicas,
             only=args.only or None,
@@ -250,7 +244,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run_meta={
             "quick": args.quick,
             "jobs": args.jobs,
-            "force_path": args.force_path,
             "fault_plan": args.fault_plan,
             "replicas": args.replicas,
             "only": args.only,

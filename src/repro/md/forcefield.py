@@ -3,9 +3,9 @@
 Every force formulation in the repo — the nested-loop executable
 specification, the paper's all-pairs kernels, the pair list — is
 registered here under a short name, so
-:class:`repro.md.simulation.MDSimulation`, the device models, the
-ablations, and the fig9 sweep can all select one with a string instead
-of hand-wiring closures.  A factory receives ``(box, potential)`` plus
+:class:`repro.md.simulation.MDSimulation`, the device models and the
+ablations can all select one with a string instead of hand-wiring
+closures.  A factory receives ``(box, potential)`` plus
 keyword options and returns a ``ForceBackend`` callable
 (``positions -> ForceResult``).
 

@@ -47,14 +47,12 @@ class MTADevice(Device):
         n_processors: int = 1,
         clock_hz: float = cal.MTA_CLOCK_HZ,
         reflect_take: float = cal.REFLECT_TAKE,
-        force_path: str = "all-pairs",
         n_streams: int | None = None,
     ) -> None:
         mode = "fully" if fully_multithreaded else "partially"
         self.name = f"mta2-{mode}-multithreaded-{n_processors}p"
         self.fully_multithreaded = fully_multithreaded
         self.reflect_take = reflect_take
-        self.force_path = force_path
         #: explicit constructor choice; None defers to the tuned config
         #: (resolved per run in :meth:`prepare`), falling back to the
         #: calibrated count

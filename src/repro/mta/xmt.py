@@ -104,7 +104,6 @@ class XMTDevice(Device):
         network: XMTNetwork | None = None,
         uniform_memory: bool = False,
         clock_hz: float = cal.XMT_CLOCK_HZ,
-        force_path: str = "all-pairs",
     ) -> None:
         if n_processors < 1 or n_processors > cal.XMT_MAX_PROCESSORS:
             raise ValueError(
@@ -117,7 +116,6 @@ class XMTDevice(Device):
         self.name = f"xmt-{n_processors}p-{memory_tag}"
         self.clock = Clock(clock_hz, "xmt")
         self.streams = StreamModel(n_processors=n_processors, clock=self.clock)
-        self.force_path = force_path
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {"reflect_take": cal.REFLECT_TAKE}

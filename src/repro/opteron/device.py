@@ -28,13 +28,11 @@ class OpteronDevice(Device):
     def __init__(
         self,
         reflect_take: float = cal.REFLECT_TAKE,
-        force_path: str = "all-pairs",
     ) -> None:
         if not 0.0 <= reflect_take <= 1.0:
             raise ValueError(f"reflect_take {reflect_take} outside [0, 1]")
         self.clock = Clock(cal.OPTERON_CLOCK_HZ, "opteron")
         self.reflect_take = reflect_take
-        self.force_path = force_path
 
     def branch_probabilities(self, config: MDConfig) -> dict[str, float]:
         return {"reflect_take": self.reflect_take}

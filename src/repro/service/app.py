@@ -315,7 +315,6 @@ class Service:
         fault_plan = self._resolve_fault_plan(request.fault_plan)
         params = spec.params(
             quick=request.quick,
-            force_path=request.force_path,
             fault_plan=fault_plan,
             replicas=request.replicas,
         )
@@ -387,7 +386,7 @@ class Service:
             )
             return 200, job
 
-        scenario = self._scenario_key(job)
+        scenario = job.experiment_id
         try:
             job.probe = self.breakers.admit(scenario)
         except BreakerOpen:
@@ -453,11 +452,6 @@ class Service:
         if record is not None and record.get("status") == STATUS_OK:
             return record
         return None
-
-    def _scenario_key(self, job: ServiceJob) -> str:
-        """The circuit breaker axis: (experiment, forced device path)."""
-        force_path = (job.payload.get("params") or {}).get("force_path")
-        return BreakerBoard.scenario_key(job.experiment_id, force_path)
 
     def heartbeat_path(self, job_id: str) -> Path:
         """The file the job's worker process touches while alive."""
@@ -553,7 +547,7 @@ class Service:
 
     def _breaker_record(self, job: ServiceJob, *, success: bool) -> None:
         """Feed one genuine outcome to the job's scenario breaker."""
-        key = self._scenario_key(job)
+        key = job.experiment_id
         breaker = self.breakers.breaker(key)
         prior = breaker.state
         after = self.breakers.record(key, success, probe=job.probe)

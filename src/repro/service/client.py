@@ -147,7 +147,6 @@ class ServiceClient:
         tenant: str = "default",
         priority: int = 10,
         quick: bool = False,
-        force_path: str | None = None,
         fault_plan: str | Mapping[str, Any] | None = None,
         replicas: int | None = None,
         observe: bool = False,
@@ -171,8 +170,6 @@ class ServiceClient:
             "observe": observe,
             "tuned": tuned,
         }
-        if force_path is not None:
-            body["force_path"] = force_path
         if fault_plan is not None:
             body["fault_plan"] = fault_plan
         if replicas is not None:

@@ -92,7 +92,6 @@ class SubmitRequest:
     tenant: str = DEFAULT_TENANT
     priority: int = DEFAULT_PRIORITY
     quick: bool = False
-    force_path: str | None = None
     fault_plan: str | Mapping[str, Any] | None = None
     replicas: int | None = None
     observe: bool = False
@@ -110,7 +109,6 @@ class SubmitRequest:
             "tenant",
             "priority",
             "quick",
-            "force_path",
             "fault_plan",
             "replicas",
             "observe",
@@ -155,12 +153,6 @@ class SubmitRequest:
         tuned = data.get("tuned", True)
         _require(isinstance(tuned, bool), "'tuned' must be a boolean")
 
-        force_path = data.get("force_path")
-        _require(
-            force_path is None or isinstance(force_path, str),
-            "'force_path' must be a string",
-        )
-
         fault_plan = data.get("fault_plan")
         _require(
             fault_plan is None
@@ -192,7 +184,6 @@ class SubmitRequest:
             tenant=tenant.strip(),
             priority=priority,
             quick=quick,
-            force_path=force_path,
             fault_plan=fault_plan,
             replicas=replicas,
             observe=observe,

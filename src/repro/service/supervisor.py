@@ -3,14 +3,13 @@
 Two guards that keep a long-lived node honest off the happy path:
 
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — one breaker per
-  *scenario* (``experiment`` id, plus the forced device path when one
-  is submitted, the closest thing a submission has to a device axis).
-  A breaker tracks a sliding window of recent outcomes; past a failure
-  -rate threshold it **opens** and submissions for that scenario
-  fast-fail with 503 + an honest ``Retry-After`` (the remaining
-  cooldown) instead of queueing work that is going to die.  After the
-  cooldown one **half-open probe** job is admitted; its success closes
-  the breaker, its failure re-opens it with a fresh cooldown.
+  *scenario*, the submitted ``experiment`` id.  A breaker tracks a
+  sliding window of recent outcomes; past a failure-rate threshold it
+  **opens** and submissions for that scenario fast-fail with 503 + an
+  honest ``Retry-After`` (the remaining cooldown) instead of queueing
+  work that is going to die.  After the cooldown one **half-open
+  probe** job is admitted; its success closes the breaker, its failure
+  re-opens it with a fresh cooldown.
 
 * :class:`Supervisor` — an asyncio loop that watches every running
   job's worker heartbeat file (touched by a daemon thread inside the
@@ -179,10 +178,6 @@ class BreakerBoard:
     def __init__(self, config: BreakerConfig | None = None):
         self.config = config or BreakerConfig()
         self._breakers: dict[str, CircuitBreaker] = {}
-
-    @staticmethod
-    def scenario_key(experiment_id: str, force_path: str | None = None) -> str:
-        return f"{experiment_id}/{force_path}" if force_path else experiment_id
 
     def breaker(self, key: str) -> CircuitBreaker:
         if key not in self._breakers:

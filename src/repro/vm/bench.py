@@ -120,12 +120,15 @@ def _make_runner(kernel: str, backend: str, batch: int):
 SAMPLE_SECONDS = 0.01
 
 
-def _best_seconds_per_call(runs, repeats: int, sample_seconds: float) -> list[float]:
-    """Best of ``repeats`` samples of each run's per-call wall time.
+def _seconds_per_call(
+    runs, repeats: int, sample_seconds: float
+) -> list[list[float]]:
+    """``repeats`` samples of each run's per-call wall time, in order.
 
     A sample is one call, or as many back-to-back calls as last at least
     ``sample_seconds``; the runs' samples alternate, so a slow stretch of
-    the host hits every run rather than one of them.
+    the host hits every run rather than one of them, and repeat ``k`` of
+    every run is taken at about the same host speed.
     """
     calls = []
     for run in runs:
@@ -137,14 +140,14 @@ def _best_seconds_per_call(runs, repeats: int, sample_seconds: float) -> list[fl
             single = time.perf_counter() - start
             count = max(1, math.ceil(sample_seconds / max(single, 1e-9)))
         calls.append(count)
-    best = [float("inf")] * len(runs)
+    samples: list[list[float]] = [[] for _ in runs]
     for _ in range(repeats):
-        for index, (run, count) in enumerate(zip(runs, calls)):
+        for run, count, taken in zip(runs, calls, samples):
             start = time.perf_counter()
             for _ in range(count):
                 run()
-            best[index] = min(best[index], (time.perf_counter() - start) / count)
-    return best
+            taken.append((time.perf_counter() - start) / count)
+    return samples
 
 
 def bench_kernels(
@@ -165,7 +168,7 @@ def bench_kernels(
     backends = tuple(backends)
     for kernel in kernels if kernels is not None else default_kernels():
         runs = [_make_runner(kernel, backend, batch) for backend in backends]
-        for backend, best in zip(backends, _best_seconds_per_call(
+        for backend, samples in zip(backends, _seconds_per_call(
             runs, repeats, SAMPLE_SECONDS
         )):
             results.append(KernelBench(
@@ -173,7 +176,7 @@ def bench_kernels(
                 backend=backend,
                 pairs=batch,
                 repeats=repeats,
-                best_seconds=best,
+                best_seconds=min(samples),
             ))
     return results
 
@@ -182,14 +185,22 @@ def bench_kernels(
 class EnsembleBench:
     """One (replica count, execution mode) whole-timestep measurement.
 
-    ``best_seconds`` is per call of the mode's ``run`` (all R replicas),
-    the best of ``repeats`` samples."""
+    ``samples`` holds the seconds per call of the mode's ``run`` (all R
+    replicas), one per repeat in the order taken; ``best_seconds`` is
+    their minimum."""
 
     mode: str  # "fused-sequential" | "fused-batched"
     replicas: int
     rows_per_replica: int
-    repeats: int
-    best_seconds: float
+    samples: tuple[float, ...]
+
+    @property
+    def repeats(self) -> int:
+        return len(self.samples)
+
+    @property
+    def best_seconds(self) -> float:
+        return min(self.samples)
 
     @property
     def replicas_per_second(self) -> float:
@@ -201,6 +212,7 @@ class EnsembleBench:
             "replicas": self.replicas,
             "rows_per_replica": self.rows_per_replica,
             "repeats": self.repeats,
+            "samples": list(self.samples),
             "best_seconds": self.best_seconds,
             "replicas_per_second": self.replicas_per_second,
         }
@@ -285,31 +297,37 @@ def bench_ensemble(
                         machine.run_program(program, dict(sub))
 
             runs.append(run)
-        for mode, best in zip(ENSEMBLE_MODES, _best_seconds_per_call(
+        for mode, samples in zip(ENSEMBLE_MODES, _seconds_per_call(
             runs, repeats, sample_seconds
         )):
             results.append(EnsembleBench(
                 mode=mode,
                 replicas=replicas,
                 rows_per_replica=rows_per_replica,
-                repeats=repeats,
-                best_seconds=best,
+                samples=tuple(samples),
             ))
     return results
 
 
 def ensemble_speedups(results: Iterable[EnsembleBench]) -> dict[int, float]:
-    """fused-batched / fused-sequential replicas-per-second, per R."""
+    """fused-batched / fused-sequential replicas-per-second, per R.
+
+    The median over repeats of each repeat's paired ratio: repeat ``k``
+    of the two modes ran back to back, so each ratio compares samples
+    taken at one host speed, where a ratio of the per-mode bests can
+    pair samples from a fast and a slow stretch of the host.
+    """
     by_key = {(r.replicas, r.mode): r for r in results}
     ratios = {}
-    for (replicas, mode), result in by_key.items():
+    for (replicas, mode), batched in by_key.items():
         if mode != "fused-batched":
             continue
-        baseline = by_key.get((replicas, "fused-sequential"))
-        if baseline is not None:
-            ratios[replicas] = (
-                result.replicas_per_second / baseline.replicas_per_second
-            )
+        sequential = by_key.get((replicas, "fused-sequential"))
+        if sequential is not None:
+            ratios[replicas] = float(np.median([
+                seq / fused
+                for seq, fused in zip(sequential.samples, batched.samples)
+            ]))
     return ratios
 
 

@@ -33,23 +33,22 @@ CONFIG = MDConfig(n_atoms=256)
 STEPS = 3
 
 MODELS = {
-    "opteron": lambda path: OpteronDevice(force_path=path),
-    "cell-1spe": lambda path: CellDevice(n_spes=1, force_path=path),
-    "cell-8spe": lambda path: CellDevice(n_spes=8, force_path=path),
-    "cell-8spe-respawn": lambda path: CellDevice(
-        n_spes=8, strategy=LaunchStrategy.RESPAWN_PER_STEP, force_path=path
+    "opteron": lambda **kw: OpteronDevice(**kw),
+    "cell-1spe": lambda **kw: CellDevice(n_spes=1, **kw),
+    "cell-8spe": lambda **kw: CellDevice(n_spes=8, **kw),
+    "cell-8spe-respawn": lambda **kw: CellDevice(
+        n_spes=8, strategy=LaunchStrategy.RESPAWN_PER_STEP, **kw
     ),
-    "ppe-only": lambda path: PPEOnlyDevice(force_path=path),
-    "gpu": lambda path: GpuDevice(force_path=path),
-    "gpu-nextgen": lambda path: NextGenGpuDevice(force_path=path),
-    "mta": lambda path: MTADevice(force_path=path),
-    "xmt": lambda path: XMTDevice(force_path=path),
+    "ppe-only": lambda **kw: PPEOnlyDevice(**kw),
+    "gpu": lambda **kw: GpuDevice(**kw),
+    "gpu-nextgen": lambda **kw: NextGenGpuDevice(**kw),
+    "mta": lambda **kw: MTADevice(**kw),
+    "xmt": lambda **kw: XMTDevice(**kw),
 }
-PATHS = ("all-pairs", "cell", "27image")
 
 
-def make(name: str, path: str = "all-pairs"):
-    return MODELS[name](path)
+def make(name: str, **kwargs):
+    return MODELS[name](**kwargs)
 
 
 def fingerprint(result) -> tuple:
@@ -92,19 +91,26 @@ def fresh_memo():
     device_module._trajectory.cache_clear()
 
 
-@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_miss_and_hit_equal_the_live_run(name, path):
-    live = make(name, path).run(CONFIG, STEPS, faults=FaultPlan.none())
+def test_miss_and_hit_equal_the_live_run(name):
+    live = make(name).run(CONFIG, STEPS, faults=FaultPlan.none())
     before = device_module._trajectory.cache_info()
-    miss = make(name, path).run(CONFIG, STEPS)
+    miss = make(name).run(CONFIG, STEPS)
     middle = device_module._trajectory.cache_info()
-    hit = make(name, path).run(CONFIG, STEPS)
+    hit = make(name).run(CONFIG, STEPS)
     after = device_module._trajectory.cache_info()
     assert middle.misses == before.misses + 1
     assert after.hits == middle.hits + 1
     assert fingerprint(miss) == fingerprint(live)
     assert fingerprint(hit) == fingerprint(live)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_no_device_takes_a_force_path(name):
+    # every device runs the one functional force path: no constructor
+    # offers another
+    with pytest.raises(TypeError, match="force_path"):
+        make(name, force_path="all-pairs")
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -133,7 +139,7 @@ def test_results_never_alias_the_memo():
     assert second.final_velocities.tobytes() == velocities.tobytes()
     # what the memo itself holds cannot be written through
     _, memo_positions, memo_velocities = device_module._trajectory(
-        dataclasses.replace(CONFIG, dtype="float32"), "all-pairs", STEPS
+        dataclasses.replace(CONFIG, dtype="float32"), STEPS
     )
     assert device_module._trajectory.cache_info().hits == 2
     assert not memo_positions.flags.writeable

@@ -24,5 +24,31 @@ def small_system(small_config):
 
 
 @pytest.fixture
+def fixed_ensemble_timings(monkeypatch):
+    """Fixed timings for the ``ensemble`` experiment's throughput ladder.
+
+    Plumbing tests run that experiment inline, and its host-timed
+    speedup band can fail on a busy host; these timings put batched at
+    4x sequential.  The rest of the experiment (bit-identity, counter
+    additivity) still runs for real, and the speedup itself is gated on
+    real timings by ``benchmarks/test_ensemble_throughput.py`` and
+    ``scripts/record_bench.py --ensemble --check``.
+    """
+    from repro.experiments import ensemble
+    from repro.vm.bench import EnsembleBench
+
+    def bench_ensemble(replica_counts, rows_per_replica, repeats, **_kwargs):
+        return [
+            EnsembleBench(mode, r, rows_per_replica, (seconds * r,) * repeats)
+            for r in replica_counts
+            for mode, seconds in (
+                ("fused-sequential", 4e-3), ("fused-batched", 1e-3)
+            )
+        ]
+
+    monkeypatch.setattr(ensemble, "bench_ensemble", bench_ensemble)
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20070326)  # IPDPS 2007 conference date

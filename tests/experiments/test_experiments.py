@@ -114,6 +114,14 @@ class TestExperimentsSmallScale:
         with pytest.raises(ValueError):
             fig9_scaling.run(atom_counts=(512, 1024), n_steps=2)
 
+    def test_fig9_runs_only_the_all_pairs_force_path(self):
+        with pytest.raises(ValueError, match="all-pairs force path only"):
+            fig9_scaling.run(atom_counts=(256, 512), n_steps=1, force_path="cell")
+        pinned = fig9_scaling.run(
+            atom_counts=(256, 512), n_steps=1, force_path="all-pairs"
+        )
+        assert pinned == fig9_scaling.run(atom_counts=(256, 512), n_steps=1)
+
     def test_ablation_neighborlist(self):
         result = ablations.run_neighborlist(n_atoms=256, n_steps=5)
         self._assert_structure(result)

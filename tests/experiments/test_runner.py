@@ -9,13 +9,10 @@ from repro.experiments import runner
 
 class TestRoster:
     def test_full_roster_covers_every_artifact(self):
-        factories = runner.all_experiments(quick=False)
-        assert len(factories) == 19
+        from repro.experiments.registry import EXPERIMENTS
 
-    def test_quick_roster_same_length(self):
-        assert len(runner.all_experiments(quick=True)) == len(
-            runner.all_experiments(quick=False)
-        )
+        assert len(EXPERIMENTS) == 19
+        assert all(callable(spec.resolve()) for spec in EXPERIMENTS)
 
 
 class TestCli:
@@ -55,6 +52,14 @@ class TestVmExecFlag:
                 runner.main(["--list", "--vm-exec", backend])
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_force_path_rejected(self, capsys):
+        # Every device runs one functional force path: no flag picks one.
+        with pytest.raises(SystemExit):
+            runner.main(["--quick", "--only", "fig9", "--force-path", "cell"])
+        assert "unrecognized arguments: --force-path cell" in (
+            capsys.readouterr().err
+        )
+
 
 class TestReplicasFlag:
     def test_replicas_below_one_rejected(self, capsys):
@@ -66,7 +71,9 @@ class TestReplicasFlag:
         with pytest.raises(SystemExit):
             runner.main(["--quick", "--replicas", "two"])
 
-    def test_replicas_reaches_the_ensemble_experiment(self, capsys):
+    def test_replicas_reaches_the_ensemble_experiment(
+        self, capsys, fixed_ensemble_timings
+    ):
         exit_code = runner.main(
             ["--quick", "--only", "ensemble", "--replicas", "2"]
         )

@@ -106,6 +106,16 @@ class TestVmExecAndReplicas:
                 cli.main(["run", "--list", "--vm-exec", backend])
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_force_path_rejected(self, tmp_path, capsys):
+        # Every device runs one functional force path: no flag picks one.
+        with pytest.raises(SystemExit):
+            cli.main(["run", "--quick", "--only", "fig9", "--force-path",
+                      "cell", "--runs-dir", str(tmp_path / "runs")])
+        assert "unrecognized arguments: --force-path cell" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "runs").exists()
+
     def test_replicas_below_one_rejected(self, tmp_path, capsys):
         code = cli.main(
             ["run", "--replicas", "0", "--runs-dir", str(tmp_path / "runs")]
@@ -113,7 +123,9 @@ class TestVmExecAndReplicas:
         assert code == 2
         assert "--replicas must be >= 1" in capsys.readouterr().err
 
-    def test_replicas_is_part_of_the_cache_key(self, tmp_path, capsys):
+    def test_replicas_is_part_of_the_cache_key(
+        self, tmp_path, capsys, fixed_ensemble_timings
+    ):
         """Same roster, different --replicas: cache must miss; same
         --replicas again: cache must hit."""
         runs_dir = str(tmp_path / "runs")

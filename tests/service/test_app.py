@@ -114,6 +114,27 @@ class TestSubmitAndFetch:
 
         run(scenario())
 
+    def test_force_path_field_is_400(self, tmp_path):
+        """Every device runs one functional force path: a body that
+        still names one is refused before it reaches a worker."""
+
+        async def scenario():
+            async with running_service(str(tmp_path)) as svc:
+                client = ServiceClient(port=svc.port)
+
+                def submit_with_path():
+                    return client._request(
+                        "POST", "/v1/jobs",
+                        {"experiment": "ok", "force_path": "cell"},
+                    )
+
+                with pytest.raises(ServiceError) as excinfo:
+                    await call(submit_with_path)
+                assert excinfo.value.status == 400
+                assert str(excinfo.value) == "unknown field(s): force_path"
+
+        run(scenario())
+
     def test_unknown_job_id_is_404_everywhere(self, tmp_path):
         async def scenario():
             async with running_service(str(tmp_path)) as svc:

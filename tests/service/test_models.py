@@ -54,12 +54,15 @@ class TestSubmitRequest:
                 "observe": True,
                 "replicas": 4,
                 "fault_plan": "storm",
-                "force_path": "cell",
+                "tuned": False,
+                "deadline_seconds": 30,
             }
         )
         assert req.tenant == "team-a"  # whitespace stripped
         assert req.priority == 0
         assert req.replicas == 4
+        assert req.tuned is False
+        assert req.deadline_seconds == 30.0
 
     def test_rejects_non_object_body(self):
         with pytest.raises(ValidationError, match="JSON object"):
@@ -68,6 +71,12 @@ class TestSubmitRequest:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown field.*timeout"):
             SubmitRequest.from_dict({"experiment": "x", "timeout": 5})
+
+    def test_rejects_a_force_path(self):
+        with pytest.raises(
+            ValidationError, match=r"^unknown field\(s\): force_path$"
+        ):
+            SubmitRequest.from_dict({"experiment": "fig9", "force_path": "cell"})
 
     def test_requires_experiment(self):
         with pytest.raises(ValidationError, match="experiment"):

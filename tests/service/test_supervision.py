@@ -107,10 +107,6 @@ class TestBreakerBoard:
         assert excinfo.value.status_code == 503
         assert excinfo.value.retry_after == 20
 
-    def test_scenario_key_includes_forced_path(self):
-        assert BreakerBoard.scenario_key("fig5") == "fig5"
-        assert BreakerBoard.scenario_key("fig5", "cell") == "fig5/cell"
-
     def test_revoke_returns_the_probe_slot(self):
         board = BreakerBoard(BreakerConfig(min_samples=1, cooldown_seconds=1.0))
         board.record("exp", False, now=0.0)
@@ -158,6 +154,8 @@ class TestBreakerEndToEnd:
                     assert final["status"] == "failed"
 
                 stats = await call(client.stats)
+                # one breaker per experiment, keyed by the bare id
+                assert set(stats["breakers"]) == {"flaky"}
                 assert stats["breakers"]["flaky"]["state"] == "open"
                 assert stats["counters"]["service.breaker.opened"] == 1
 
