@@ -32,6 +32,15 @@ from repro.tune.context import applied
 CONFIG = MDConfig(n_atoms=256)
 STEPS = 3
 
+#: The functional force path scans all columns below four cutoff-wide
+#: cells per box side and cell neighbourhoods from there on (1024 atoms at
+#: the default density and cutoff); the memo must match the live loop on
+#: both branches.
+BRANCH_CONFIGS = {
+    "all-columns": CONFIG,
+    "cell-scan": MDConfig(n_atoms=1024),
+}
+
 MODELS = {
     "opteron": lambda **kw: OpteronDevice(**kw),
     "cell-1spe": lambda **kw: CellDevice(n_spes=1, **kw),
@@ -91,18 +100,30 @@ def fresh_memo():
     device_module._trajectory.cache_clear()
 
 
+@pytest.mark.parametrize("branch", sorted(BRANCH_CONFIGS))
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_miss_and_hit_equal_the_live_run(name):
-    live = make(name).run(CONFIG, STEPS, faults=FaultPlan.none())
+def test_miss_and_hit_equal_the_live_run(name, branch):
+    config = BRANCH_CONFIGS[branch]
+    live = make(name).run(config, STEPS, faults=FaultPlan.none())
     before = device_module._trajectory.cache_info()
-    miss = make(name).run(CONFIG, STEPS)
+    miss = make(name).run(config, STEPS)
     middle = device_module._trajectory.cache_info()
-    hit = make(name).run(CONFIG, STEPS)
+    hit = make(name).run(config, STEPS)
     after = device_module._trajectory.cache_info()
     assert middle.misses == before.misses + 1
     assert after.hits == middle.hits + 1
     assert fingerprint(miss) == fingerprint(live)
     assert fingerprint(hit) == fingerprint(live)
+
+
+def test_step_count_is_part_of_the_key():
+    short = make("opteron").run(CONFIG, STEPS)
+    longer = make("opteron").run(CONFIG, STEPS + 1)
+    info = device_module._trajectory.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    assert len(longer.records) == len(short.records) + 1
+    # the longer trajectory starts as the shorter one does
+    assert fingerprint(longer)[2][: len(short.records)] == fingerprint(short)[2]
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

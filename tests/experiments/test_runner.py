@@ -14,6 +14,15 @@ class TestRoster:
         assert len(EXPERIMENTS) == 19
         assert all(callable(spec.resolve()) for spec in EXPERIMENTS)
 
+    def test_quick_roster_same_length(self):
+        # --quick shrinks each experiment's systems, never the roster
+        from repro.harness.api import jobs_from_registry
+
+        quick = [job.experiment_id for job in jobs_from_registry(quick=True)]
+        full = [job.experiment_id for job in jobs_from_registry(quick=False)]
+        assert quick == full
+        assert len(full) == 19
+
 
 class TestCli:
     def test_only_filter_runs_one_experiment(self, capsys):
