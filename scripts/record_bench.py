@@ -614,7 +614,8 @@ def write_record(out: Path, record: dict, force: bool = False) -> int:
 def run_spec(
     spec: BenchSpec, out: Path, *, quick: bool, check: bool, force: bool
 ) -> int:
-    """Measure ``spec``, write its table to ``out`` and, with ``check``, gate it."""
+    """Measure ``spec`` and write its table to ``out``; with ``check``,
+    gate it first and write nothing unless the gate and the replay hold."""
     config, rows, speedups = spec.measure(quick)
     record = {
         "schema": spec.schema,
@@ -624,24 +625,26 @@ def run_spec(
         "results": rows,
         spec.speedup_field: speedups,
     }
-    replayed = replay_problems(spec, stored_record(out, spec.schema), record)
+    if check:
+        try:
+            failures = spec.gate(record) + replay_problems(
+                spec, stored_record(out, spec.schema), record
+            )
+        except NotMeasured as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        if failures:
+            print(f"not writing {out}", file=sys.stderr)
+            return 1
     rc = write_record(out, record, force)
     if rc:
         return rc
     spec.show(record)
     print(f"wrote {out}")
-    if not check:
-        return 0
-    try:
-        failures = spec.gate(record) + replayed
-    except NotMeasured as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    print(f"gate ok: {out.name}")
+    if check:
+        print(f"gate ok: {out.name}")
     return 0
 
 

@@ -14,7 +14,12 @@ Every fast-mode device runs the same functional force path
 (:meth:`Device.functional_backend`), so devices that share a precision
 integrate the same trajectory: the physics of a plain fast-mode run is
 computed once per distinct (config, steps) by the process-wide memo
-:func:`_trajectory` and then priced per device.
+:func:`_trajectory` and then priced per device.  That path is a size
+rule, not a knob (:func:`_functional_backend`): the pair list once its
+grid has three list-radius-wide cells per box side, the dense
+``all-pairs`` scan in smaller boxes.  The two give the same trajectory,
+and every cost model prices the paper's O(N^2) scan from each step's
+interacting pairs whichever one ran.
 Fault sessions, vm-mode devices and models that override
 :meth:`Device.force_backend` keep running live.
 """
@@ -39,6 +44,17 @@ from repro.obs.context import ambient_observation
 from repro.obs.observe import Observation
 
 __all__ = ["Device", "DeviceRunResult", "StepComponent", "merge_breakdowns"]
+
+
+#: Fewest list-radius-wide cells per box side at which the functional
+#: force path runs the pair list: 512 atoms and up at the default density
+#: and cutoff.  Two cells per side (128 and 256 atoms) keep the dense
+#: scan.  There the list's prefix-summed float32 energy departs from the
+#: dense scan's pairwise sum by up to 8e-7 relative, and the small-box
+#: benchmark references pin those bits.  At 128 atoms the skin also
+#: shrinks to 0.17, so a 10-step run rebuilds the list three times and
+#: runs slower than the dense scan.
+_LIST_MIN_CELLS_PER_SIDE = 3
 
 
 @functools.lru_cache(maxsize=32)
@@ -66,10 +82,19 @@ def _trajectory(
 
 
 def _functional_backend(sim_box, potential, dtype: np.dtype):
-    """The NumPy-level force path every fast-mode device runs: the
-    paper's all-pairs formulation, at the backend's factory defaults."""
+    """The NumPy-level force path every fast-mode device runs.
+
+    The pair list (``cell``, at its default skin) once its grid of
+    ``rcut + skin``-wide cells has :data:`_LIST_MIN_CELLS_PER_SIDE` cells
+    per side, else the dense ``all-pairs`` scan; both give the same
+    trajectory (see :mod:`repro.md.forces`).
+    """
+    from repro.md.celllist import cells_per_side, default_skin
     from repro.md.forcefield import make_force_backend
 
+    radius = potential.rcut + default_skin(sim_box, potential)
+    if cells_per_side(sim_box, radius) >= _LIST_MIN_CELLS_PER_SIDE:
+        return make_force_backend("cell", sim_box, potential, dtype=dtype)
     return make_force_backend("all-pairs", sim_box, potential, dtype=dtype)
 
 
@@ -176,10 +201,12 @@ class Device(abc.ABC):
     def functional_backend(self, sim_box, potential):
         """The NumPy-level ("fast") force path, in the device's precision.
 
-        Every device runs the paper's all-pairs formulation here; the
-        cost model prices that O(N^2) scan from each step's
-        ``interacting_pairs`` whatever engine produced them.  The
-        factory defaults always apply: no tuned knob reaches the physics.
+        Every device runs :func:`_functional_backend` here: the pair
+        list or the dense scan by the box's size, the same physics
+        either way.  The cost model prices the paper's O(N^2) scan from
+        each step's ``interacting_pairs`` whatever engine produced them.
+        The factory defaults always apply: no tuned knob reaches the
+        physics.
         """
         return _functional_backend(
             sim_box, potential, np.dtype(self.precision)

@@ -3,28 +3,37 @@
 Section 3.4 of the paper names the neighbouring-atom pair list,
 "updated every few simulation time steps", as the optimisation its
 kernels deliberately skip.  This module is the repo's one
-implementation of it; both list backends of the force registry
-(``verlet`` and ``cell``) run it.
+implementation of it.  Both list backends of the force registry
+(``verlet`` and ``cell``) run it, and so does every fast-mode device
+once the box is large enough (see :mod:`repro.arch.device`); the device
+cost models still price the paper's O(N^2) scan.
 
-:func:`build_pairs_cells` bins atoms into a cubic grid of cells at least
-``radius`` wide, so each atom only examines the cells around its own —
-O(N) total work at fixed density.  It returns exactly the array, order
-included, of :func:`repro.md.neighborlist.build_pairs`, the O(N^2)
-reference scan the tests hold it to.  The structure is the one
-HOOMD-blue's ``NList``/``CellList`` pair uses (see SNIPPETS.md) and the
-one the GPU N-body literature identifies as the step that unlocks
+The one pair search, :func:`_pair_table`, bins atoms into a cubic grid
+of cells at least ``radius`` wide and scans each cell's rows against
+the sorted members of its neighbouring cells, so each atom only
+examines the cells around its own: O(N) total work at fixed density.
+It yields a :class:`PairTable`, every atom's partners in CSR form.
+:func:`build_pairs_cells` derives the half list from that table, exactly
+the array, order included, of :func:`repro.md.neighborlist.build_pairs`,
+the O(N^2) reference scan the tests hold it to.  The structure is the
+one HOOMD-blue's ``NList``/``CellList`` pair uses (see SNIPPETS.md) and
+the one the GPU N-body literature identifies as the step that unlocks
 large-N MD.
 
-:class:`CellList` stores every pair within ``rcut + skin`` and stays
-valid until some atom has moved more than ``skin / 2`` since the last
-build; it checks displacements on every update and rebuilds when they
-exceed that.  :class:`CellListForceBackend` wraps the list into the
-``ForceBackend`` callable shape that
+:class:`CellList` keeps the table of every pair within ``rcut + skin``
+and stays valid until some atom has moved more than ``skin / 2`` since
+the last build; it checks displacements on every update and rebuilds
+when they exceed that.  :class:`CellListForceBackend` wraps the list
+into the ``ForceBackend`` callable shape that
 :class:`repro.md.simulation.MDSimulation` and the device models consume,
 and exposes rebuild/reuse counters for the experiment reports.
+:func:`default_skin` is the skin the registry and the devices use: 0.3σ,
+shrunk to what the box leaves beyond the cutoff.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -37,9 +46,18 @@ __all__ = [
     "CellGrid",
     "CellList",
     "CellListForceBackend",
+    "PairTable",
     "build_pairs_cells",
     "cells_per_side",
+    "default_skin",
 ]
+
+#: Most row x column entries one step of the pair search holds.  One row
+#: against its ~440 candidate columns (2048 atoms) is ~10 kB of float64
+#: separations, so chunks of ~4096 entries keep the search's transient
+#: working set near 100 kB however many rows a cell holds; unchunked, one
+#: 2048-atom rebuild plus evaluation peaked at 4.7 MB under tracemalloc.
+_CHUNK_ENTRIES = 4096
 
 
 def cells_per_side(box: PeriodicBox, radius: float) -> int:
@@ -47,6 +65,13 @@ def cells_per_side(box: PeriodicBox, radius: float) -> int:
     if radius <= 0.0:
         raise ValueError(f"search radius must be positive, got {radius}")
     return int(np.floor(box.length / radius))
+
+
+def default_skin(box: PeriodicBox, potential: LennardJones) -> float:
+    """The list skin when none is given: 0.3σ, or what the half box
+    leaves beyond the cutoff if that is less (skin 0 rebuilds every
+    step and stays correct)."""
+    return min(0.3, box.half_length - potential.rcut)
 
 
 class CellGrid:
@@ -98,6 +123,89 @@ class CellGrid:
         return coords[:, 0] * self.m * self.m + coords[:, 1] * self.m + coords[:, 2]
 
 
+@dataclasses.dataclass(frozen=True)
+class PairTable:
+    """Every atom's partners within a radius, in CSR form.
+
+    Row ``k`` is atom ``rows[k]``; its partners are
+    ``partners[indptr[k] : indptr[k + 1]]``, in ascending order.  Rows
+    run in cell-major order (ascending atom index within a cell), so a
+    block of consecutive rows is a spatially compact set of atoms.  The
+    table is symmetric: ``j`` is a partner of ``i`` exactly when ``i``
+    is one of ``j``.
+    """
+
+    #: (n,) int32 atom index of each row
+    rows: np.ndarray
+    #: (n + 1,) int64 offsets of each row's partners
+    indptr: np.ndarray
+    #: (nnz,) int32 partner indices
+    partners: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        """Unordered pairs in the table (each is listed from both ends)."""
+        return int(self.indptr[-1]) // 2
+
+    def half_pairs(self) -> np.ndarray:
+        """The unordered pairs (i < j), shape (m, 2), sorted by i then j:
+        the order of the reference scan."""
+        owners = np.repeat(self.rows, np.diff(self.indptr))
+        keep = self.partners > owners
+        i, j = owners[keep], self.partners[keep]
+        # Each row's partners ascend, so a stable sort by row finishes it.
+        order = np.argsort(i, kind="stable")
+        return np.column_stack((i[order], j[order])).astype(np.intp)
+
+
+def _pair_table(positions: np.ndarray, box: PeriodicBox, radius: float) -> PairTable:
+    """Linked-cell search for every partner within ``radius`` of each atom.
+
+    Each cell's rows are scanned, in chunks of at most
+    :data:`_CHUNK_ENTRIES` row x column entries, against the sorted
+    members of its neighbouring cells, with the reference scan's
+    minimum-image arithmetic; the self column is dropped by index, so
+    two distinct atoms at one position stay partners.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    validate_list_radius(radius, box)
+    grid = CellGrid(box, radius)
+    n = positions.shape[0]
+    cell_of = grid.assign(positions)
+    order = np.argsort(cell_of, kind="stable").astype(np.int32)
+    counts = np.bincount(cell_of, minlength=grid.n_cells)
+    members = np.split(order, np.cumsum(counts)[:-1])
+
+    radius2 = radius * radius
+    partners: list[np.ndarray] = []
+    row_counts: list[np.ndarray] = []
+    for cell, rows in enumerate(members):
+        if rows.size == 0:
+            continue
+        cols = np.sort(np.concatenate([members[c] for c in grid.neighbors[cell]]))
+        pos_cols = positions[cols]
+        step = max(1, _CHUNK_ENTRIES // cols.size)
+        for start in range(0, rows.size, step):
+            chunk = rows[start : start + step]
+            delta = positions[chunk][:, None, :] - pos_cols
+            delta -= box.length * np.round(delta / box.length)
+            close = np.einsum("bjk,bjk->bj", delta, delta) < radius2
+            close[np.arange(chunk.size), np.searchsorted(cols, chunk)] = False
+            partners.append(cols[np.nonzero(close)[1]])
+            row_counts.append(np.count_nonzero(close, axis=1))
+
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    if row_counts:
+        np.cumsum(np.concatenate(row_counts), out=indptr[1:])
+    return PairTable(
+        rows=order,
+        indptr=indptr,
+        partners=(
+            np.concatenate(partners) if partners else np.empty(0, dtype=np.int32)
+        ),
+    )
+
+
 def build_pairs_cells(
     positions: np.ndarray,
     box: PeriodicBox,
@@ -107,52 +215,9 @@ def build_pairs_cells(
 
     Exactly the array :func:`repro.md.neighborlist.build_pairs` returns
     — same pairs, same row-major order — built in O(N) instead of
-    O(N^2).
+    O(N^2), by the same search that fills :class:`CellList`.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    validate_list_radius(radius, box)
-    grid = CellGrid(box, radius)
-    n = positions.shape[0]
-    cell_of = grid.assign(positions)
-
-    # Sort atoms by cell: order[k] is the k-th atom in cell-major order,
-    # cell c's members are order[starts[c] : starts[c] + counts[c]].
-    order = np.argsort(cell_of, kind="stable")
-    counts = np.bincount(cell_of, minlength=grid.n_cells)
-    starts = np.zeros(grid.n_cells, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-
-    radius2 = radius * radius
-    chunks: list[np.ndarray] = []
-    atom_idx = np.arange(n)
-    for nc in grid.neighbors[cell_of].T:
-        # For every atom, enumerate all atoms in one of its neighbor
-        # cells as candidate partners, fully vectorized: the candidate
-        # block of atom i is a run of counts[nc[i]] entries of `order`.
-        runs = counts[nc]
-        total = int(runs.sum())
-        if total == 0:
-            continue
-        rows = np.repeat(atom_idx, runs)
-        run_first = np.repeat(np.cumsum(runs) - runs, runs)
-        within_run = np.arange(total) - run_first
-        cols = order[np.repeat(starts[nc], runs) + within_run]
-        keep = rows < cols
-        rows, cols = rows[keep], cols[keep]
-        if rows.size == 0:
-            continue
-        delta = positions[rows] - positions[cols]
-        delta -= box.length * np.round(delta / box.length)
-        r2 = np.einsum("ij,ij->i", delta, delta)
-        close = r2 < radius2
-        if np.any(close):
-            chunks.append(np.column_stack((rows[close], cols[close])))
-    if not chunks:
-        return np.empty((0, 2), dtype=np.intp)
-    pairs = np.concatenate(chunks, axis=0).astype(np.intp, copy=False)
-    # Deterministic order regardless of cell geometry, matching the
-    # row-major order of the reference scan.
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    return _pair_table(positions, box, radius).half_pairs()
 
 
 class CellList:
@@ -181,7 +246,12 @@ class CellList:
         self.box = box
         self.potential = potential
         self.skin = skin
-        self.pairs = np.empty((0, 2), dtype=np.intp)
+        #: every atom's partners within ``rcut + skin`` at the last build
+        self.table = PairTable(
+            rows=np.empty(0, dtype=np.int32),
+            indptr=np.zeros(1, dtype=np.int64),
+            partners=np.empty(0, dtype=np.int32),
+        )
         self.rebuild_count = 0
         self.reuse_count = 0
         self._reference_positions: np.ndarray | None = None
@@ -190,6 +260,12 @@ class CellList:
     def radius(self) -> float:
         """The list radius, ``rcut + skin``."""
         return self.potential.rcut + self.skin
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The listed unordered pairs (i < j) in row-major order, derived
+        from :attr:`table` on each access."""
+        return self.table.half_pairs()
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """True if any atom moved more than ``skin / 2`` since the last
@@ -213,7 +289,7 @@ class CellList:
             self.reuse_count += 1
             return False
         positions = np.asarray(positions, dtype=np.float64)
-        self.pairs = build_pairs_cells(positions, self.box, self.radius)
+        self.table = _pair_table(positions, self.box, self.radius)
         self._reference_positions = positions.copy()
         self.rebuild_count += 1
         return True
@@ -257,7 +333,7 @@ class CellListForceBackend:
         self.cell_list.update(positions)
         return compute_pair_forces(
             positions,
-            self.cell_list.pairs,
+            self.cell_list.table,
             self.cell_list.box,
             self.cell_list.potential,
             dtype=self.dtype,

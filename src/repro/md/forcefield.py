@@ -11,8 +11,10 @@ keyword options and returns a ``ForceBackend`` callable
 
 The pair list is served under two names, ``verlet`` and ``cell``: both
 build the same linked-cell :class:`repro.md.celllist.CellList` and take
-one option, ``skin``.  Each call to :func:`make_force_backend` returns a
-fresh list, so two simulations never share one.
+one option, ``skin``, which defaults to
+:func:`repro.md.celllist.default_skin` (0.3σ, shrunk to fit a small box).
+Each call to :func:`make_force_backend` returns a fresh list, so two
+simulations never share one.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from repro.md.box import PeriodicBox
-from repro.md.celllist import CellListForceBackend
+from repro.md.celllist import CellListForceBackend, default_skin
 from repro.md.forces import (
     ForceResult,
     compute_forces,
@@ -132,7 +134,7 @@ def _27image(box, potential, dtype, **options):
 @register_backend("verlet")
 @register_backend("cell")
 def _pair_list(box, potential, dtype, **options):
-    skin = float(options.pop("skin", 0.3))
+    skin = float(options.pop("skin", default_skin(box, potential)))
     if options:
         raise TypeError(f"the pair list got unknown options {sorted(options)}")
     return CellListForceBackend(box, potential, skin=skin, dtype=dtype)

@@ -7,12 +7,16 @@ contribute a force and a potential-energy term.  This module provides
 
 * :func:`compute_forces_reference` — straight nested Python loops,
   the executable specification, for small N and cross-checking;
-* :func:`compute_forces` — the vectorized NumPy kernel every device's
-  functional path uses (see below);
+* :func:`compute_forces` — the vectorized NumPy kernel of the dense
+  ``all-pairs`` path, which every device's functional path runs in
+  boxes of fewer than three list-radius-wide cells per side (see
+  :func:`repro.arch.device._functional_backend`);
 * :func:`compute_forces_27image` — same physics with the minimum image
   obtained by the explicit 27-image search the Cell kernel uses;
-* :func:`compute_pair_forces` — the same physics over an explicit pair
-  list, the kernel of the pair-list backend (``verlet``/``cell``).
+* :func:`compute_pair_forces` — the same physics over a pair list's
+  CSR partner table, the kernel of the pair-list backend
+  (``verlet``/``cell``) and of every device's functional path in
+  larger boxes.
 
 All of them return a :class:`ForceResult` carrying the accelerations,
 the potential energy and the interacting-pair count that the device
@@ -49,21 +53,27 @@ energy by prefix sums.  Otherwise it scans row blocks against all
 columns and reduces energy pairwise per block, which keeps small-box
 energies on the bits the benchmark references pin; at three cells per
 side the neighbourhood is the whole box anyway.  The pair-list kernel
-scans each row against its ascending partners, padded with its own
-index, and prefix-sums energy too: on a fresh list its accelerations
-and tallies are :func:`compute_forces`'s bit for bit, its energy the
-cell branch's.  The device cost models are not affected either way:
-they price the paper's O(N²) scan from the interacting-pair count.
+gathers blocks of consecutive rows from the list's partner table, scans
+each row against its ascending partners, padded with its own index, and
+prefix-sums energy too: on a list that holds every partner inside the
+cutoff its accelerations and tallies are :func:`compute_forces`'s bit
+for bit, its energy the cell branch's.  The device cost models are not
+affected either way: they price the paper's O(N²) scan from the
+interacting-pair count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.md.box import IMAGE_OFFSETS, PeriodicBox
 from repro.md.lj import LennardJones
+
+if TYPE_CHECKING:
+    from repro.md.celllist import PairTable
 
 __all__ = [
     "ForceResult",
@@ -77,6 +87,10 @@ __all__ = [
 #: float64 is ~50 MB of transient working set, comfortably in-memory while
 #: keeping each BLAS-free NumPy op long enough to amortize dispatch.
 _DEFAULT_BLOCK = 256
+
+#: Rows per block of the pair-list kernel: 64 rows of ~90 partners keep
+#: its transient working set near 150 kB.
+_LIST_BLOCK = 64
 
 #: Fewest cells per box side at which :func:`compute_forces` scans cell
 #: neighbourhoods; at three the 27-cell neighbourhood is the whole box.
@@ -343,47 +357,46 @@ def compute_forces(
 
 def compute_pair_forces(
     positions: np.ndarray,
-    pairs: np.ndarray,
+    table: PairTable,
     box: PeriodicBox,
     potential: LennardJones,
     dtype: np.dtype | type = np.float64,
 ) -> ForceResult:
-    """Force evaluation over an explicit half list of (i, j) pairs.
+    """Force evaluation over a pair list's partner table.
 
-    The kernel of the pair-list backend: each row against its
-    ascending partners from the full list (see the module docstring).  Pairs outside the cutoff contribute nothing;
-    ``pairs_examined`` reports ``pairs.shape[0]``.
+    The kernel of the pair list (:class:`repro.md.celllist.PairTable`):
+    blocks of :data:`_LIST_BLOCK` consecutive rows, each row against its
+    ascending partners padded with its own index (see the module
+    docstring).  Partners outside the cutoff contribute nothing;
+    ``pairs_examined`` reports the table's unordered pair count.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     dtype = np.dtype(dtype)
     pos = positions.astype(dtype)
-    pairs = np.asarray(pairs)
-    # Row i of `partners`: i's partners in ascending order, padded with i
-    # (to at least one column, which _prefix_pe reads).
-    i, j = pairs.astype(np.int64).T
-    keys = np.sort(np.concatenate((i * n + j, j * n + i)))  # row-major
-    counts = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
-    partners = np.repeat(np.arange(n)[:, None], counts.max(initial=1), axis=1)
-    partners[np.arange(partners.shape[1]) < counts[:, None]] = keys % n
+    counts = np.diff(table.indptr)
 
     acc = np.zeros((n, 3), dtype=dtype)
     pe_rows = np.zeros(n, dtype=dtype)
     row_interacting = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, _DEFAULT_BLOCK):
-        stop = min(start + _DEFAULT_BLOCK, n)
-        cols = partners[start:stop, : counts[start:stop].max(initial=1)]
-        pads = cols == np.arange(start, stop)[:, None]
-        tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
-            pos[start:stop], pos[cols], pads, box, potential
+    for start in range(0, n, _LIST_BLOCK):
+        stop = min(start + _LIST_BLOCK, n)
+        rows = table.rows[start:stop]
+        row_counts = counts[start:stop]
+        # listed[b, k]: entry k of row b is a partner, not padding
+        listed = np.arange(max(1, int(row_counts.max()))) < row_counts[:, None]
+        cols = np.repeat(rows[:, None], listed.shape[1], axis=1)
+        cols[listed] = table.partners[table.indptr[start] : table.indptr[stop]]
+        tile_acc, pair_pe, row_interacting[rows] = _lj_rows(
+            pos[rows], pos[cols], ~listed, box, potential
         )
-        acc[start:stop] += tile_acc
-        pe_rows[start:stop] += _prefix_pe(pair_pe)
+        acc[rows] = tile_acc
+        pe_rows[rows] = _prefix_pe(pair_pe)
     return ForceResult(
         accelerations=acc.astype(np.float64),
         potential_energy=0.5 * float(pe_rows.sum(dtype=dtype)),
         interacting_pairs=int(row_interacting.sum()) // 2,
-        pairs_examined=int(pairs.shape[0]),
+        pairs_examined=table.n_pairs,
         row_interacting=row_interacting,
     )
 

@@ -32,13 +32,13 @@ from repro.tune.context import applied
 CONFIG = MDConfig(n_atoms=256)
 STEPS = 3
 
-#: The functional force path scans all columns below four cutoff-wide
-#: cells per box side and cell neighbourhoods from there on (1024 atoms at
-#: the default density and cutoff); the memo must match the live loop on
-#: both branches.
+#: The functional force path runs the dense scan below three
+#: list-radius-wide cells per box side and the pair list from there on
+#: (512 atoms and up at the default density and cutoff); the memo must
+#: match the live loop on both branches.
 BRANCH_CONFIGS = {
-    "all-columns": CONFIG,
-    "cell-scan": MDConfig(n_atoms=1024),
+    "dense": CONFIG,
+    "list": MDConfig(n_atoms=1024),
 }
 
 MODELS = {

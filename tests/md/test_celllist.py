@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.md import MDConfig, MDSimulation, make_force_backend
 from repro.md.box import PeriodicBox
 from repro.md.celllist import (
     CellGrid,
@@ -12,6 +15,7 @@ from repro.md.celllist import (
     CellListForceBackend,
     build_pairs_cells,
     cells_per_side,
+    default_skin,
 )
 from repro.md.forces import compute_forces
 from repro.md.lattice import cubic_lattice
@@ -101,6 +105,54 @@ class TestCellGrid:
         edge = np.array([[np.nextafter(10.0, 0.0)] * 3, [0.0, 5.0, 9.999999]])
         ids = grid.assign(edge)
         assert np.all((0 <= ids) & (ids < grid.n_cells))
+
+
+class TestPairTable:
+    """The list's CSR partner table: every atom once, in cell-major
+    order, each row's partners ascending, each pair from both ends."""
+
+    def test_layout(self):
+        box, potential, positions = _system(n=300, density=0.8442, rcut=2.5)
+        clist = CellList(box, potential, skin=0.3)
+        clist.update(positions)
+        table = clist.table
+        n = positions.shape[0]
+        assert table.rows.dtype == table.partners.dtype == np.int32
+        assert sorted(table.rows) == list(range(n))
+        cell_of = CellGrid(box, clist.radius).assign(positions)[table.rows]
+        assert np.all(np.diff(cell_of) >= 0)
+        entries = set()
+        for k, atom in enumerate(table.rows):
+            row = table.partners[table.indptr[k] : table.indptr[k + 1]]
+            assert np.all(np.diff(row) > 0) and atom not in row
+            entries.update((int(atom), int(j)) for j in row)
+        assert entries == {(j, i) for i, j in entries}
+        assert table.n_pairs == len(entries) // 2 == clist.pairs.shape[0]
+
+    def test_pairs_are_the_reference_scan(self):
+        box, potential, positions = _system()
+        clist = CellList(box, potential, skin=0.4)
+        clist.update(positions)
+        assert np.array_equal(
+            clist.pairs, build_pairs(positions, box, clist.radius)
+        )
+
+    def test_rebuild_and_evaluation_stay_small(self):
+        """One list rebuild plus one evaluation at 2048 atoms allocate at
+        most 2.5 MB at their peak (about 1.5 MB measured): the search and
+        the kernel both work in bounded chunks of rows."""
+        config = MDConfig(n_atoms=2048)
+        box, potential = config.make_box(), config.make_potential()
+        positions = cubic_lattice(config.n_atoms, box)
+        backend = make_force_backend("cell", box, potential, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            backend(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert backend.rebuild_count == 1
+        assert peak <= 2.5e6
 
 
 class TestCellListSkinReuse:

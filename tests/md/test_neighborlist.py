@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md.box import PeriodicBox
-from repro.md.celllist import CellList, CellListForceBackend
+from repro.md.celllist import CellList, CellListForceBackend, default_skin
 from repro.md.forcefield import make_force_backend
 from repro.md.forces import compute_forces
 from repro.md.lattice import cubic_lattice
@@ -167,6 +167,27 @@ class TestTrajectoryEquivalence:
         listed = backend(positions)
         assert listed.interacting_pairs == direct.interacting_pairs
         assert np.array_equal(listed.accelerations, direct.accelerations)
+
+    @pytest.mark.parametrize("name", ["verlet", "cell"])
+    def test_default_skin_follows_a_small_box(self, name):
+        # At 128 atoms rcut + 0.3 exceeds half the box: the default skin
+        # shrinks to what the box leaves, and the list stays exact.
+        config = MDConfig(n_atoms=128)
+        box, potential = config.make_box(), config.make_potential()
+        backend = make_force_backend(name, box, potential)
+        assert backend.cell_list.skin == default_skin(box, potential)
+        assert 0.0 < backend.cell_list.skin < 0.3
+        assert backend.cell_list.radius <= box.half_length
+        listed = MDSimulation(config, force_backend=backend)
+        listed.run(10)
+        dense = MDSimulation(config)
+        dense.run(10)
+        assert np.array_equal(listed.state.positions, dense.state.positions)
+        assert np.array_equal(listed.state.velocities, dense.state.velocities)
+        assert backend.rebuild_count >= 1
+        # an explicit skin still wins
+        with pytest.raises(ValueError, match="exceeds half the box"):
+            make_force_backend(name, box, potential, skin=0.3)
 
     def test_verlet_and_cell_names_run_one_list(self):
         # Both registry names build the same list object: the same

@@ -235,9 +235,12 @@ class TestSpecs:
         altered = json.loads(json.dumps(committed))
         altered["results"][5]["state_digest"] = "0" * 64
         out.write_text(json.dumps(altered))
+        stored = out.read_bytes()
         assert record_bench.main(argv) == 1
         err = capsys.readouterr().err
         assert "results[5].state_digest" in err
+        # the refused table is never written, even with --force
+        assert out.read_bytes() == stored
 
     def test_tune_replay_catches_an_altered_speedup(self, record_bench,
                                                     tmp_path, monkeypatch,
@@ -251,5 +254,8 @@ class TestSpecs:
         altered = json.loads(json.dumps(committed))
         altered["results"][1]["tuned_per_second"] *= 1.01
         out.write_text(json.dumps(altered))
+        stored = out.read_bytes()
         assert record_bench.main(argv) == 1
         assert "results[1].tuned_per_second" in capsys.readouterr().err
+        # the refused table is never written, even with --force
+        assert out.read_bytes() == stored
