@@ -25,6 +25,12 @@ still settles — replayed from the WAL journal when the kill caught it
 unsettled, served from the content-addressed cache when it had already
 finished — with results bit-identical to an uninterrupted control run.
 
+Every boot runs in its own session, and each one's process group must
+empty within ``GROUP_DEADLINE`` seconds of its stop: a graceful stop
+closes the node's warm pool workers, and a SIGKILLed node's workers
+exit on their own once their parent is gone.  A worker that outlives
+its node fails the smoke.
+
 The server's combined stdout/stderr goes to ``--log`` so CI can upload
 it as an artifact.  Exits non-zero on any violated expectation.
 """
@@ -35,6 +41,7 @@ import argparse
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -47,6 +54,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 _LISTENING = re.compile(r"listening on http://[\w.\-]+:(?P<port>\d+)")
+
+#: Seconds a stopped node's process group gets to empty.
+GROUP_DEADLINE = 10.0
 
 
 class SmokeFailure(AssertionError):
@@ -84,8 +94,49 @@ def spawn_node(runs_dir: str, log_path: Path,
             [sys.executable, "-m", "repro.service",
              "--port", "0", "--runs-dir", runs_dir, *extra_args],
             stdout=log, stderr=subprocess.STDOUT,
-            cwd=REPO_ROOT, env=env,
+            cwd=REPO_ROOT, env=env, start_new_session=True,
         )
+
+
+def group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # fields after the command name: state, ppid, pgrp, ...
+        state, _ppid, pgrp = stat[stat.rindex(")") + 2 :].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
+
+
+def expect_group_empty(proc: subprocess.Popen, what: str) -> None:
+    """Fail unless ``proc``'s session leaves no process behind in time."""
+    deadline = time.monotonic() + GROUP_DEADLINE
+    while (left := group_members(proc.pid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    expect(not left, f"{what}: process(es) {left} outlived the node "
+           f"by {GROUP_DEADLINE:g} s")
+
+
+def stop_node(proc: subprocess.Popen) -> None:
+    """Best-effort teardown on a failure path: the node, then its group."""
+    if proc.poll() is None:
+        proc.terminate()
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=15)
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the group is already empty
 
 
 def drive(client: ServiceClient, experiment: str, timeout: float) -> None:
@@ -208,10 +259,11 @@ def chaos(args) -> int:
         expect("running" in statuses, "no job ever started on boot A")
         proc.kill()  # SIGKILL: no drain, no journal compaction
         proc.wait(timeout=15)
+        expect_group_empty(proc, "boot A (SIGKILLed)")
         proc = None
         print(f"boot A accepted {len(ids)} jobs, SIGKILLed mid-run "
               f"({statuses.count('running')} running, "
-              f"{statuses.count('queued')} queued)")
+              f"{statuses.count('queued')} queued); no worker outlived it")
 
         # -- boot B: same runs dir; the WAL owes us every job ---------
         offset = len(args.log.read_text())
@@ -235,6 +287,7 @@ def chaos(args) -> int:
               f"({replayed} replayed from the journal)")
         proc.terminate()
         proc.wait(timeout=15)
+        expect_group_empty(proc, "boot B (SIGTERM)")
         proc = None
 
         # -- control: the same batch, never interrupted ---------------
@@ -257,6 +310,10 @@ def chaos(args) -> int:
             expect(got == want,
                    f"{exp}: recovered result differs from control run")
         print("recovered results bit-identical to the uninterrupted run")
+        proc.terminate()
+        proc.wait(timeout=15)
+        expect_group_empty(proc, "control boot (SIGTERM)")
+        proc = None
         print("SERVICE CHAOS SMOKE OK")
         return 0
     except (SmokeFailure, ServiceError, OSError) as exc:
@@ -267,13 +324,8 @@ def chaos(args) -> int:
                   file=sys.stderr)
         return 1
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=15)
+        if proc is not None:
+            stop_node(proc)
         tmp.cleanup()
 
 
@@ -310,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"service up on port {port}; log -> {args.log}")
         client = ServiceClient(port=port, timeout=args.timeout)
         drive(client, args.experiment, args.timeout)
+        proc.terminate()
+        proc.wait(timeout=15)
+        expect_group_empty(proc, "node (SIGTERM)")
+        proc = None
         print("SERVICE SMOKE OK")
         return 0
     except (SmokeFailure, ServiceError, OSError) as exc:
@@ -320,13 +376,8 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return 1
     finally:
-        if proc is not None and proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=15)
+        if proc is not None:
+            stop_node(proc)
         if tmp is not None:
             tmp.cleanup()
 

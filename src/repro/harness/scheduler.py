@@ -22,12 +22,24 @@ Failure containment comes in three tiers:
 ``max_workers=0`` (or ``None``) runs everything inline in the calling
 process — same records, deterministic roster order, no pool; timeouts
 are not enforceable inline and are ignored there.
+
+**Pool ownership.**  By default ``run_jobs`` builds its pool and
+terminates it before returning.  A caller that runs many small batches
+(the service runs one job per call) passes its own ``pool=_Pool(n)``
+instead and keeps the worker processes warm across calls: imports,
+compile caches and the trajectory memo survive from one call to the
+next.  A caller-owned pool is left alive after a clean run; it is
+rebuilt after a timeout, a worker death or a ``cancel_event``
+preemption, so the next call never lands in a stopped or wedged
+worker.  Every pool worker exits on its own once its parent process is
+gone (see :func:`_worker_init`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import signal
 import threading
 import time
@@ -56,19 +68,42 @@ _CANCEL_POLL = 0.25
 #: Grace given to SIGTERMed pool workers before escalating to SIGKILL.
 _TERMINATE_GRACE = 0.5
 
+#: How often a pool worker checks that its parent is still alive.
+_PARENT_POLL = 0.25
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL)
+    os._exit(1)
+
 
 def _worker_init() -> None:
-    """Reset signal plumbing inherited across ``fork``.
+    """Reset signal plumbing inherited across ``fork``; die with the parent.
 
     Pool workers are forked from whatever front-end drives the harness.
     An asyncio parent (e.g. ``repro.service``) registers its signal
     handlers through a wakeup fd, and that fd survives the fork — so a
     SIGTERM aimed at a *worker* (pool teardown/rebuild) would be relayed
     straight into the parent's event loop and shut the server down.
+
+    A worker also outlives a SIGKILLed parent on its own: the forked
+    child holds the write end of its own call-queue pipe, so the
+    parent's death never closes it and the worker waits on the queue
+    forever.  A daemon thread therefore watches ``os.getppid()`` and
+    exits the worker once it is reparented.  (``PR_SET_PDEATHSIG`` would
+    fire when the *forking thread* exits, and a caller such as the
+    service forks from short-lived executor threads.)
     """
     signal.set_wakeup_fd(-1)
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        daemon=True,
+        name="repro-parent-watch",
+    ).start()
 
 
 @dataclasses.dataclass
@@ -177,26 +212,55 @@ class _Pool:
     is torn down (terminating its processes) and rebuilt.  Timeouts are
     the rare path; losing in-flight sibling work is an accepted cost,
     and those siblings are requeued without consuming an attempt.
+
+    ``generation`` counts the executors that have launched their worker
+    processes (the executor forks them on its first submit), so its
+    growth over a call is the number of pool spawns that call paid for.
+    ``revive`` replaces a pool whose worker died between calls, which
+    only a long-lived pool can see.  ``close`` is final: a closed pool
+    is never rebuilt, so no later call can fork a worker from it.
     """
 
     def __init__(self, max_workers: int):
         self.max_workers = max_workers
+        self.generation = 0
+        self._closed = False
+        self._build()
+
+    def _build(self) -> None:
         self._executor = ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_worker_init
+            max_workers=self.max_workers, initializer=_worker_init
         )
+        self._launched = False
+
+    def _processes(self) -> list:
+        return list((getattr(self._executor, "_processes", None) or {}).values())
+
+    def revive(self) -> None:
+        """Rebuild the pool if a worker died while it sat idle."""
+        if self._launched and (
+            getattr(self._executor, "_broken", False)
+            or any(not proc.is_alive() for proc in self._processes())
+        ):
+            self.rebuild()
 
     def submit(self, fn: Callable, payload: Mapping[str, Any]) -> Future:
+        if not self._launched:
+            self._launched = True
+            self.generation += 1
         return self._executor.submit(fn, payload)
 
     def rebuild(self) -> None:
         self.terminate()
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=_worker_init
-        )
+        if not self._closed:
+            self._build()
+
+    def close(self) -> None:
+        self._closed = True
+        self.terminate()
 
     def terminate(self) -> None:
-        processes = getattr(self._executor, "_processes", None) or {}
-        procs = list(processes.values())
+        procs = self._processes()
         for proc in procs:
             try:
                 proc.terminate()
@@ -234,6 +298,7 @@ def run_jobs(
     execute: Callable[[Mapping[str, Any]], dict[str, Any]] = execute_job,
     on_record: Callable[[dict[str, Any]], None] | None = None,
     cancel_event: threading.Event | None = None,
+    pool: _Pool | None = None,
 ) -> dict[str, dict[str, Any]]:
     """Run every payload; return ``{job_id: record}``.
 
@@ -248,9 +313,17 @@ def run_jobs(
     short grace), and every unfinished job comes back as a
     ``status="preempted"`` record instead of blocking to completion.
     Completed work is still harvested and returned normally.
+
+    ``pool`` runs the jobs on a caller-owned pool (its ``max_workers``
+    replaces the argument) and leaves it alive after a clean run; it is
+    rebuilt after a timeout, a worker death or a preemption.  Without
+    it, ``run_jobs`` builds a pool of ``max_workers`` and terminates it
+    before returning.
     """
     if not payloads:
         return {}
+    if pool is not None:
+        max_workers = pool.max_workers
     if not max_workers:
         return _run_inline(
             payloads,
@@ -264,7 +337,12 @@ def run_jobs(
     records: dict[str, dict[str, Any]] = {}
     pending: deque[_Pending] = deque(_Pending(dict(p)) for p in payloads)
     running: dict[Future, tuple[_Pending, float | None]] = {}
-    pool = _Pool(max_workers)
+    owned = pool is None
+    if owned:
+        pool = _Pool(max_workers)
+    else:
+        pool.revive()
+    clean = False
 
     def finish(item: _Pending, record: dict[str, Any]) -> None:
         record["attempts"] = item.attempts
@@ -410,6 +488,12 @@ def run_jobs(
                     finish_or_retry(item, record)
                 drain_running_into_pending()
                 pool.rebuild()
+        else:  # no preemption broke the loop
+            clean = True
     finally:
-        pool.terminate()
+        if owned:
+            pool.terminate()
+        elif not clean:
+            # a preempted worker may be stopped or mid-job
+            pool.rebuild()
     return records

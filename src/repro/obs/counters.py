@@ -190,6 +190,9 @@ def _populate() -> None:
          "jobs handed from the queue to a worker"),
         ("service.events.emitted", "count", "service",
          "job status-transition events appended"),
+        ("service.workers.spawned", "count", "service",
+         "pool worker processes forked (first job of a slot, and after "
+         "every timeout, crash or preemption)"),
         # -- service durability / supervision --------------------------
         ("service.journal.appended", "count", "service",
          "WAL entries fsync'd (submissions + state transitions)"),

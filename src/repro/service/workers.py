@@ -1,18 +1,34 @@
 """Bridging the asyncio loop onto the existing process-pool scheduler.
 
-Each worker is one asyncio task in a pull loop: take the next job off
-the priority queue, hand its payload to
+Each worker slot is one asyncio task in a pull loop: take the next job
+off the priority queue, hand its payload to
 :func:`repro.harness.scheduler.run_jobs` on a thread (``run_jobs``
-blocks), and settle the outcome back on the loop.  Every job runs with
-``max_workers=1`` — its own single-process pool — so the harness's
-whole failure-containment ladder applies per service job:
+blocks), and settle the outcome back on the loop.  Every slot owns one
+long-lived single-process harness pool, built on the slot's first job
+(not at boot, which would put the worker's imports on the node's
+start-up path) and reused by every later job, so a cold request pays
+neither a fork nor a cold interpreter: imports, VM compile caches and
+the trajectory memo stay warm.  Per-job state stays per job: the tuned
+config, the observation session and fault sessions are scoped to the
+job's call, and the process-wide caches are bounded and keyed by their
+inputs.  The harness's whole failure-containment ladder still applies
+per service job:
 
-* an experiment exception comes back as a ``failed`` record,
-* a timeout terminates the worker process and retries on backoff,
+* an experiment exception comes back as a ``failed`` record, and the
+  worker stays warm,
+* a timeout terminates the worker process and retries on backoff in a
+  rebuilt pool,
 * a hard worker death (SIGKILL, OOM) surfaces as ``BrokenProcessPool``,
-  consumes an attempt, and retries — and because checkpoint-aware
-  experiments persist their last snapshot under the job's cache key,
-  the retry *resumes* instead of starting over.
+  consumes an attempt, and retries in a rebuilt pool — and because
+  checkpoint-aware experiments persist their last snapshot under the
+  job's cache key, the retry *resumes* instead of starting over,
+* a preemption (hang, deadline or shutdown) rebuilds the pool, so the
+  next job never lands in a stopped or wedged worker.
+
+Every rebuild that forks a worker counts in ``service.workers.spawned``.
+:meth:`WorkerPool.stop` closes every slot's pool, so a drained node
+leaves no child behind; a node that dies without draining loses its
+workers too, since each one exits once its parent is gone.
 
 The thread pool is sized to the service's concurrency, so at most
 ``concurrency`` harness pools exist at once; queue ordering and tenant
@@ -29,7 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from repro.harness.jobs import STATUS_PREEMPTED
-from repro.harness.scheduler import run_jobs
+from repro.harness.scheduler import _Pool, run_jobs
 from repro.service.supervisor import (
     PREEMPT_DEADLINE,
     PREEMPT_HUNG,
@@ -55,6 +71,7 @@ class WorkerPool:
         self._service = service
         self._tasks: list[asyncio.Task] = []
         self._executor: ThreadPoolExecutor | None = None
+        self._pools: dict[int, _Pool] = {}  # slot -> its warm pool
 
     @property
     def started(self) -> bool:
@@ -68,14 +85,26 @@ class WorkerPool:
             max_workers=concurrency, thread_name_prefix="repro-service"
         )
         self._tasks = [
-            asyncio.create_task(self._worker_loop(), name=f"service-worker-{i}")
+            asyncio.create_task(self._worker_loop(i), name=f"service-worker-{i}")
             for i in range(concurrency)
         ]
 
     async def stop(self, drain_seconds: float = 30.0) -> None:
         """Stop pulling work; wait up to ``drain_seconds`` for in-flight
         jobs; preempt whatever is still running (a hung job must not
-        stall shutdown); cancel what survives even that."""
+        stall shutdown); cancel what survives even that; then close
+        every slot's pool."""
+        try:
+            await self._drain(drain_seconds)
+        finally:
+            for pool in self._pools.values():
+                pool.close()
+            self._pools.clear()
+            if self._executor is not None:
+                self._executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+
+    async def _drain(self, drain_seconds: float) -> None:
         await self._service.queue.close()
         if self._tasks:
             done, pending = await asyncio.wait(
@@ -104,24 +133,21 @@ class WorkerPool:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
             self._tasks = []
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, slot: int) -> None:
         while True:
             job = await self._service.queue.get()
             if job is None:
                 return
             try:
-                await self._run_one(job)
+                await self._run_one(job, slot)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # keep the loop alive; settle the job
                 await self._service.settle_worker_error(job, exc)
                 await self._service.queue.release(job, None)
 
-    async def _run_one(self, job: "ServiceJob") -> None:
+    async def _run_one(self, job: "ServiceJob", slot: int) -> None:
         service = self._service
         if job.cancel_requested:
             # cancelled in the gap between dequeue and execution
@@ -151,18 +177,27 @@ class WorkerPool:
         payload = dict(job.payload)
         payload["heartbeat_path"] = str(service.heartbeat_path(job.job_id))
         job.cancel_event = threading.Event()
+        pool = self._pools.get(slot)
+        if pool is None:
+            pool = self._pools[slot] = _Pool(1)
         call = functools.partial(
             run_jobs,
             [payload],
-            max_workers=1,
             timeout=timeout,
             retries=config.retries,
             backoff=config.backoff,
             cancel_event=job.cancel_event,
+            pool=pool,
         )
+        generation = pool.generation
         started = time.monotonic()
         loop = asyncio.get_running_loop()
-        records = await loop.run_in_executor(self._executor, call)
+        try:
+            records = await loop.run_in_executor(self._executor, call)
+        finally:
+            service.counters.add(
+                "service.workers.spawned", pool.generation - generation
+            )
         seconds = time.monotonic() - started
         record = records.get(job.job_id)
         if record is None:  # pragma: no cover - run_jobs always records

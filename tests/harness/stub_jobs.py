@@ -66,6 +66,18 @@ def gated_job(release_path: str = "") -> ExperimentResult:
     return make_result()
 
 
+def pid_job(tag: int = 0) -> ExperimentResult:
+    """Reports the pid of the process that ran it (``tag`` only varies
+    the cache key)."""
+    return make_result(value=float(os.getpid()))
+
+
+def sigkill_job() -> ExperimentResult:
+    """Kills its own worker process outright."""
+    os.kill(os.getpid(), signal.SIGKILL)
+    return make_result()  # pragma: no cover - the process is gone
+
+
 def boom_job(message: str = "kaboom") -> ExperimentResult:
     raise RuntimeError(message)
 

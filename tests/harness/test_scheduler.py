@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
-from repro.harness.jobs import STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT
-from repro.harness.scheduler import _backoff_delay, _job_key, run_jobs
+import pytest
+
+from repro.harness.jobs import (
+    STATUS_FAILED,
+    STATUS_OK,
+    STATUS_PREEMPTED,
+    STATUS_TIMEOUT,
+)
+from repro.harness.scheduler import _backoff_delay, _job_key, _Pool, run_jobs
+from tests.harness.procs import alive, wait_gone
 from tests.harness.stub_jobs import stub_job
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _payloads(jobs):
@@ -170,3 +186,133 @@ class TestPool:
         # pool down mid-nap, and it must still complete with attempts=1.
         assert records["late"]["status"] == STATUS_OK
         assert records["late"]["attempts"] == 1
+
+
+def _pid_of(records, job_id):
+    record = records[job_id]
+    assert record["status"] == STATUS_OK, record["traceback"]
+    return int(record["result"]["rows"][0][1])
+
+
+def _run_pid(pool, tag):
+    job = stub_job(f"pid{tag}", func="pid_job", tag=tag)
+    return _pid_of(run_jobs([job.payload()], pool=pool), job.job_id)
+
+
+@pytest.fixture
+def pool():
+    pool = _Pool(1)
+    yield pool
+    pool.close()
+
+
+class TestCallerOwnedPool:
+    def test_owned_pool_is_torn_down_on_return(self):
+        job = stub_job("pid", func="pid_job")
+        pid = _pid_of(run_jobs([job.payload()], max_workers=1), "pid")
+        assert wait_gone(pid)
+
+    def test_worker_stays_warm_across_calls(self, pool):
+        pids = {_run_pid(pool, tag) for tag in range(3)}
+        assert len(pids) == 1
+        assert alive(pids.pop())
+        assert pool.generation == 1
+
+    def test_failed_job_keeps_the_worker(self, pool):
+        first = _run_pid(pool, 0)
+        bad = stub_job("bad", func="boom_job")
+        assert run_jobs([bad.payload()], pool=pool)["bad"]["status"] == STATUS_FAILED
+        assert _run_pid(pool, 1) == first
+
+    def test_timeout_rebuilds_the_pool(self, pool):
+        first = _run_pid(pool, 0)
+        nap = stub_job("nap", func="napping_job", seconds=60.0)
+        records = run_jobs([nap.payload()], pool=pool, timeout=0.5)
+        assert records["nap"]["status"] == STATUS_TIMEOUT
+        assert _run_pid(pool, 1) != first
+        assert not alive(first)
+        assert pool.generation == 2
+
+    def test_crash_rebuilds_the_pool(self, pool):
+        first = _run_pid(pool, 0)
+        kill = stub_job("kill", func="sigkill_job")
+        assert run_jobs([kill.payload()], pool=pool)["kill"]["status"] == STATUS_FAILED
+        assert _run_pid(pool, 1) != first
+        assert pool.generation == 2
+
+    def test_preemption_rebuilds_the_pool(self, pool, tmp_path):
+        first = _run_pid(pool, 0)
+        started = tmp_path / "started"
+        stalled = stub_job("stalled", func="stalled_job", touch_path=str(started))
+        cancel = threading.Event()
+
+        def preempt_once_started():
+            deadline = time.monotonic() + 60.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            cancel.set()
+
+        watcher = threading.Thread(target=preempt_once_started)
+        watcher.start()
+        records = run_jobs([stalled.payload()], pool=pool, cancel_event=cancel)
+        watcher.join(timeout=60)
+        assert records["stalled"]["status"] == STATUS_PREEMPTED
+        # the stopped worker was reclaimed, and the next job gets a new one
+        assert wait_gone(first)
+        assert _run_pid(pool, 1) != first
+        assert pool.generation == 2
+
+    def test_worker_dead_while_idle_is_replaced(self, pool):
+        first = _run_pid(pool, 0)
+        os.kill(first, signal.SIGKILL)
+        assert wait_gone(first)
+        job = stub_job("after", func="pid_job")
+        records = run_jobs([job.payload()], pool=pool)
+        assert records["after"]["attempts"] == 1
+        assert _pid_of(records, "after") != first
+        assert pool.generation == 2
+
+    def test_closed_pool_forks_nothing(self, pool):
+        first = _run_pid(pool, 0)
+        pool.close()
+        assert wait_gone(first)
+        with pytest.raises(RuntimeError):
+            _run_pid(pool, 1)
+        assert pool.generation == 1
+
+
+_HOLDER = """
+import sys, time
+from repro.harness.scheduler import _Pool, run_jobs
+from tests.harness.stub_jobs import stub_job
+
+job = stub_job("pid", func="pid_job")
+record = run_jobs([job.payload()], pool=_Pool(1))["pid"]
+print(int(record["result"]["rows"][0][1]), flush=True)
+time.sleep(600)
+"""
+
+
+def test_worker_exits_when_its_parent_is_sigkilled():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
+    )
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLDER],
+        stdout=subprocess.PIPE, env=env, cwd=REPO_ROOT,
+    )
+    worker = None
+    try:
+        worker = int(holder.stdout.readline())
+        assert alive(worker)
+        holder.kill()
+        holder.wait(timeout=30)
+        assert wait_gone(worker), "the orphaned pool worker outlived its parent"
+    finally:
+        if holder.poll() is None:
+            holder.kill()
+            holder.wait()
+        holder.stdout.close()
+        if worker is not None and alive(worker):
+            os.kill(worker, signal.SIGKILL)
