@@ -29,11 +29,14 @@ POSITIONS = cubic_lattice(CONFIG.n_atoms, BOX)
 
 
 def test_bench_allpairs_float64(benchmark):
+    """The dense O(N^2) oracle at 1024 atoms.  No production path runs
+    it at this size: the functional path runs the pair list from 512."""
     result = benchmark(compute_forces, POSITIONS, BOX, POTENTIAL)
     assert result.interacting_pairs > 0
 
 
 def test_bench_allpairs_float32(benchmark):
+    """The dense O(N^2) oracle in float32, as for float64 above."""
     result = benchmark(
         compute_forces, POSITIONS, BOX, POTENTIAL, dtype=np.float32
     )

@@ -313,16 +313,14 @@ def run_xmt_network(
     machine stops scaling — "data placement and access locality will be
     an important consideration when programming these systems".
     """
-    from repro.md import compute_forces as _cf
+    from repro.arch.device import _functional_backend
     from repro.mta.xmt import XMTDevice
 
     probe_config = MDConfig(n_atoms=1024)
     probe_box = probe_config.make_box()
-    probe = _cf(
-        cubic_lattice(probe_config.n_atoms, probe_box),
-        probe_box,
-        probe_config.make_potential(),
-    )
+    probe = _functional_backend(
+        probe_box, probe_config.make_potential(), np.float64
+    )(cubic_lattice(probe_config.n_atoms, probe_box))
     fraction = 2.0 * probe.interacting_pairs / (1024 * 1023)
     box_length = MDConfig(n_atoms=n_atoms).make_box().length
 

@@ -11,8 +11,6 @@ the Figure-7 accounting exactly (setup is reported separately by
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch import calibration as cal
 from repro.arch.device import Device, StepComponent
 from repro.arch.interconnect import PCIeBus, TransferModel
@@ -20,7 +18,6 @@ from repro.arch.profilecounts import KernelMetrics
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.gpu.pipelines import GPU_ISSUE_SLOTS, PipelineArray
 from repro.md.box import PeriodicBox
-from repro.md.forces import compute_forces
 from repro.md.lj import LennardJones
 from repro.obs.observe import Observation
 from repro.vm.schedule import count_issues
@@ -56,12 +53,12 @@ class GpuDevice(Device):
         return build_md_shader(box_length)
 
     def vm_force_backend(self, sim_box: PeriodicBox, potential: LennardJones):
+        # host-side tally on the functional path, only for bookkeeping:
+        # the shader itself is branchless
+        tally = self.functional_backend(sim_box, potential)
+
         def interacting_pairs(positions, machine, before) -> int:
-            # host-side tally, only for bookkeeping: the shader itself
-            # is branchless
-            return compute_forces(
-                positions, sim_box, potential, dtype=np.float32
-            ).interacting_pairs
+            return tally(positions).interacting_pairs
 
         return self.vm_backend(
             sim_box,

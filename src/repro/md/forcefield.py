@@ -1,8 +1,8 @@
 """The force-backend registry: select a force path by name.
 
-Every force formulation in the repo — the nested-loop executable
-specification, the paper's all-pairs kernels, the pair list — is
-registered here under a short name, so
+The force formulations — the nested-loop executable specification,
+the paper's all-pairs scan, the pair list — are registered here under
+a short name, so
 :class:`repro.md.simulation.MDSimulation`, the device models and the
 ablations can all select one with a string instead of hand-wiring
 closures.  A factory receives ``(box, potential)`` plus
@@ -28,7 +28,6 @@ from repro.md.celllist import CellListForceBackend, default_skin
 from repro.md.forces import (
     ForceResult,
     compute_forces,
-    compute_forces_27image,
     compute_forces_reference,
 )
 from repro.md.lj import LennardJones
@@ -80,9 +79,8 @@ def make_force_backend(
 ) -> Callable[[np.ndarray], ForceResult]:
     """Instantiate the named backend for one simulation.
 
-    ``options`` are backend-specific (``block`` for the dense scans,
-    ``skin`` for the pair list); unknown names raise with the list of
-    registered ones.
+    ``options`` are backend-specific (``skin`` for the pair list); unknown
+    names raise with the list of registered ones.
     """
     try:
         factory = _REGISTRY[name]
@@ -107,26 +105,11 @@ def _reference(box, potential, dtype, **options):
 
 @register_backend("all-pairs")
 def _all_pairs(box, potential, dtype, **options):
-    block = int(options.pop("block", 256))
     if options:
-        raise TypeError(f"'all-pairs' got unknown options {sorted(options)}")
+        raise TypeError(f"'all-pairs' takes no options, got {sorted(options)}")
 
     def backend(positions: np.ndarray) -> ForceResult:
-        return compute_forces(positions, box, potential, dtype=dtype, block=block)
-
-    return backend
-
-
-@register_backend("27image")
-def _27image(box, potential, dtype, **options):
-    block = int(options.pop("block", 64))
-    if options:
-        raise TypeError(f"'27image' got unknown options {sorted(options)}")
-
-    def backend(positions: np.ndarray) -> ForceResult:
-        return compute_forces_27image(
-            positions, box, potential, dtype=dtype, block=block
-        )
+        return compute_forces(positions, box, potential, dtype=dtype)
 
     return backend
 

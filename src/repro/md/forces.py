@@ -7,9 +7,10 @@ contribute a force and a potential-energy term.  This module provides
 
 * :func:`compute_forces_reference` — straight nested Python loops,
   the executable specification, for small N and cross-checking;
-* :func:`compute_forces` — the vectorized NumPy kernel of the dense
-  ``all-pairs`` path, which every device's functional path runs in
-  boxes of fewer than three list-radius-wide cells per side (see
+* :func:`compute_forces` — the vectorized O(N²) scan of the dense
+  ``all-pairs`` path: the paper's kernel, the oracle the pair list is
+  tested against, and every device's functional path in boxes of fewer
+  than three list-radius-wide cells per side (see
   :func:`repro.arch.device._functional_backend`);
 * :func:`compute_forces_27image` — same physics with the minimum image
   obtained by the explicit 27-image search the Cell kernel uses;
@@ -39,26 +40,22 @@ free to choose without changing a bit of the accelerations:
    and ``0.0`` energy — its LJ terms are never evaluated, so its
    entries stay exact zeros.
 
-So all columns, the 27-cell neighbourhood of a row's cell and a row's
-partners in a fresh pair list all give the same acceleration rows,
-interacting counts and per-row interacting tallies.  Energy needs one more step: pairwise ``.sum()``
-is *not* invariant under dropping zero positions, while a strict
-left-to-right prefix sum is (:func:`_prefix_pe`).
+So all columns and a row's partners in a fresh pair list give the same
+acceleration rows, interacting counts and per-row interacting tallies.
+Energy needs one more step: pairwise ``.sum()`` is *not* invariant
+under dropping zero positions, while a strict left-to-right prefix sum
+is (:func:`_prefix_pe`).
 
-:func:`compute_forces` picks the column sets itself.  When the box
-holds at least :data:`_MIN_CELLS_PER_SIDE` cells per side, each wider
-than the cutoff plus a rounding guard, it scans each cell's rows
-against its 27-cell neighbourhood (O(N) at fixed density) and reduces
-energy by prefix sums.  Otherwise it scans row blocks against all
-columns and reduces energy pairwise per block, which keeps small-box
-energies on the bits the benchmark references pin; at three cells per
-side the neighbourhood is the whole box anyway.  The pair-list kernel
-gathers blocks of consecutive rows from the list's partner table, scans
-each row against its ascending partners, padded with its own index, and
-prefix-sums energy too: on a list that holds every partner inside the
-cutoff its accelerations and tallies are :func:`compute_forces`'s bit
-for bit, its energy the cell branch's.  The device cost models are not
-affected either way: they price the paper's O(N²) scan from the
+:func:`compute_forces` scans 256-row blocks against all columns and
+reduces energy pairwise per block, which keeps small-box energies on
+the bits the benchmark references pin.  The pair-list kernel gathers
+blocks of consecutive rows from the list's partner table, scans each
+row against its ascending partners, padded with its own index, and
+prefix-sums each row's energy: on a list that holds every partner
+inside the cutoff its accelerations and tallies are
+:func:`compute_forces`'s bit for bit, and its energy is that of the
+all-columns scan with per-row prefix sums.  The device cost models are
+not affected either way: they price the paper's O(N²) scan from the
 interacting-pair count.
 """
 
@@ -83,24 +80,19 @@ __all__ = [
     "compute_pair_forces",
 ]
 
-#: Row-block size of the dense branch.  256 rows x 8192 cols x 3 dims of
-#: float64 is ~50 MB of transient working set, comfortably in-memory while
-#: keeping each BLAS-free NumPy op long enough to amortize dispatch.
-_DEFAULT_BLOCK = 256
+#: Row-block size of :func:`compute_forces`.  256 rows x 8192 cols x 3
+#: dims of float64 is ~50 MB of transient working set, comfortably
+#: in-memory while keeping each BLAS-free NumPy op long enough to
+#: amortize dispatch.
+_DENSE_BLOCK = 256
 
 #: Rows per block of the pair-list kernel: 64 rows of ~90 partners keep
 #: its transient working set near 150 kB.
 _LIST_BLOCK = 64
 
-#: Fewest cells per box side at which :func:`compute_forces` scans cell
-#: neighbourhoods; at three the 27-cell neighbourhood is the whole box.
-_MIN_CELLS_PER_SIDE = 4
-
-#: Cell widths exceed the cutoff by this many machine epsilons of the
-#: arithmetic dtype, times (box length + largest coordinate magnitude):
-#: well above the kernel's own rounding of a minimum-image distance, so
-#: neither that nor ``floor()`` at a cell face can drop a partner.
-_CELL_GUARD_EPS = 16
+#: Row-block size of :func:`compute_forces_27image`, whose 27 candidate
+#: images per pair make each row 27 times wider than the dense scan's.
+_IMAGE_BLOCK = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,9 +111,8 @@ class ForceResult:
         drives the "interacting" branch of every device cost model.
     pairs_examined:
         Number of unordered candidate pairs whose distance the kernel
-        computed: ``n * (n - 1) / 2`` for the all-pairs scans, half the
-        ordered row-column candidates when :func:`compute_forces` scans
-        cell neighbourhoods, the list length for the pair-list kernels.
+        computed: ``n * (n - 1) / 2`` for the all-pairs scans, the
+        list length for the pair-list kernel.
     """
 
     accelerations: np.ndarray
@@ -260,39 +251,13 @@ def _prefix_pe(pair_pe: np.ndarray) -> np.ndarray:
     return np.add.accumulate(pair_pe, axis=1, dtype=pair_pe.dtype)[:, -1]
 
 
-def _cell_grid(
-    positions: np.ndarray,
-    box: PeriodicBox,
-    potential: LennardJones,
-    dtype: np.dtype,
-):
-    """The cell grid :func:`compute_forces` scans, or ``None`` for the
-    dense branch (too few cells per side, or non-finite positions)."""
-    # celllist imports this module, so bind its grid lazily.
-    from repro.md.celllist import CellGrid, cells_per_side
-
-    extent = float(np.max(np.abs(positions), initial=0.0))
-    if not np.isfinite(extent):
-        return None
-    guard = _CELL_GUARD_EPS * float(np.finfo(dtype).eps) * (box.length + extent)
-    radius = potential.rcut + guard
-    if cells_per_side(box, radius) < _MIN_CELLS_PER_SIDE:
-        return None
-    return CellGrid(box, radius)
-
-
 def compute_forces(
     positions: np.ndarray,
     box: PeriodicBox,
     potential: LennardJones,
     dtype: np.dtype | type = np.float64,
-    block: int = _DEFAULT_BLOCK,
 ) -> ForceResult:
-    """Vectorized kernel over every pair inside the cutoff.
-
-    Scans cell neighbourhoods when the box holds enough cells, else
-    row blocks against all columns (see the module docstring); both
-    give the same accelerations and pair counts bit for bit.
+    """Vectorized O(N²) kernel: row blocks against every column.
 
     Parameters
     ----------
@@ -301,47 +266,21 @@ def compute_forces(
         float64 on Opteron/MTA-2; passing ``np.float32`` makes this
         kernel reproduce the single-precision arithmetic bit-for-bit at
         the NumPy level.
-    block:
-        Row-block size of the dense branch; bounds its transient working
-        set to ``block * n`` pair entries.  The cell branch blocks by cell.
     """
-    positions64 = _validate(positions, box, potential)
-    n = positions64.shape[0]
+    positions = _validate(positions, box, potential)
+    n = positions.shape[0]
     dtype = np.dtype(dtype)
-    pos = positions64.astype(dtype)
+    pos = positions.astype(dtype)
     acc = np.zeros((n, 3), dtype=dtype)
+    pe = dtype.type(0.0)
     row_interacting = np.zeros(n, dtype=np.int64)
-
-    grid = _cell_grid(positions64, box, potential, dtype)
-    if grid is None:
-        pe = dtype.type(0.0)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
-                pos[start:stop], pos, np.arange(start, stop), box, potential
-            )
-            acc[start:stop] += tile_acc
-            pe += pair_pe.sum(dtype=dtype)
-        ordered_examined = n * (n - 1)
-    else:
-        # Rows grouped by cell (ascending within each cell: stable sort),
-        # each against its 27-cell neighbourhood.
-        cell_of = grid.assign(positions64)
-        counts = np.bincount(cell_of, minlength=grid.n_cells)
-        members = np.split(np.argsort(cell_of, kind="stable"), np.cumsum(counts)[:-1])
-        pe_rows = np.zeros(n, dtype=dtype)
-        ordered_examined = 0
-        for cell, rows in enumerate(members):
-            if rows.size == 0:
-                continue
-            cols = np.sort(np.concatenate([members[c] for c in grid.neighbors[cell]]))
-            tile_acc, pair_pe, row_interacting[rows] = _lj_rows(
-                pos[rows], pos[cols], np.searchsorted(cols, rows), box, potential
-            )
-            acc[rows] += tile_acc
-            pe_rows[rows] += _prefix_pe(pair_pe)
-            ordered_examined += rows.size * (cols.size - 1)
-        pe = pe_rows.sum(dtype=dtype)
+    for start in range(0, n, _DENSE_BLOCK):
+        stop = min(start + _DENSE_BLOCK, n)
+        tile_acc, pair_pe, row_interacting[start:stop] = _lj_rows(
+            pos[start:stop], pos, np.arange(start, stop), box, potential
+        )
+        acc[start:stop] += tile_acc
+        pe += pair_pe.sum(dtype=dtype)
 
     # Every unordered pair was visited twice (once from each row), so
     # halve the tallies; the force accumulation is already one-sided
@@ -350,7 +289,7 @@ def compute_forces(
         accelerations=acc.astype(np.float64),
         potential_energy=0.5 * float(pe),
         interacting_pairs=int(row_interacting.sum()) // 2,
-        pairs_examined=ordered_examined // 2,
+        pairs_examined=n * (n - 1) // 2,
         row_interacting=row_interacting,
     )
 
@@ -406,7 +345,6 @@ def compute_forces_27image(
     box: PeriodicBox,
     potential: LennardJones,
     dtype: np.dtype | type = np.float64,
-    block: int = 64,
 ) -> ForceResult:
     """All-pairs kernel with minimum image by explicit 27-image search.
 
@@ -425,8 +363,8 @@ def compute_forces_27image(
     pe = dtype.type(0.0)
     row_interacting = np.zeros(n, dtype=np.int64)
 
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _IMAGE_BLOCK):
+        stop = min(start + _IMAGE_BLOCK, n)
         raw = pos[start:stop, None, :] - pos[None, :, :]
         # candidates[b, j, m, :] = raw + offset_m ; pick the shortest image.
         candidates = raw[:, :, None, :] + offsets[None, None, :, :]

@@ -7,11 +7,9 @@ up at the default density and cutoff), the dense ``all-pairs`` scan
 below that.  Over 10-step trajectories it must give
 ``make_force_backend("all-pairs")``'s physics: the final state, the
 interacting-pair counts and the per-row tallies bit for bit at every
-size, and the potential energy bit for bit wherever ``compute_forces``
-sums it by per-row prefix sums too (its cell branch, 1024 atoms and
-up).  At 512 atoms ``compute_forces`` scans all columns and sums energy
-pairwise per row block, so there the energy is held to a bound argued
-from the term count instead.
+size.  Where the list runs, each evaluation's potential energy equals
+the order-fixed prefix-sum oracle's bit for bit, and the dense scan's
+pairwise energy is held to that oracle within the term-count bound.
 """
 
 from __future__ import annotations
@@ -22,8 +20,15 @@ import pytest
 from repro.arch import device as device_module
 from repro.faults import FaultPlan, SiteSpec
 from repro.gpu.device import GpuDevice
-from repro.md import CellListForceBackend, MDConfig, MDSimulation, make_force_backend
-from repro.md.forces import _lj_rows
+from repro.md import (
+    CellListForceBackend,
+    MDConfig,
+    MDSimulation,
+    compute_forces,
+    make_force_backend,
+)
+from repro.md.lattice import cubic_lattice
+from tests.md.pe_oracle import pe_tolerance, prefix_oracle
 
 STEPS = 10
 SIZES = (128, 256, 512, 1024, 2048)
@@ -48,28 +53,6 @@ def integrate(config: MDConfig, backend: Recording) -> MDSimulation:
     sim = MDSimulation(config, force_backend=backend)
     sim.run(STEPS)
     return sim
-
-
-def pe_bound(positions, config: MDConfig, result) -> float:
-    """How far two summation orders of one evaluation's pair energies
-    may put its potential energy apart.
-
-    The list sums each row left to right (at most ``c_max`` terms) and
-    then the rows pairwise; the dense scan sums 256-row blocks pairwise
-    and then the blocks in turn.  Each order's first-order rounding
-    error is at most its deepest chain of additions times ``eps`` times
-    ``sum |e_ij|``, so the two differ by at most
-    ``(c_max + 4 log2 N + 16) * eps * 0.5 * sum |e_ij|``.  An order-fixed
-    dense energy sum (ROADMAP item 1's old 2a) would make it bitwise.
-    """
-    dtype = config.np_dtype
-    box, potential = config.make_box(), config.make_potential()
-    pos = np.asarray(positions, dtype=np.float64).astype(dtype)
-    n = pos.shape[0]
-    _, pair_pe, _ = _lj_rows(pos, pos, np.arange(n), box, potential)
-    scale = 0.5 * float(np.abs(pair_pe).sum(dtype=np.float64))
-    terms = int(result.row_interacting.max()) + 4 * np.log2(n) + 16
-    return terms * float(np.finfo(dtype).eps) * scale
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -97,17 +80,43 @@ def test_functional_path_is_the_all_pairs_trajectory(n_atoms, dtype):
     for got, want in zip(sim.records, reference.records):
         assert got.interacting_pairs == want.interacting_pairs
         assert got.kinetic_energy.hex() == want.kinetic_energy.hex()
-    if n_atoms == 512:
+    if n_atoms >= 512:
         for positions, got, want in zip(
-            dense.positions, listed.results, dense.results
+            listed.positions, listed.results, dense.results
         ):
-            assert abs(got.potential_energy - want.potential_energy) <= pe_bound(
-                positions, config, want
+            pe, row_interacting, scale = prefix_oracle(
+                positions, box, potential, config.np_dtype
+            )
+            assert got.potential_energy.hex() == pe.hex()
+            assert abs(want.potential_energy - pe) <= pe_tolerance(
+                config.np_dtype, row_interacting, scale
             )
     else:
         assert [r.potential_energy.hex() for r in sim.records] == [
             r.potential_energy.hex() for r in reference.records
         ]
+
+
+# binning a NaN coordinate warns; the clip keeps its cell id in range
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+@pytest.mark.parametrize("reuse", [False, True], ids=["fresh", "reused"])
+def test_non_finite_positions_reach_the_caller_on_the_list_path(reuse):
+    """A diverged state must still come back as non-finite forces, with
+    the dense scan's pair count, whether the list is built from it or
+    reused across it."""
+    config = MDConfig(n_atoms=1024)
+    box, potential = config.make_box(), config.make_potential()
+    backend = device_module._functional_backend(box, potential, config.np_dtype)
+    assert isinstance(backend, CellListForceBackend)
+    positions = cubic_lattice(config.n_atoms, box)
+    if reuse:
+        backend(positions)
+    positions[7] = np.nan
+    result = backend(positions)
+    assert (backend.rebuild_count, backend.reuse_count) == (1, int(reuse))
+    assert not np.isfinite(result.accelerations).all()
+    dense = compute_forces(positions, box, potential, dtype=config.np_dtype)
+    assert result.interacting_pairs == dense.interacting_pairs
 
 
 def test_list_path_resumes_from_a_checkpoint_as_if_uninterrupted():

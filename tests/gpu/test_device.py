@@ -8,7 +8,7 @@ import pytest
 from repro.gpu.device import GpuDevice, make_pcie_bus
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.gpu.pipelines import PipelineArray
-from repro.md import MDConfig, compute_forces
+from repro.md import MDConfig, MDSimulation, compute_forces
 from repro.md.lattice import cubic_lattice
 from repro.vm.sweep import PairSweep
 
@@ -98,6 +98,27 @@ class TestGpuDevice:
         np.testing.assert_allclose(
             vm.final_positions, fast.final_positions, atol=1e-4
         )
+
+    def test_vm_tally_is_the_float32_all_pairs_count(self):
+        """vm mode tallies interacting pairs on the functional path (the
+        pair list at 1024 atoms); every evaluation must count what the
+        dense float32 scan counts at the same positions."""
+        config = MDConfig(n_atoms=1024, dtype="float32")
+        box, potential = config.make_box(), config.make_potential()
+        vm = GpuDevice(mode="vm").vm_force_backend(box, potential)
+        seen = []
+
+        def recording(positions):
+            result = vm(positions)
+            seen.append((np.array(positions, copy=True), result.interacting_pairs))
+            return result
+
+        MDSimulation(config, force_backend=recording).run(2)
+        assert len(seen) == 3
+        for positions, tally in seen:
+            assert tally == compute_forces(
+                positions, box, potential, dtype=np.float32
+            ).interacting_pairs
 
     def test_readback_sync_dominates_small_systems(self):
         bus = make_pcie_bus()

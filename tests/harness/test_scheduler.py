@@ -287,7 +287,9 @@ from repro.harness.scheduler import _Pool, run_jobs
 from tests.harness.stub_jobs import stub_job
 
 job = stub_job("pid", func="pid_job")
-record = run_jobs([job.payload()], pool=_Pool(1))["pid"]
+# held, not a temporary: a collected pool's worker exits on its own
+pool = _Pool(1)
+record = run_jobs([job.payload()], pool=pool)["pid"]
 print(int(record["result"]["rows"][0][1]), flush=True)
 time.sleep(600)
 """

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.md import MDConfig
+from repro.md import forces as forces_module
 from repro.md.box import PeriodicBox
 from repro.md.forces import (
     compute_forces,
@@ -44,12 +46,33 @@ class TestAgreementAcrossKernels:
         np.testing.assert_allclose(img.accelerations, ref.accelerations, atol=1e-9)
         assert img.interacting_pairs == ref.interacting_pairs
 
-    def test_block_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         box, potential, positions = _system(n=50)
-        a = compute_forces(positions, box, potential, block=7)
-        b = compute_forces(positions, box, potential, block=512)
+        monkeypatch.setattr(forces_module, "_DENSE_BLOCK", 7)
+        a = compute_forces(positions, box, potential)
+        monkeypatch.setattr(forces_module, "_DENSE_BLOCK", 512)
+        b = compute_forces(positions, box, potential)
         np.testing.assert_allclose(a.accelerations, b.accelerations, atol=1e-12)
         assert a.potential_energy == pytest.approx(b.potential_energy)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+    def test_every_pair_is_examined_at_every_size(self, n):
+        # three cutoff-wide cells per side at 512 atoms, four from 1024
+        config = MDConfig(n_atoms=n)
+        box = config.make_box()
+        result = compute_forces(cubic_lattice(n, box), box, config.make_potential())
+        assert result.pairs_examined == n * (n - 1) // 2
+
+    def test_non_finite_positions_reach_the_caller(self):
+        """A diverged state must come back as non-finite forces, with
+        every pair examined, for the energy watchdog to see."""
+        config = MDConfig(n_atoms=1024)
+        box, potential = config.make_box(), config.make_potential()
+        positions = cubic_lattice(config.n_atoms, box)
+        positions[7] = np.nan
+        result = compute_forces(positions, box, potential)
+        assert result.pairs_examined == 1024 * 1023 // 2
+        assert not np.isfinite(result.accelerations).all()
 
     def test_float32_close_to_float64(self):
         box, potential, positions = _system(n=100)
@@ -153,25 +176,27 @@ class TestPropertyBased:
 
 
 class TestBlockSize:
-    def test_block_rechunk_preserves_forces(self):
-        # the block size only re-chunks rows, and each row is reduced in one
+    def test_block_rechunk_preserves_forces(self, monkeypatch):
+        # the row block only re-chunks rows, and each row is reduced in one
         # ordered pass: forces and tallies are bitwise block-invariant;
-        # only the dense branch's pairwise per-block PE sum may move
+        # only the pairwise per-block PE sum may move
         from repro.experiments.common import paper_config
         from repro.md.forcefield import make_force_backend
 
-        for n_atoms in (256, 1024):  # dense scan, cell branch
+        for n_atoms in (256, 1024):
             config = paper_config(n_atoms)  # box must exceed twice the cutoff
             box = config.make_box()
             rng = np.random.default_rng(7)
             positions = rng.uniform(0.0, box.length, size=(n_atoms, 3))
             for dtype, pe_rel in ((np.float32, 1e-5), (np.float64, 1e-12)):
-                first, *others = (
-                    make_force_backend(
-                        "all-pairs", box, LennardJones(), dtype=dtype, block=block
-                    )(positions)
-                    for block in (16, 64, 256, 1024)
-                )
+                results = []
+                for block in (16, 64, 256, 1024):
+                    monkeypatch.setattr(forces_module, "_DENSE_BLOCK", block)
+                    backend = make_force_backend(
+                        "all-pairs", box, LennardJones(), dtype=dtype
+                    )
+                    results.append(backend(positions))
+                first, *others = results
                 for other in others:
                     assert np.array_equal(other.accelerations, first.accelerations)
                     assert np.array_equal(
