@@ -18,6 +18,8 @@ from repro.md import (
     compute_forces_27image,
     make_force_backend,
 )
+from repro.md.celllist import _pair_table, default_skin
+from repro.md.forces import compute_pair_forces
 from repro.md.lattice import cubic_lattice
 from repro.vm.bench import bench_kernels, speedups
 from repro.vm.sweep import PairSweep
@@ -26,6 +28,13 @@ CONFIG = MDConfig(n_atoms=1024)
 BOX = CONFIG.make_box()
 POTENTIAL = CONFIG.make_potential()
 POSITIONS = cubic_lattice(CONFIG.n_atoms, BOX)
+
+#: The paper's 2048-atom system and its pair-list radius, rcut + skin.
+LIST_CONFIG = MDConfig(n_atoms=2048)
+LIST_BOX = LIST_CONFIG.make_box()
+LIST_POTENTIAL = LIST_CONFIG.make_potential()
+LIST_POSITIONS = cubic_lattice(LIST_CONFIG.n_atoms, LIST_BOX)
+LIST_RADIUS = LIST_POTENTIAL.rcut + default_skin(LIST_BOX, LIST_POTENTIAL)
 
 
 def test_bench_allpairs_float64(benchmark):
@@ -54,6 +63,25 @@ def test_bench_neighborlist(benchmark):
     backend(POSITIONS)  # build the list; the timed calls reuse it
 
     result = benchmark(backend, POSITIONS)
+    assert result.interacting_pairs > 0
+
+
+def test_bench_pair_table_2048(benchmark):
+    """One fresh 2048-atom pair-list search, the build behind every
+    ``CellList`` rebuild; calling the search itself bypasses the shared
+    tables, so every round builds."""
+    table = benchmark(_pair_table, LIST_POSITIONS, LIST_BOX, LIST_RADIUS)
+    assert table.n_pairs > 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bench_pair_forces_2048(benchmark, dtype):
+    """One 2048-atom force evaluation over the pair list's table."""
+    table = _pair_table(LIST_POSITIONS, LIST_BOX, LIST_RADIUS)
+    result = benchmark(
+        compute_pair_forces, LIST_POSITIONS, table, LIST_BOX, LIST_POTENTIAL,
+        dtype=dtype,
+    )
     assert result.interacting_pairs > 0
 
 

@@ -9,21 +9,26 @@ once the box is large enough (see :mod:`repro.arch.device`); the device
 cost models still price the paper's O(N^2) scan.
 
 The one pair search, :func:`_pair_table`, bins atoms into a cubic grid
-of cells at least ``radius`` wide and scans each cell's rows against
-the sorted members of its neighbouring cells, so each atom only
-examines the cells around its own: O(N) total work at fixed density.
-It yields a :class:`PairTable`, every atom's partners in CSR form.
-:func:`build_pairs_cells` derives the half list from that table, exactly
-the array, order included, of :func:`repro.md.neighborlist.build_pairs`,
-the O(N^2) reference scan the tests hold it to.  The structure is the
-one HOOMD-blue's ``NList``/``CellList`` pair uses (see SNIPPETS.md) and
-the one the GPU N-body literature identifies as the step that unlocks
-large-N MD.
+of cells at least ``radius`` wide and scans each unordered pair of
+neighbouring cells once (a half shell: each cell against itself and
+its neighbours with a higher id), so each atom only examines the cells
+around its own: O(N) total work at fixed density.  Every close pair is
+written to both of its ends, and one in-place sort of integer keys
+turns them into a :class:`PairTable`, every atom's partners in CSR
+form.  :func:`build_pairs_cells` derives the half list from that table,
+exactly the array, order included, of
+:func:`repro.md.neighborlist.build_pairs`, the O(N^2) reference scan
+the tests hold it to.  The structure is the one HOOMD-blue's
+``NList``/``CellList`` pair uses (see SNIPPETS.md) and the one the GPU
+N-body literature identifies as the step that unlocks large-N MD.
 
 :class:`CellList` keeps the table of every pair within ``rcut + skin``
 and stays valid until some atom has moved more than ``skin / 2`` since
 the last build; it checks displacements on every update and rebuilds
-when they exceed that.  :class:`CellListForceBackend` wraps the list
+when they exceed that.  Its builds go through a small process-wide
+memo of read-only tables (:data:`_tables`), so identical builds, such
+as the float32 and float64 trajectories of one lattice start, share one
+table.  :class:`CellListForceBackend` wraps the list
 into the ``ForceBackend`` callable shape that
 :class:`repro.md.simulation.MDSimulation` and the device models consume,
 and exposes rebuild/reuse counters for the experiment reports.
@@ -33,7 +38,9 @@ shrunk to what the box leaves beyond the cutoff.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import threading
 
 import numpy as np
 
@@ -53,11 +60,15 @@ __all__ = [
 ]
 
 #: Most row x column entries one step of the pair search holds.  One row
-#: against its ~440 candidate columns (2048 atoms) is ~10 kB of float64
+#: against its ~440 half-shell columns (2048 atoms) is ~10 kB of float64
 #: separations, so chunks of ~4096 entries keep the search's transient
 #: working set near 100 kB however many rows a cell holds; unchunked, one
 #: 2048-atom rebuild plus evaluation peaked at 4.7 MB under tracemalloc.
 _CHUNK_ENTRIES = 4096
+
+#: Keys mirrored per step at the end of the pair search (256 kB of
+#: int32), so the mirror's temporaries stay small next to the keys.
+_MIRROR_BLOCK = 1 << 16
 
 
 def cells_per_side(box: PeriodicBox, radius: float) -> int:
@@ -84,6 +95,8 @@ class CellGrid:
     +1 name the same cell, so each cell lists the 8 distinct cells
     ``{0, 1}**3`` away: the whole box, each cell once.  ``m < 2`` means
     a radius beyond half the box, which no minimum-image search admits.
+    The half-shell search walks :attr:`forward`, each cell's neighbours
+    with a higher flat id.
     """
 
     def __init__(self, box: PeriodicBox, radius: float) -> None:
@@ -112,6 +125,13 @@ class CellGrid:
             + neighbor_coords[:, :, 1] * m
             + neighbor_coords[:, :, 2]
         )
+        # Each row of ``neighbors`` is distinct for both m == 2 and
+        # m >= 3, so the cells above a cell's own id name every
+        # unordered pair of neighbouring cells exactly once.
+        #: per cell, its neighbours with a higher flat id
+        self.forward = [
+            row[row > cell] for cell, row in enumerate(self.neighbors)
+        ]
 
     def assign(self, positions: np.ndarray) -> np.ndarray:
         """Flat cell id of each atom (positions are wrapped first)."""
@@ -158,14 +178,31 @@ class PairTable:
         return np.column_stack((i[order], j[order])).astype(np.intp)
 
 
+def _key_dtype(n: int) -> np.dtype:
+    """Integer dtype of the pair search's ``row * n + column`` keys."""
+    return np.dtype(np.int32 if n * n < 2**31 else np.int64)
+
+
 def _pair_table(positions: np.ndarray, box: PeriodicBox, radius: float) -> PairTable:
     """Linked-cell search for every partner within ``radius`` of each atom.
 
-    Each cell's rows are scanned, in chunks of at most
-    :data:`_CHUNK_ENTRIES` row x column entries, against the sorted
-    members of its neighbouring cells, with the reference scan's
-    minimum-image arithmetic; the self column is dropped by index, so
-    two distinct atoms at one position stay partners.
+    A half-shell scan: each cell's rows are scanned, in chunks of at
+    most :data:`_CHUNK_ENTRIES` row x column entries, against the later
+    members of their own cell and all members of the cell's forward
+    neighbours (:attr:`CellGrid.forward`), so every unordered pair of
+    atoms in neighbouring cells is examined exactly once.  The
+    separations use the reference scan's minimum-image arithmetic;
+    since ``pj - pi`` is bitwise ``-(pi - pj)``, the scan direction
+    cannot change which pairs fall inside ``radius``.  Within a cell
+    the self entry and the earlier rows are dropped by position, so two
+    distinct atoms at one position stay partners.
+
+    Each close pair is kept as one integer key ``rowpos[i] * n + j``
+    (``rowpos[i]`` is atom ``i``'s row in the table), mirrored to
+    ``rowpos[j] * n + i`` at the end, and the keys are sorted in place:
+    the sorted keys run row by row with each row's partners ascending,
+    so ``indptr`` is where each row's key range starts and the partners
+    are the keys modulo ``n``.  The keys are int32 while ``n**2 < 2**31``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     validate_list_radius(radius, box)
@@ -173,37 +210,117 @@ def _pair_table(positions: np.ndarray, box: PeriodicBox, radius: float) -> PairT
     n = positions.shape[0]
     cell_of = grid.assign(positions)
     order = np.argsort(cell_of, kind="stable").astype(np.int32)
-    counts = np.bincount(cell_of, minlength=grid.n_cells)
-    members = np.split(order, np.cumsum(counts)[:-1])
+    # first row of each cell, then the end of the table
+    bounds = np.zeros(grid.n_cells + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cell_of, minlength=grid.n_cells), out=bounds[1:])
+    members = np.split(order, bounds[1:-1])
+    key_dtype = _key_dtype(n)
+    row_keys = np.arange(n, dtype=key_dtype) * key_dtype.type(n)
 
     radius2 = radius * radius
-    partners: list[np.ndarray] = []
-    row_counts: list[np.ndarray] = []
+    half: list[np.ndarray] = []
     for cell, rows in enumerate(members):
         if rows.size == 0:
             continue
-        cols = np.sort(np.concatenate([members[c] for c in grid.neighbors[cell]]))
+        cols = np.concatenate([rows, *(members[c] for c in grid.forward[cell])])
         pos_cols = positions[cols]
         step = max(1, _CHUNK_ENTRIES // cols.size)
         for start in range(0, rows.size, step):
-            chunk = rows[start : start + step]
-            delta = positions[chunk][:, None, :] - pos_cols
+            stop = min(start + step, rows.size)
+            # columns from the chunk's first row on: own-cell rows before
+            # it have already scanned this chunk
+            delta = positions[rows[start:stop]][:, None, :] - pos_cols[start:]
             delta -= box.length * np.round(delta / box.length)
             close = np.einsum("bjk,bjk->bj", delta, delta) < radius2
-            close[np.arange(chunk.size), np.searchsorted(cols, chunk)] = False
-            partners.append(cols[np.nonzero(close)[1]])
-            row_counts.append(np.count_nonzero(close, axis=1))
+            # own-cell entries on or below the diagonal: self, or seen
+            close[:, : stop - start][np.tri(stop - start, dtype=bool)] = False
+            b, k = np.nonzero(close)
+            half.append(row_keys[bounds[cell] + start + b] + cols[start + k])
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    if row_counts:
-        np.cumsum(np.concatenate(row_counts), out=indptr[1:])
-    return PairTable(
-        rows=order,
-        indptr=indptr,
-        partners=(
-            np.concatenate(partners) if partners else np.empty(0, dtype=np.int32)
-        ),
-    )
+    n_half = sum(keys.size for keys in half)
+    keys = np.empty(2 * n_half, dtype=key_dtype)
+    if half:
+        np.concatenate(half, out=keys[:n_half])
+    del half
+    rowpos = np.empty(n, dtype=key_dtype)
+    rowpos[order] = np.arange(n, dtype=key_dtype)
+    # key (rowpos[i] * n + j) -> its mirror (rowpos[j] * n + i)
+    for start in range(0, n_half, _MIRROR_BLOCK):
+        stop = min(start + _MIRROR_BLOCK, n_half)
+        block = keys[start:stop]
+        keys[n_half + start : n_half + stop] = (
+            row_keys[rowpos[block % n]] + order[block // n]
+        )
+    keys.sort()
+    # bounds in the keys' own dtype: int64 bounds would cast every key
+    starts = np.arange(n + 1, dtype=key_dtype) * key_dtype.type(n)
+    indptr = np.searchsorted(keys, starts)
+    np.remainder(keys, n, out=keys)
+    partners = keys.astype(np.int32, copy=False)
+    # read-only, so one table can serve every list that asks for it
+    for array in (order, indptr, partners):
+        array.flags.writeable = False
+    return PairTable(rows=order, indptr=indptr, partners=partners)
+
+
+class _TableMemo:
+    """The last pair tables built in this process, under a byte budget.
+
+    Identical builds are common: every run starts from
+    :func:`repro.md.lattice.cubic_lattice`, so the float32 and float64
+    trajectories of one configuration build the same first table.  A
+    table is looked up by the exact position bytes, their shape, the box
+    length and the radius; :func:`_pair_table` is a function of those
+    alone, and its tables are read-only.  Tables and key bytes together
+    stay within ``budget`` bytes, least recently used first out; a table
+    larger than the whole budget is built but not kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        #: key -> (table, bytes held), least recently used first
+        self._entries: collections.OrderedDict[tuple, tuple[PairTable, int]] = (
+            collections.OrderedDict()
+        )
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._bytes = 0
+
+    def table(
+        self, positions: np.ndarray, box: PeriodicBox, radius: float
+    ) -> PairTable:
+        """The pair table of ``positions`` (float64), built on a miss."""
+        key = (positions.tobytes(), positions.shape, box.length, radius)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        table = _pair_table(positions, box, radius)
+        size = len(key[0]) + sum(
+            a.nbytes for a in (table.rows, table.indptr, table.partners)
+        )
+        if size <= self.budget:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = (table, size)
+                    self._bytes += size
+                while self._bytes > self.budget:
+                    _, (_, dropped) = self._entries.popitem(last=False)
+                    self._bytes -= dropped
+        return table
+
+
+#: Byte budget of the shared tables: one 2048-atom table (~0.7 MB with
+#: its key) and a few smaller ones.
+_MEMO_BYTES = 1 << 20
+
+#: The process-wide table memo :meth:`CellList.update` builds through.
+_tables = _TableMemo(_MEMO_BYTES)
 
 
 def build_pairs_cells(
@@ -289,7 +406,7 @@ class CellList:
             self.reuse_count += 1
             return False
         positions = np.asarray(positions, dtype=np.float64)
-        self.table = _pair_table(positions, self.box, self.radius)
+        self.table = _tables.table(positions, self.box, self.radius)
         self._reference_positions = positions.copy()
         self.rebuild_count += 1
         return True

@@ -49,8 +49,9 @@ is (:func:`_prefix_pe`).
 :func:`compute_forces` scans 256-row blocks against all columns and
 reduces energy pairwise per block, which keeps small-box energies on
 the bits the benchmark references pin.  The pair-list kernel gathers
-blocks of consecutive rows from the list's partner table, scans each
-row against its ascending partners, padded with its own index, and
+blocks of consecutive rows from the list's partner table (positions by
+``np.take``, which copies rows faster than a 2-D fancy index), scans
+each row against its ascending partners, padded with its own index, and
 prefix-sums each row's energy: on a list that holds every partner
 inside the cutoff its accelerations and tallies are
 :func:`compute_forces`'s bit for bit, and its energy is that of the
@@ -306,8 +307,9 @@ def compute_pair_forces(
     The kernel of the pair list (:class:`repro.md.celllist.PairTable`):
     blocks of :data:`_LIST_BLOCK` consecutive rows, each row against its
     ascending partners padded with its own index (see the module
-    docstring).  Partners outside the cutoff contribute nothing;
-    ``pairs_examined`` reports the table's unordered pair count.
+    docstring), the partner rows gathered by ``np.take`` into one
+    (rows, partners, 3) block.  Partners outside the cutoff contribute
+    nothing; ``pairs_examined`` reports the table's unordered pair count.
     """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
@@ -327,7 +329,11 @@ def compute_pair_forces(
         cols = np.repeat(rows[:, None], listed.shape[1], axis=1)
         cols[listed] = table.partners[table.indptr[start] : table.indptr[stop]]
         tile_acc, pair_pe, row_interacting[rows] = _lj_rows(
-            pos[rows], pos[cols], ~listed, box, potential
+            np.take(pos, rows, axis=0),
+            np.take(pos, cols, axis=0),
+            ~listed,
+            box,
+            potential,
         )
         acc[rows] = tile_acc
         pe_rows[rows] = _prefix_pe(pair_pe)

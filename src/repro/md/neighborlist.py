@@ -39,9 +39,15 @@ def build_pairs(
     positions: np.ndarray,
     box: PeriodicBox,
     radius: float,
-    block: int = 512,
+    block: int = 128,
 ) -> np.ndarray:
-    """Return all unordered pairs (i < j) within ``radius``, shape (m, 2)."""
+    """Return all unordered pairs (i < j) within ``radius``, shape (m, 2).
+
+    Rows are scanned ``block`` at a time against all atoms.  128 rows
+    keep each float64 temporary at 1.5 MB for 512 atoms; with 512-row
+    blocks (6.3 MB each) heap layout alone moved the quick roster's
+    peak RSS between 62 and 70 MB, through ``abl-nlist``'s static check.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     n = positions.shape[0]
     validate_list_radius(radius, box)
