@@ -14,6 +14,17 @@ oldest way (an empty way first).  That is exactly per-set LRU in trace
 order.  A trace takes as many rounds as its busiest set has accesses,
 so the worst case, a trace that lands in one set, takes one round per
 access.
+
+A cache of at most two ways (the K8 L1 is 2-way) needs no rounds: it
+has a closed form.  Group the trace by set, each set's group led by
+the lines it holds now (LRU, then MRU; an empty way is a sentinel that
+matches no line), and collapse runs of the same line.  In the collapsed
+sequence a set holds exactly its last ``ways`` entries, so an access
+hits when it repeats the line before it (it was collapsed) or, with two
+ways, equals the line two places back.  The last ``ways`` entries of
+each group are the set's new contents, written back with the stamps the
+round loop would give them.  That is one stable sort of the trace and
+a few shifts and gathers, however the trace spreads over the sets.
 """
 
 from __future__ import annotations
@@ -46,6 +57,18 @@ class CacheStats:
         return CacheStats(
             accesses=self.accesses + other.accesses, hits=self.hits + other.hits
         )
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``argsort(keys, kind="stable")`` of non-negative keys below ``bound``.
+
+    Keys that fit 16 bits sort as ``uint16``, which numpy radix-sorts in
+    a few times less time than it merge-sorts ``int64``; the order is
+    the same.
+    """
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 class Cache:
@@ -87,17 +110,79 @@ class Cache:
         """Touch a sequence of byte addresses; returns a boolean hit mask."""
         lines = np.asarray(byte_addresses, dtype=np.int64) // self.line_bytes
         count = lines.size
-        hits = np.zeros(count, dtype=bool)
         if count == 0:
-            return hits
+            return np.zeros(0, dtype=bool)
+        # Negative lines could equal the closed form's sentinels.
+        if self.ways <= 2 and lines.min() >= 0:
+            hits = self._access_closed(lines)
+        else:
+            hits = self._access_rounds(lines)
+        self._clock += count
+        self.stats.accesses += count
+        self.stats.hits += int(np.count_nonzero(hits))
+        return hits
+
+    def _access_closed(self, lines: np.ndarray) -> np.ndarray:
+        """Hit mask of ``lines`` for ``ways <= 2``, by the closed form."""
+        ways, n_sets = self.ways, self.n_sets
+        head = ways * n_sets
+        tags, ages = self._tags, self._ages
+        # Each set's current lines, LRU first; an empty way is a negative
+        # sentinel, distinct per (set, way), that no line ever equals.
+        by_age = np.argsort(ages, axis=1, kind="stable")
+        held = np.take_along_axis(tags, by_age, axis=1)
+        held_ages = np.take_along_axis(ages, by_age, axis=1)
+        empty = held_ages < 0
+        held[empty] = -1 - np.flatnonzero(empty)
+        # Group (held lines, then the trace) by set, each group in order.
+        keys = np.concatenate((np.repeat(np.arange(n_sets), ways), lines & (n_sets - 1)))
+        ends = np.cumsum(np.bincount(keys, minlength=n_sets))
+        order = _stable_order(keys, n_sets)
+        del keys
+        seq = np.concatenate((held.reshape(-1), lines))[order]
+        # Collapse runs: ``kept`` indexes the first of each run.  Held
+        # lines are distinct and no line equals another set's, so a run
+        # never spans two groups.
+        repeat = np.empty(seq.size, dtype=bool)
+        repeat[0] = False
+        np.equal(seq[1:], seq[:-1], out=repeat[1:])
+        kept = np.flatnonzero(~repeat)
+        runs = seq[kept]
+        hit_seq = repeat
+        if ways == 2:
+            hit_seq[kept[2:]] = runs[2:] == runs[:-2]
+        hits = np.empty(seq.size, dtype=bool)
+        hits[order] = hit_seq
+        hits = hits[head:]
+        # New contents: the last ``ways`` runs of each group, stamped with
+        # their last use (a held line not touched keeps its stamp).
+        last_run = np.searchsorted(kept, ends - 1, side="right") - 1
+        old_ages = held_ages.reshape(-1)
+        for way in range(ways):
+            run = last_run - (ways - 1 - way)
+            last = (kept[run + 1] if way < ways - 1 else ends) - 1
+            source = order[last]
+            stamp = np.where(
+                source < head,
+                old_ages[np.minimum(source, head - 1)],
+                self._clock + source - head,
+            )
+            tags[:, way] = np.where(stamp < 0, 0, runs[run])
+            ages[:, way] = stamp
+        return hits
+
+    def _access_rounds(self, lines: np.ndarray) -> np.ndarray:
+        """Hit mask of ``lines`` by set-parallel rounds, for any ``ways``."""
+        count = lines.size
+        hits = np.zeros(count, dtype=bool)
         sets = lines & (self.n_sets - 1)
         # Trace positions grouped by round (k-th access of its set), each
         # round's positions in set order, so no set repeats in a round.
-        by_set = np.argsort(sets, kind="stable")
+        by_set = _stable_order(sets, self.n_sets)
         per_set = np.bincount(sets, minlength=self.n_sets)
         first = np.cumsum(per_set) - per_set
         rank = np.arange(count) - first[sets[by_set]]
-        order = by_set[np.argsort(rank, kind="stable")]
+        order = by_set[_stable_order(rank, int(per_set.max()))]
         bounds = np.cumsum(np.bincount(rank))
         tags, ages = self._tags, self._ages
         lo = 0
@@ -112,9 +197,6 @@ class Cache:
             tags[s, way] = tag
             ages[s, way] = self._clock + where
             hits[where] = hit
-        self._clock += count
-        self.stats.accesses += count
-        self.stats.hits += int(np.count_nonzero(hits))
         return hits
 
 

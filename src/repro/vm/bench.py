@@ -8,7 +8,9 @@ the numbers in CI artifacts and local runs come from the same code.
 The measured quantity is *pairs per second through the VM executor*:
 ``Machine.run_segment`` on a prepared pair batch, which isolates the
 execution backend from the driver-side batch materialization (building
-``xi``/``xj`` is identical work under either backend).  The batch is
+``xi``/``xj`` is identical work under either backend).  The inputs the
+pair sweep fills are declared lane-uniform, as the sweep declares them
+(see :func:`repro.vm.sweep.uniform_inputs`).  The batch is
 sized like an SPE-resident tile (1024 pairs) — the regime the paper's
 kernels actually run in — rather than a whole-sweep mega-batch, where
 any executor is memory-bandwidth-bound.  Every kernel is measured
@@ -36,7 +38,7 @@ from repro.cell.kernels import (
 from repro.gpu.kernels import build_md_shader, shader_constants
 from repro.md.lj import LennardJones
 from repro.vm.machine import Machine
-from repro.vm.sweep import input_registers
+from repro.vm.sweep import input_registers, uniform_inputs
 
 __all__ = [
     "EnsembleBench",
@@ -103,12 +105,13 @@ def _make_runner(kernel: str, backend: str, batch: int):
     xj = rng.uniform(0.0, BOX_LENGTH, size=(batch, 3)).astype(np.float32)
     env = {"xi": machine.load_vec3(xi), "xj": machine.load_vec3(xj)}
     env.update(input_registers(machine, program, batch, constants))
+    uniform = uniform_inputs(program)
 
     def run():
         # Fresh dict per call (interp writes every register into it);
         # the arrays themselves are shared — neither backend mutates
         # its inputs in place.
-        return machine.run_segment(program, "pair", dict(env))
+        return machine.run_segment(program, "pair", dict(env), uniform)
 
     return run
 

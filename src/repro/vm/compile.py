@@ -28,15 +28,26 @@ module removes all of it by *compiling* a segment once:
    or a probe are dropped (the scalar Figure-5 kernels' local-store
    spill traffic exists purely for the cycle model, so it vanishes
    here while still being charged by :mod:`repro.vm.schedule`).
-5. **Assign buffer slots by liveness** — a linear scan reuses a small
-   pool of ``(batch, width)`` scratch buffers via in-place ``out=``
-   ufunc kernels; steady-state execution allocates nothing.  A compare
-   whose float 0/1 result only feeds an ``IfBlock``/``selb`` mask writes
-   that bool mask directly, and a ``splat`` is ``width`` strided lane
-   copies rather than a broadcast ``[..., k:k+1]`` assignment.
-6. **Emit Python source** for the whole segment body and ``exec`` it
+5. **Split lane-uniform values** — a value whose lanes are equal in
+   every row (a ``splat``, a scalar constant, an input the caller
+   declares uniform, or an elementwise op, mask or select whose sources
+   all are) lives in a ``(batch,)`` slot and costs a quarter of the wide
+   work.  A ``splat`` of a wide value is one column extract, of a
+   uniform one a rename; a declared input is read through its lane-0
+   column view; lane ops read a uniform source as that column.  A wide
+   op or a writeback reads a uniform value widened once, by ``width``
+   strided lane copies, so no ufunc ever broadcasts a ``(batch,)``
+   operand against a ``(batch, width)`` one, and a probe reads a
+   ``(batch,)`` mask as the taken rows.
+6. **Assign buffer slots by liveness** — a linear scan reuses a small
+   pool of ``(batch, width)`` and ``(batch,)`` scratch buffers via
+   in-place ``out=`` ufunc kernels; steady-state execution allocates
+   nothing.  A compare whose float 0/1 result only feeds an
+   ``IfBlock``/``selb`` mask writes that bool mask directly.
+7. **Emit Python source** for the whole segment body and ``exec`` it
    once; the closure is cached per ``(program, segment names, width,
-   dtype)``.
+   dtype, uniform inputs)``.  Declared outputs go to ``env`` as fresh
+   arrays, or in place into caller-owned ones (``out=``).
 
 Two compilation granularities share this pipeline, both run by the
 ``fused`` backend:
@@ -50,8 +61,9 @@ Two compilation granularities share this pipeline, both run by the
   and the liveness scan reuses buffer slots across those boundaries.
   This is :meth:`Machine.run_program`'s whole-timestep unit: one
   closure, zero per-segment dispatch.  For a single-segment program the
-  two units are the same ``_compile_unit(program, (name,))`` call, so
-  they share one cache entry.
+  two units, with no inputs declared uniform, are the same
+  ``_compile_unit(program, (name,))`` call, so they share one cache
+  entry.
 
 Replica batching: the emitted closure takes a ``replicas`` count.  The
 arithmetic needs nothing special — every operation is elementwise along
@@ -120,9 +132,6 @@ _BINARY_UFUNCS = {
 #: Compare opcodes: their 1.0/0.0 result may be written as a bool mask.
 _COMPARES = frozenset(("fcgt", "fclt", "fceq"))
 
-#: Opcodes that index source lanes instead of broadcasting them.
-_LANE_OPS = frozenset(("splat", "shufb", "rotqbyi"))
-
 #: Unary elementwise opcodes -> ufunc (dest may alias the source).
 _UNARY_UFUNCS = {"fsqrt": "np.sqrt", "fabs": "np.abs", "fneg": "np.negative"}
 
@@ -147,19 +156,26 @@ _uid = itertools.count()
 
 
 class _Val:
-    """One SSA value: an env input, a hoisted constant, or a slot temp."""
+    """One SSA value: an env input, a hoisted constant, or a slot temp.
 
-    __slots__ = ("kind", "name", "const", "uid")
+    A ``uniform`` value holds one number per row, the value of every
+    lane: a temp or mask in a ``(batch,)`` slot, or a declared input's
+    lane-0 ``column``.
+    """
+
+    __slots__ = ("kind", "name", "const", "uid", "uniform")
 
     def __init__(self, kind: str, name: str | None = None, const=None) -> None:
-        self.kind = kind  # "input" | "const" | "temp" | "mask"
+        self.kind = kind  # "input" | "column" | "maybe" | "const" | "temp" | "mask"
         self.name = name
         self.const = const
         self.uid = next(_uid)
+        self.uniform = False
 
     @property
     def pool(self) -> str:
-        return "b" if self.kind == "mask" else "f"
+        pool = "b" if self.kind == "mask" else "f"
+        return "u" + pool if self.uniform else pool
 
     @property
     def slotted(self) -> bool:
@@ -438,6 +454,10 @@ def _fuse_compare_masks(ops: list[_Op], writeback_vals: list[_Val]) -> list[_Op]
     return fused
 
 
+#: Slot pools: wide float and bool, then uniform (``(batch,)``) ones.
+_POOLS = ("f", "b", "uf", "ub")
+
+
 def _scalar_const(row: np.ndarray):
     """The lanes' common value as a ``dtype`` scalar, or ``None``.
 
@@ -455,6 +475,79 @@ def _scalar_const(row: np.ndarray):
     return first[0]
 
 
+def _split_uniform(
+    ops: list[_Op],
+    writebacks: list[tuple[str, _Val]],
+    uniform_inputs: frozenset[str],
+) -> tuple[list[_Op], list[tuple[str, _Val]]]:
+    """Move lane-uniform values into ``(batch,)`` slots.
+
+    A value is uniform when each row's lanes all hold one number: a
+    ``splat``, a constant passed as a scalar, an input the caller
+    declares uniform, or an elementwise op, mask or select whose sources
+    are all uniform.  Such an op runs on ``(batch,)`` slots, a quarter
+    of the wide work.  A splat of a wide value is one column extract; a
+    splat of a uniform one is a rename.  A declared input is read as its
+    lane-0 column, a view.  Lane ops read a uniform source as the column
+    it is.  Any other wide op, and a writeback, reads a uniform value
+    widened once into a wide slot, so no ufunc broadcasts a column
+    against a wide operand.
+    """
+    lowered: list[_Op] = []
+    renamed: dict[int, _Val] = {}
+    columns: dict[int, _Val] = {}
+    widened: dict[int, _Val] = {}
+
+    def narrow(val: _Val) -> _Val | None:
+        """``val`` as a uniform value, or ``None`` if it is not one."""
+        if val.kind == "input":
+            if val.name not in uniform_inputs:
+                return None
+            column = columns.get(val.uid)
+            if column is None:
+                column = columns[val.uid] = _Val("column", name=val.name)
+                column.uniform = True
+            return column
+        if val.kind == "const":
+            return val if _scalar_const(val.const) is not None else None
+        return val if val.uniform else None
+
+    def wide(val: _Val) -> _Val:
+        if val.kind == "input" and val.name in uniform_inputs:
+            val = narrow(val)
+        if not val.uniform:
+            return val
+        copy = widened.get(val.uid)
+        if copy is None:
+            copy = widened[val.uid] = _Val("mask" if val.kind == "mask" else "temp")
+            lowered.append(_Op("widen", dest=copy, srcs=(val,)))
+        return copy
+
+    for op in ops:
+        srcs = tuple(renamed.get(v.uid, v) for v in op.srcs)
+        narrowed = tuple(narrow(v) for v in srcs)
+        if op.kind == "probe":
+            pass
+        elif op.opname in ("shufb", "rotqbyi"):
+            srcs = tuple(n or v for n, v in zip(narrowed, srcs))
+        elif op.opname == "splat":
+            if narrowed[0] is not None:
+                renamed[op.dest.uid] = narrowed[0]
+                continue
+            op.dest.uniform = True
+        elif all(n is not None for n in narrowed):
+            op.dest.uniform = True
+            srcs = narrowed
+        else:
+            srcs = tuple(wide(v) for v in srcs)
+        op.srcs = srcs
+        lowered.append(op)
+    writebacks = [
+        (name, wide(renamed.get(val.uid, val))) for name, val in writebacks
+    ]
+    return lowered, writebacks
+
+
 def _assign_slots(ops: list[_Op], writeback_vals: list[_Val]) -> tuple[dict[int, tuple[str, int]], dict[str, int]]:
     """Linear-scan slot allocation with alias-aware ``out=`` reuse."""
     last_use: dict[int, int] = {}
@@ -467,8 +560,8 @@ def _assign_slots(ops: list[_Op], writeback_vals: list[_Val]) -> tuple[dict[int,
             last_use[val.uid] = len(ops)
 
     slots: dict[int, tuple[str, int]] = {}
-    free: dict[str, list[int]] = {"f": [], "b": []}
-    counts: dict[str, int] = {"f": 0, "b": 0}
+    free: dict[str, list[int]] = {pool: [] for pool in _POOLS}
+    counts: dict[str, int] = {pool: 0 for pool in _POOLS}
 
     for i, op in enumerate(ops):
         aliased_src = None
@@ -516,10 +609,24 @@ def _assign_slots(ops: list[_Op], writeback_vals: list[_Val]) -> tuple[dict[int,
 # ---------------------------------------------------------------------------
 
 
-def _emit_compute(op: _Op, expr, row, width: int) -> list[str]:
+def _emit_compute(op: _Op, expr, lane, width: int) -> list[str]:
     d = expr(op.dest)
     name = op.opname
-    s = [(row if name in _LANE_OPS else expr)(v) for v in op.srcs]
+    if name == "splat":  # into a uniform dest: one column
+        return [f"np.copyto({d}, {lane(op.srcs[0], int(op.imm))})"]
+    if name == "shufb":
+        return [
+            f"{d}[..., {k}] = "
+            + (lane(op.srcs[0], index) if index < width else lane(op.srcs[1], index - width))
+            for k, index in enumerate(op.imm)
+        ]
+    if name == "rotqbyi":
+        shift = int(op.imm)
+        return [
+            f"{d}[..., {k}] = {lane(op.srcs[0], (k + shift) % width)}"
+            for k in range(width)
+        ]
+    s = [expr(v) for v in op.srcs]
     if name in _BINARY_UFUNCS:
         return [f"{_BINARY_UFUNCS[name]}({s[0]}, {s[1]}, out={d})"]
     if name in _UNARY_UFUNCS:
@@ -540,28 +647,14 @@ def _emit_compute(op: _Op, expr, row, width: int) -> list[str]:
                 f"np.divide(_one, {d}, out={d})"]
     if name == "fround":
         return [f"np.round({s[0]}, 0, {d})"]
-    if name == "splat":
-        lane = int(op.imm)
-        return [f"{d}[..., {k}] = {s[0]}[..., {lane}]" for k in range(width)]
-    if name == "shufb":
-        lines = []
-        for k, index in enumerate(op.imm):
-            src = s[0] if index < width else s[1]
-            lane = index if index < width else index - width
-            lines.append(f"{d}[..., {k}] = {src}[..., {lane}]")
-        return lines
-    if name == "rotqbyi":
-        shift = int(op.imm)
-        return [
-            f"{d}[..., {k}] = {s[0]}[..., {(k + shift) % width}]"
-            for k in range(width)
-        ]
     raise VMCompileError(f"no codegen for opcode {name!r}")  # pragma: no cover
 
 
-def _emit_op(op: _Op, expr, row, width: int) -> list[str]:
+def _emit_op(op: _Op, expr, lane, width: int) -> list[str]:
     if op.kind == "compute":
-        return _emit_compute(op, expr, row, width)
+        return _emit_compute(op, expr, lane, width)
+    if op.kind == "widen":
+        return [f"{expr(op.dest)}[..., {k}] = {expr(op.srcs[0])}" for k in range(width)]
     if op.kind == "mask":
         return [f"np.not_equal({expr(op.srcs[0])}, 0, out={expr(op.dest)})"]
     if op.kind == "select":
@@ -613,8 +706,7 @@ class CompiledSegment:
         dtype: np.dtype,
         fn,
         source: str,
-        n_float_slots: int,
-        n_bool_slots: int,
+        slot_counts: dict[str, int],
         input_names: tuple[str, ...],
         n_kernel_calls: int,
         segment_names: tuple[str, ...] | None = None,
@@ -626,8 +718,8 @@ class CompiledSegment:
         self.width = width
         self.dtype = dtype
         self.source = source
-        self.n_float_slots = n_float_slots
-        self.n_bool_slots = n_bool_slots
+        #: buffer slots per pool (see ``_POOLS``)
+        self.slot_counts = dict(slot_counts)
         self.input_names = input_names
         self.n_kernel_calls = n_kernel_calls
         #: ``(width,)`` rows of the constants ufuncs read as full arrays
@@ -635,20 +727,29 @@ class CompiledSegment:
         self._fn = fn
         self._pools: dict[int, tuple[tuple[np.ndarray, ...], ...]] = {}
 
+    @property
+    def n_float_slots(self) -> int:
+        return self.slot_counts["f"] + self.slot_counts["uf"]
+
+    @property
+    def n_bool_slots(self) -> int:
+        return self.slot_counts["b"] + self.slot_counts["ub"]
+
     def _pool(self, batch: int):
         pool = self._pools.get(batch)
         if pool is None:
             if len(self._pools) > 8:  # drivers cycle over at most two sizes
                 self._pools.clear()
-            pool = (
+            pool = tuple(
                 tuple(
-                    np.empty((batch, self.width), dtype=self.dtype)
-                    for _ in range(self.n_float_slots)
-                ),
-                tuple(
-                    np.empty((batch, self.width), dtype=bool)
-                    for _ in range(self.n_bool_slots)
-                ),
+                    np.empty(
+                        (batch,) if name.startswith("u") else (batch, self.width),
+                        dtype=bool if name.endswith("b") else self.dtype,
+                    )
+                    for _ in range(self.slot_counts[name])
+                )
+                for name in _POOLS
+            ) + (
                 tuple(_read_only(np.tile(row, (batch, 1))) for row in self.wide_consts),
             )
             self._pools[batch] = pool
@@ -659,10 +760,15 @@ class CompiledSegment:
         env: dict[str, np.ndarray],
         machine,
         replicas: int = 1,
+        out: dict[str, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
+        """Run the closure over ``env``'s batch.
+
+        Declared outputs go to ``env`` as fresh arrays, or, when ``out``
+        is given, are copied in place into ``out[name]``.
+        """
         batch = next(iter(env.values())).shape[0] if env else 0
-        fpool, bpool, wpool = self._pool(batch)
-        self._fn(env, machine, fpool, bpool, wpool, batch, replicas)
+        self._fn(env, machine, *self._pool(batch), batch, replicas, out)
         return env
 
 
@@ -671,10 +777,17 @@ def compile_segment(
     segment_name: str,
     width: int,
     dtype: np.dtype | type = np.float32,
+    uniform_inputs: frozenset[str] = frozenset(),
 ) -> CompiledSegment:
-    """Lower one segment to a :class:`CompiledSegment` (uncached)."""
+    """Lower one segment to a :class:`CompiledSegment` (uncached).
+
+    ``uniform_inputs`` names inputs whose lanes the caller guarantees
+    equal in every row; the code reads one lane of them.
+    """
     program.segment(segment_name)  # raise early on unknown names
-    return _compile_unit(program, (segment_name,), width, np.dtype(dtype))
+    return _compile_unit(
+        program, (segment_name,), width, np.dtype(dtype), frozenset(uniform_inputs)
+    )
 
 
 def compile_program(
@@ -692,7 +805,7 @@ def compile_program(
     back once, at the end of the whole program.
     """
     names = tuple(segment.name for segment in program.segments)
-    return _compile_unit(program, names, width, np.dtype(dtype))
+    return _compile_unit(program, names, width, np.dtype(dtype), frozenset())
 
 
 def _compile_unit(
@@ -700,6 +813,7 @@ def _compile_unit(
     segment_names: tuple[str, ...],
     width: int,
     dtype: np.dtype,
+    uniform_inputs: frozenset[str],
 ) -> CompiledSegment:
     flat = _Flattener(width, dtype)
     for name in segment_names:
@@ -714,17 +828,20 @@ def _compile_unit(
 
     ops = _eliminate_dead(flat.ops, {val.uid for _n, val in writebacks})
     ops = _fuse_compare_masks(ops, [val for _n, val in writebacks])
+    ops, writebacks = _split_uniform(ops, writebacks, uniform_inputs)
     slots, counts = _assign_slots(ops, [val for _n, val in writebacks])
 
     # -- name every value ------------------------------------------------
     input_vars: dict[int, str] = {}
     input_names: list[str] = []
-    used_inputs = {v.uid for op in ops for v in op.srcs if v.kind == "input"}
-    used_inputs |= {v.uid for _n, v in writebacks if v.kind == "input"}
+    column_vars: dict[str, str] = {}
+    used_inputs = {v.name for op in ops for v in op.srcs if v.kind in ("input", "column")}
+    used_inputs |= {v.name for _n, v in writebacks if v.kind == "input"}
     for index, (name, val) in enumerate(sorted(flat.inputs.items())):
-        if val.uid in used_inputs:
+        if name in used_inputs:
             input_vars[val.uid] = f"_in{index}"
             input_names.append(name)
+            column_vars[name] = f"_in{index}c"
 
     maybe_vars: dict[int, tuple[str, str]] = {}
     for op in ops:
@@ -749,6 +866,8 @@ def _compile_unit(
     def expr(val: _Val) -> str:
         if val.kind == "input":
             return input_vars[val.uid]
+        if val.kind == "column":
+            return column_vars[val.name]
         if val.kind == "maybe":
             return maybe_vars[val.uid][0]
         if val.kind == "const":
@@ -767,39 +886,56 @@ def _compile_unit(
         return f"_{pool}{index}"
 
     def row(val: _Val) -> str:
-        if val.kind != "const":
-            return expr(val)
         var = row_vars.get(val.uid)
         if var is None:
             var = row_vars[val.uid] = f"_r{len(row_vars)}"
             namespace[var] = val.const
         return var
 
+    def lane(val: _Val, k: int) -> str:
+        """Lane ``k`` of a value, one element per row."""
+        if val.kind == "const":
+            return f"{row(val)}[..., {k}]"
+        if val.uniform:
+            return expr(val)
+        return f"{expr(val)}[..., {k}]"
+
     # -- assemble source -------------------------------------------------
     body: list[str] = []
     n_kernel_calls = 0
     for op in ops:
-        emitted = _emit_op(op, expr, row, width)
+        emitted = _emit_op(op, expr, lane, width)
         n_kernel_calls += len(emitted)
         body.extend(emitted)
-    for name, val in writebacks:
-        if val.kind == "const":
-            body.append(f"env[{name!r}] = np.tile({row(val)}, (batch, 1))")
-        else:
-            body.append(f"env[{name!r}] = {expr(val)}.copy()")
+    if writebacks:
+        to_env, to_out = [], []
+        for name, val in writebacks:
+            if val.kind == "const":
+                to_env.append(f"env[{name!r}] = np.tile({row(val)}, (batch, 1))")
+                to_out.append(f"out[{name!r}][...] = {row(val)}")
+            else:
+                to_env.append(f"env[{name!r}] = {expr(val)}.copy()")
+                to_out.append(f"np.copyto(out[{name!r}], {expr(val)})")
+        body.append("if out is None:")
+        body.extend("    " + line for line in to_env)
+        body.append("else:")
+        body.extend("    " + line for line in to_out)
     if not body:
         body.append("pass")
 
-    lines = ["def _kernel(env, machine, _fpool, _bpool, _wpool, batch, replicas):"]
-    for index in range(counts["f"]):
-        lines.append(f"    _f{index} = _fpool[{index}]")
-    for index in range(counts["b"]):
-        lines.append(f"    _b{index} = _bpool[{index}]")
+    pools = ", ".join(f"_{name}pool" for name in _POOLS)
+    lines = [f"def _kernel(env, machine, {pools}, _wpool, batch, replicas, out):"]
+    for name in _POOLS:
+        for index in range(counts[name]):
+            lines.append(f"    _{name}{index} = _{name}pool[{index}]")
     for index in range(len(wide_consts)):
         lines.append(f"    _w{index} = _wpool[{index}]")
+    columns = {v.name for op in ops for v in op.srcs if v.kind == "column"}
     for val_uid, var in input_vars.items():
         name = next(n for n, v in flat.inputs.items() if v.uid == val_uid)
         lines.append(f"    {var} = _load(env, {name!r})")
+        if name in columns:
+            lines.append(f"    {column_vars[name]} = {var}[..., 0]")
     for var, name in maybe_vars.values():
         lines.append(f"    {var} = env.get({name!r}, _zero)")
     lines.append("    with np.errstate(all='ignore'):")
@@ -816,8 +952,7 @@ def _compile_unit(
         dtype=dtype,
         fn=namespace["_kernel"],
         source=source,
-        n_float_slots=counts["f"],
-        n_bool_slots=counts["b"],
+        slot_counts=counts,
         input_names=tuple(input_names),
         n_kernel_calls=n_kernel_calls,
         segment_names=tuple(segment_names),
@@ -828,14 +963,16 @@ def _compile_unit(
 @functools.lru_cache(maxsize=256)
 def _compiled_unit_cached(
     program: Program, fingerprint: str, segment_names: tuple[str, ...],
-    width: int, dtype_str: str,
+    width: int, dtype_str: str, uniform_inputs: frozenset[str],
 ) -> CompiledSegment:
-    return _compile_unit(program, segment_names, width, np.dtype(dtype_str))
+    return _compile_unit(
+        program, segment_names, width, np.dtype(dtype_str), uniform_inputs
+    )
 
 
-#: id(program) -> (weakref, fingerprint, {(segment names, width, dtype):
-#: unit}), identity-keyed so a cache hit neither hashes nor reprs the
-#: program.
+#: id(program) -> (weakref, fingerprint, {(segment names, width, dtype,
+#: uniform inputs): unit}), identity-keyed so a cache hit neither hashes
+#: nor reprs the program.
 _by_program: dict[int, tuple] = {}
 
 
@@ -862,7 +999,11 @@ def _program_entry(program: Program) -> tuple:
 
 
 def _cached_unit(
-    program: Program, segment_names: tuple[str, ...], width: int, dtype: np.dtype
+    program: Program,
+    segment_names: tuple[str, ...],
+    width: int,
+    dtype: np.dtype,
+    uniform_inputs: frozenset[str],
 ) -> CompiledSegment:
     """The compiled unit, looked up by program identity first.
 
@@ -873,15 +1014,15 @@ def _cached_unit(
     compile that is not remembered.
     """
     _ref, fingerprint, units = _program_entry(program)
-    unit_key = (segment_names, width, dtype.str)
+    unit_key = (segment_names, width, dtype.str, uniform_inputs)
     unit = units.get(unit_key)
     if unit is None:
         try:
             unit = _compiled_unit_cached(
-                program, fingerprint, segment_names, width, dtype.str
+                program, fingerprint, segment_names, width, dtype.str, uniform_inputs
             )
         except TypeError:
-            return _compile_unit(program, segment_names, width, dtype)
+            return _compile_unit(program, segment_names, width, dtype, uniform_inputs)
         units[unit_key] = unit
     return unit
 
@@ -891,9 +1032,16 @@ def compiled_segment(
     segment_name: str,
     width: int,
     dtype: np.dtype | type = np.float32,
+    uniform_inputs: frozenset[str] = frozenset(),
 ) -> CompiledSegment:
-    """The cached entry point :class:`~repro.vm.machine.Machine` uses."""
-    return _cached_unit(program, (segment_name,), width, np.dtype(dtype))
+    """The cached entry point :class:`~repro.vm.machine.Machine` uses.
+
+    ``uniform_inputs`` is part of the cache key: see
+    :func:`compile_segment`.
+    """
+    return _cached_unit(
+        program, (segment_name,), width, np.dtype(dtype), frozenset(uniform_inputs)
+    )
 
 
 def compiled_program(
@@ -903,4 +1051,4 @@ def compiled_program(
 ) -> CompiledSegment:
     """The cached whole-program entry point :meth:`Machine.run_program` uses."""
     names = tuple(segment.name for segment in program.segments)
-    return _cached_unit(program, names, width, np.dtype(dtype))
+    return _cached_unit(program, names, width, np.dtype(dtype), frozenset())

@@ -105,10 +105,14 @@ class BranchStat:
 def taken_rows(mask: np.ndarray) -> np.ndarray:
     """Per-row OR of a ``(batch, width)`` bool mask: the rows a branch takes.
 
-    A C-contiguous 4-lane mask is read as one ``uint32`` per row, which
-    is two orders of magnitude cheaper than ``any(axis=-1)`` over the
-    short lane axis; any other shape falls back to ``any``.
+    A ``(batch,)`` mask is a lane-uniform one (see :mod:`repro.vm.compile`)
+    and is the taken rows itself.  A C-contiguous 4-lane mask is read as
+    one ``uint32`` per row, which is two orders of magnitude cheaper than
+    ``any(axis=-1)`` over the short lane axis; any other shape falls back
+    to ``any``.
     """
+    if mask.ndim == 1:
+        return mask
     if mask.ndim == 2 and mask.shape[1] == 4 and mask.flags.c_contiguous:
         return mask.view(np.uint32).reshape(-1) != 0
     return mask.any(axis=-1)
@@ -210,6 +214,8 @@ class Machine:
         program: Program,
         segment_name: str,
         env: dict[str, np.ndarray],
+        uniform_inputs: frozenset[str] = frozenset(),
+        out: dict[str, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray]:
         """Execute one segment body over the batch described by ``env``.
 
@@ -223,6 +229,12 @@ class Machine:
         (intermediates live in reused buffer slots).  Declared outputs
         and branch statistics are bit-identical between the two.
 
+        ``uniform_inputs`` names inputs whose lanes are equal in every
+        row of ``env``; the ``fused`` backend then reads one lane of
+        them (it is part of the compiled unit's cache key).  With
+        ``out``, every declared output the segment writes is copied in
+        place into ``out[name]`` instead of being stored into ``env``.
+
         Inside :meth:`block` the call is one chunk of the block: its
         probes tally into the block's samples and the fault hook waits
         for the block's end.
@@ -235,13 +247,20 @@ class Machine:
         if self.exec_backend == "fused":
             from repro.vm.compile import compiled_segment
 
-            compiled_segment(program, segment_name, self.width, self.dtype)(
-                env, self
-            )
+            compiled_segment(
+                program, segment_name, self.width, self.dtype, uniform_inputs
+            )(env, self, out=out)
         else:
             self._exec_nodes(segment.body, env, loop_indices=[])
+            if out is not None:
+                written = self._written_registers(segment.body)
+                for name in program.outputs:
+                    if name in written:
+                        np.copyto(out[name], env.pop(name))
         if self._fault_session is not None and tally is None:
-            self._fault_session.machine_bitflip(self, program.outputs, env)
+            self._fault_session.machine_bitflip(
+                self, program.outputs, env if out is None else out
+            )
         return env
 
     @contextlib.contextmanager

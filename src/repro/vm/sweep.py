@@ -17,6 +17,14 @@ The register contract is read from the program:
 * ``acc_out`` lanes 0-2 carry the pair acceleration; the PE
   contribution is ``pe_out`` lane 0 when declared, else ``acc_out``
   lane 3 (the GPU's one-output-array trick).
+
+Every input but ``xi``/``xj`` holds one value per row, so the sweep
+declares them lane-uniform (:func:`uniform_inputs`) and the fused
+backend reads one lane of each.  :meth:`PairSweep.run` fills ``xi`` per
+chunk but ``xj`` once per chunk size: every chunk of a size sees the
+same ``xj`` but for its self lanes, so a chunk restores the previous
+chunk's self lanes and displaces only its own.  The closure writes each
+chunk's outputs in place into the block's registers.
 """
 
 from __future__ import annotations
@@ -28,7 +36,13 @@ import numpy as np
 from repro.vm.machine import Machine
 from repro.vm.program import Program
 
-__all__ = ["CHUNK_PAIRS", "DRIVER_REGISTERS", "PairSweep", "input_registers"]
+__all__ = [
+    "CHUNK_PAIRS",
+    "DRIVER_REGISTERS",
+    "PairSweep",
+    "input_registers",
+    "uniform_inputs",
+]
 
 #: Inputs the sweep fills itself when a program declares them.
 DRIVER_REGISTERS = {"self_flag": 0.0, "zero": 0.0, "tiny": 1.0e-12}
@@ -49,7 +63,13 @@ def input_registers(
 ) -> dict[str, np.ndarray]:
     """A ``(batch, width)`` register for every declared input of
     ``program`` except ``xi``/``xj``: :data:`DRIVER_REGISTERS` first,
-    then ``constants``.  A declared input neither fills raises."""
+    then ``constants``.  A declared input neither fills raises.
+
+    Every lane of a row holds one value, so all of them are lane-uniform
+    inputs (:func:`uniform_inputs`), which the fused backend reads
+    through their lane-0 column.  The registers are column-major, so
+    that column is contiguous.
+    """
     registers = {}
     for name in program.inputs:
         if name in ("xi", "xj"):
@@ -63,8 +83,17 @@ def input_registers(
                 f"program {program.name!r} declares input {name!r}, "
                 "which neither the sweep nor the constants fill"
             )
-        registers[name] = machine.make_register(batch, float(value))
+        registers[name] = np.full(
+            (batch, machine.width), float(value), dtype=machine.dtype, order="F"
+        )
     return registers
+
+
+def uniform_inputs(program: Program) -> frozenset[str]:
+    """The inputs the sweep fills with one value per row: every declared
+    input except ``xi``/``xj``, which the fused backend may read as one
+    lane (see :mod:`repro.vm.compile`)."""
+    return frozenset(name for name in program.inputs if name not in ("xi", "xj"))
 
 
 class PairSweep:
@@ -79,7 +108,10 @@ class PairSweep:
     branch sample per probe and one fault draw per block.  The block
     executes in chunks of :data:`CHUNK_PAIRS` pairs, whose registers
     stay cache-sized; the chunk size moves no result.  Chunk registers
-    are built once per chunk size and refilled in place.
+    are built once per chunk size and refilled in place: ``xi`` per
+    chunk, ``xj`` once per chunk size and run (a chunk then only
+    restores the previous chunk's self lanes and displaces its own), and
+    each chunk's outputs land in place in the block's registers.
     """
 
     def __init__(self, program: Program, exec_backend: str = "fused") -> None:
@@ -88,23 +120,18 @@ class PairSweep:
         self._pe_register, self._pe_lane = (
             ("pe_out", 0) if "pe_out" in program.outputs else ("acc_out", 3)
         )
+        self._uniform = uniform_inputs(program)
         self._env_cache: dict[int, dict[str, np.ndarray]] = {}
         self._env_constants: tuple | None = None
+        #: chunk size -> (run, self lanes, their rows): the lanes its
+        #: registers displace and flag, and the run whose positions its
+        #: ``xj`` holds
+        self._displaced: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+        self._runs = 0
         self._block_cache: dict[int, dict[str, np.ndarray]] = {}
 
-    def _chunk_env(
-        self, batch: int, constants: Mapping[str, float]
-    ) -> dict[str, np.ndarray]:
-        """Input registers for a ``batch``-pair chunk, cached.
-
-        The returned dict is the cache entry itself — callers copy it
-        into a fresh env (cheap; the arrays are shared) and refill only
-        ``xi``, ``xj`` and ``self_flag``, which every chunk rewrites.
-        """
-        key = tuple(sorted(constants.items()))
-        if key != self._env_constants:
-            self._env_cache.clear()
-            self._env_constants = key
+    def _chunk_env(self, batch: int) -> dict[str, np.ndarray]:
+        """Input registers for a ``batch``-pair chunk, cached by size."""
         cached = self._env_cache.get(batch)
         if cached is None:
             machine = self.machine
@@ -112,9 +139,12 @@ class PairSweep:
                 "xi": machine.make_register(batch),
                 "xj": machine.make_register(batch),
             }
-            cached.update(input_registers(machine, self.program, batch, constants))
+            cached.update(input_registers(
+                machine, self.program, batch, dict(self._env_constants)
+            ))
             if len(self._env_cache) > 8:
                 self._env_cache.clear()
+                self._displaced.clear()
             self._env_cache[batch] = cached
         return cached
 
@@ -153,38 +183,53 @@ class PairSweep:
         width = machine.width
         program = self.program
         chunk_rows = max(1, CHUNK_PAIRS // max(n, 1))
+        key = tuple(sorted(constants.items()))
+        if key != self._env_constants:
+            self._env_cache.clear()
+            self._displaced.clear()
+            self._env_constants = key
+        self._runs += 1
 
         for start in range(0, rows.size, row_block):
             block = rows[start : start + row_block]
-            block_registers = self._block_registers(block.size * n)
-            outputs: dict[str, np.ndarray] = {}
+            outputs = self._block_registers(block.size * n)
             with machine.block(program, outputs):
                 for lo in range(0, block.size, chunk_rows):
                     chunk = block[lo : lo + chunk_rows]
-                    env = dict(self._chunk_env(chunk.size * n, constants))
-                    # (chunk rows) x (all j), flattened to pairs
-                    env["xi"].reshape(chunk.size, n, width)[:, :, :3] = (
-                        positions32[chunk, None, :]
-                    )
-                    env["xj"].reshape(chunk.size, n, width)[:, :, :3] = positions32
+                    batch = chunk.size * n
+                    registers = self._chunk_env(batch)
+                    # (chunk rows) x (all j), flattened to pairs, one lane
+                    # at a time: each lane write is one long strided loop.
+                    xi = registers["xi"].reshape(chunk.size, n, width)
+                    for lane in range(3):
+                        xi[:, :, lane] = positions32[chunk, lane][:, None]
                     # Displace self-pairs far outside the cutoff so the
                     # rsqrt estimate never sees r2 == 0 (they are excluded
                     # by self_flag regardless; this only silences inf/nan
-                    # lanes).
+                    # lanes).  ``xj`` is the same for every chunk of a
+                    # size but for these lanes, so only they are redone.
+                    xj = registers["xj"]
+                    self_flag = registers.get("self_flag")
+                    previous = self._displaced.get(batch)
+                    if previous is None or previous[0] != self._runs:
+                        by_row = xj.reshape(chunk.size, n, width)
+                        for lane in range(3):
+                            by_row[:, :, lane] = positions32[:, lane]
+                    else:
+                        xj[previous[1], 0] = positions32[previous[2], 0]
+                    if self_flag is not None and previous is not None:
+                        self_flag[previous[1]] = 0.0
                     self_lanes = np.arange(chunk.size) * n + chunk
-                    env["xj"][self_lanes, 0] += 1.0e3
-                    self_flag = env.get("self_flag")
+                    xj[self_lanes, 0] += 1.0e3
                     if self_flag is not None:
-                        self_flag.fill(0.0)
                         self_flag[self_lanes] = 1.0
+                    self._displaced[batch] = (self._runs, self_lanes, chunk)
 
-                    machine.run_segment(program, "pair", env)
-
-                    for name in program.outputs:
-                        register = env.get(name)
-                        if register is not None:
-                            outputs[name] = block_registers[name]
-                            outputs[name][lo * n : (lo + chunk.size) * n] = register
+                    rows_out = slice(lo * n, (lo + chunk.size) * n)
+                    machine.run_segment(
+                        program, "pair", dict(registers), self._uniform,
+                        out={name: reg[rows_out] for name, reg in outputs.items()},
+                    )
 
             stop = start + block.size
             # Sum over j with j outermost: each (row, lane) accumulates
@@ -199,7 +244,7 @@ class PairSweep:
             for lo in range(0, block.size, chunk_rows):
                 part = fvec[lo : lo + chunk_rows]
                 size = part.shape[0]
-                by_j = self._chunk_env(size * n, constants)["xi"]
+                by_j = self._chunk_env(size * n)["xi"]
                 np.copyto(by_j.reshape(n, size, width), part.transpose(1, 0, 2))
                 acc[start + lo : start + lo + size] = np.add.reduce(
                     by_j.reshape(n, -1), axis=0

@@ -2,7 +2,9 @@
 
 The simulator steps every set at once; :class:`ListLRU` below is the
 per-line list walk it replaced, kept here as the oracle it must match
-hit for hit.
+hit for hit.  Caches of at most two ways take a closed form instead of
+the round loop; :class:`RoundLoopCache` runs them on the round loop, so
+the two paths can be held to the same state call for call.
 """
 
 from __future__ import annotations
@@ -17,6 +19,22 @@ from repro.arch.cache import Cache, CacheHierarchy, CacheStats
 
 def _cache(size=1024, line=64, ways=2):
     return Cache(size_bytes=size, line_bytes=line, ways=ways)
+
+
+class RoundLoopCache(Cache):
+    """A cache that serves every trace with the set-parallel round loop,
+    the path caches of more than two ways take."""
+
+    def _access_closed(self, lines: np.ndarray) -> np.ndarray:
+        return self._access_rounds(lines)
+
+
+def _contents(cache: Cache) -> list[list[tuple[int, int]]]:
+    """Each set's valid ``(tag, last-use stamp)`` pairs, LRU first."""
+    contents = []
+    for tags, ages in zip(cache._tags.tolist(), cache._ages.tolist()):
+        contents.append(sorted((age, tag) for tag, age in zip(tags, ages) if age >= 0))
+    return [[(tag, age) for age, tag in ways] for ways in contents]
 
 
 class ListLRU:
@@ -141,8 +159,22 @@ _traces = st.lists(
 ).map(lambda lines: np.array(lines, dtype=np.int64))
 
 
+_calls = st.lists(
+    st.one_of(
+        st.just(None),  # a flush
+        st.lists(st.integers(min_value=0, max_value=40), max_size=60).map(
+            lambda lines: np.array(lines, dtype=np.int64) * 64
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
 class TestListOracle:
-    @pytest.mark.parametrize("n_sets, ways", [(1, 16), (4, 2), (512, 2)])
+    @pytest.mark.parametrize(
+        "n_sets, ways", [(1, 1), (64, 1), (1, 16), (4, 2), (512, 2)]
+    )
     @given(warm=_traces, measure=_traces, after=_traces)
     @settings(max_examples=40, deadline=None)
     def test_access_matches_oracle_across_calls(
@@ -160,6 +192,22 @@ class TestListOracle:
         oracle.flush()
         np.testing.assert_array_equal(cache.access(after), oracle.access(after))
         assert cache.stats.accesses == measure.size + after.size
+
+    @pytest.mark.parametrize("n_sets, ways", [(1, 1), (8, 1), (1, 2), (4, 2)])
+    @given(calls=_calls)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_equals_round_loop(self, n_sets, ways, calls):
+        # Few lines over few sets: repeats, ping-pongs and evictions.
+        closed = Cache(size_bytes=n_sets * ways * 64, line_bytes=64, ways=ways)
+        rounds = RoundLoopCache(size_bytes=n_sets * ways * 64, line_bytes=64, ways=ways)
+        for trace in calls:
+            if trace is None:
+                closed.flush()
+                rounds.flush()
+            else:
+                np.testing.assert_array_equal(closed.access(trace), rounds.access(trace))
+            assert closed.stats == rounds.stats
+            assert _contents(closed) == _contents(rounds)
 
     def test_abl_cache_random_gather_matches_oracle(self):
         # The Figure-9 ablation's worst trace: a neighbor-list gather in

@@ -51,13 +51,16 @@ def napping_job(seconds: float = 0.2, value: float = 0.0) -> ExperimentResult:
     return make_result(value=value)
 
 
-def gated_job(release_path: str = "") -> ExperimentResult:
+def gated_job(release_path: str = "", started_path: str = "") -> ExperimentResult:
     """Runs until ``release_path`` exists, polled every 10 ms.
 
     Holds a job in flight for exactly as long as a test needs it, with
     no wall-clock nap; a test that never releases it fails after
-    ``GATE_TIMEOUT_S`` instead of hanging.
+    ``GATE_TIMEOUT_S`` instead of hanging.  When given, ``started_path``
+    is created first, so a test can see that the job is running.
     """
+    if started_path:
+        Path(started_path).touch()
     deadline = time.monotonic() + GATE_TIMEOUT_S
     while not Path(release_path).exists():
         if time.monotonic() > deadline:

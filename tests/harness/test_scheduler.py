@@ -107,28 +107,41 @@ class TestInline:
 
 
 class TestPool:
-    def test_parallel_sleeps_overlap(self):
-        """Four 0.4s naps fan out: the pool beats the serial wall-clock.
+    def test_parallel_jobs_overlap(self, tmp_path):
+        """Four gated jobs fan out: all four are running at once.
 
-        This is the ISSUE's ``--jobs 4`` vs ``--jobs 1`` acceptance
-        criterion in miniature, made CPU-count-independent by using
-        sleeps (which overlap even on one core).
+        The runner's ``--jobs 4`` fan-out in miniature, with no host
+        clock: every job marks that it started
+        and then waits for one release file, which the test creates only
+        once all four marks exist.  A pool running fewer than four jobs
+        at a time never gets there; its first job times out unreleased.
         """
+        release = tmp_path / "release"
         jobs = [
-            stub_job(f"nap{i}", func="napping_job", seconds=0.4) for i in range(4)
+            stub_job(
+                f"gate{i}", func="gated_job", release_path=str(release),
+                started_path=str(tmp_path / f"started{i}"),
+            )
+            for i in range(4)
         ]
-        start = time.perf_counter()
-        serial = run_jobs(_payloads(jobs), max_workers=0)
-        serial_wall = time.perf_counter() - start
-
-        start = time.perf_counter()
-        parallel = run_jobs(_payloads(jobs), max_workers=4)
-        parallel_wall = time.perf_counter() - start
-
-        assert all(r["status"] == STATUS_OK for r in serial.values())
-        assert all(r["status"] == STATUS_OK for r in parallel.values())
-        assert serial_wall >= 1.6
-        assert parallel_wall < serial_wall * 0.75
+        records = {}
+        pool = threading.Thread(
+            target=lambda: records.update(run_jobs(_payloads(jobs), max_workers=4))
+        )
+        pool.start()
+        try:
+            deadline = time.monotonic() + 60.0
+            started = []
+            while len(started) < 4 and time.monotonic() < deadline:
+                started = sorted(tmp_path.glob("started*"))
+                time.sleep(0.01)
+            assert len(started) == 4, f"only {len(started)} of 4 jobs started"
+            assert not records  # nothing finished: none was released
+        finally:
+            release.touch()
+            pool.join()
+        assert sorted(records) == [f"gate{i}" for i in range(4)]
+        assert all(r["status"] == STATUS_OK for r in records.values())
 
     def test_crash_isolation_in_pool(self):
         jobs = [

@@ -418,9 +418,9 @@ class TestBackendSelection:
 
         units = []
 
-        def counting(program, segment_name, width, dtype):
+        def counting(program, segment_name, width, dtype, uniform_inputs):
             units.append(segment_name)
-            return compiled_segment(program, segment_name, width, dtype)
+            return compiled_segment(program, segment_name, width, dtype, uniform_inputs)
 
         monkeypatch.setattr(vm_compile, "compiled_segment", counting)
         program = build_spe_kernel("simd_acceleration", BOX_LENGTH)
@@ -608,7 +608,7 @@ class TestCompilerMachinery:
 
 
 # ---------------------------------------------------------------------------
-# codegen fast paths: scalar / pre-broadcast constants, lane-wise splat,
+# codegen fast paths: scalar / pre-broadcast constants, column splats,
 # compares written straight into masks
 # ---------------------------------------------------------------------------
 

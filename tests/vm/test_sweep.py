@@ -10,7 +10,11 @@
   neither the sweep nor the constants fill raises;
 * chunking is bitwise-neutral: a block executed in ``CHUNK_PAIRS``-sized
   chunks equals the block executed as one chunk — forces, PE and branch
-  samples, on both VM backends, and through a whole vm-mode Cell run.
+  samples, on both VM backends, and through a whole vm-mode Cell run;
+* a sweep reused over runs with new positions, row sets and a ragged
+  last chunk equals a fresh sweep per run: the chunk registers it keeps
+  (``xj`` filled once per chunk size and run, the self lanes restored
+  chunk by chunk) carry nothing from one chunk or run into the next.
 """
 
 from __future__ import annotations
@@ -47,8 +51,13 @@ def _lattice_positions(n: int) -> np.ndarray:
 class TestGpuSelfPairNeutrality:
     @pytest.mark.parametrize("backend", EXEC_BACKENDS)
     @pytest.mark.parametrize("layout", ["lattice", "random"])
-    def test_sweep_equals_undisplaced_segment(self, backend, layout):
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_sweep_equals_undisplaced_segment(
+        self, backend, layout, chunk_rows, monkeypatch
+    ):
         n = 64
+        if chunk_rows is not None:  # many chunks of one size, and a ragged one
+            monkeypatch.setattr(sweep_module, "CHUNK_PAIRS", chunk_rows * n)
         positions = (
             _lattice_positions(n) if layout == "lattice"
             else _random_positions(n, seed=5)
@@ -182,6 +191,28 @@ class TestChunking:
         assert run() == chunked
         assert chunked[2]["vm.segments"] > 0
         assert chunked[2]["vm.branch.interacting_fraction.samples"] > 0
+
+
+class TestReuse:
+    @pytest.mark.parametrize("kernel, backend", _SWEEP_CASES)
+    def test_reused_sweep_equals_fresh_sweeps(self, kernel, backend, monkeypatch):
+        if kernel == "shader":
+            program = build_md_shader(BOX_LENGTH).program
+            constants = shader_constants(LennardJones(), BOX_LENGTH)
+        else:
+            program = build_spe_kernel(kernel, BOX_LENGTH)
+            constants = kernel_constants(LennardJones())
+        n = 40
+        # 3-row chunks: a 16-row block runs chunks of 3, 3, 3, 3, 3 and 1.
+        monkeypatch.setattr(sweep_module, "CHUNK_PAIRS", 3 * n)
+        reused = PairSweep(program, exec_backend=backend)
+        for seed, rows in ((1, None), (2, np.array([37, 5, 0, 21, 9])), (3, None)):
+            positions = _random_positions(n, seed)
+            got = reused.run(positions, constants, rows=rows, row_block=16)
+            fresh = PairSweep(program, exec_backend=backend)
+            want = fresh.run(positions, constants, rows=rows, row_block=16)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestRowBlock:
